@@ -8,9 +8,6 @@ and the override is announced on stderr; silent merges hide mistakes.
 Determinism contract: identical config + seed produce byte-identical output.
 JSON is emitted with sorted keys, CSV rows carry a schema_version column,
 floats render through repr, and nothing time- or host-dependent is written.
-Residual scans honour SEQSPACE_THREADS because every grid point draws from
-its own lambda-keyed generator, so any partition of the grid reduces to the
-same numbers.
 
 Exit codes: 0 success, 1 failed verification, 2 malformed JSON, 3 unknown
 space/lattice kind, 4 parameter violation.
@@ -23,17 +20,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .indices import index_report, report_to_json
-from .lattices import lattice_from_json, lattice_norm, lattice_to_json
+from .lattices import EX, UN, lattice_from_json, lattice_norm, lattice_to_json
 from .operators import apply_array, parse_operator
-from .spaces import Lp, norm, space_from_json, space_to_json
+from .spaces import Lp, Orlicz, norm, space_from_json, space_to_json
 from .spectral import branching_witness, doubling_orbit_witness, residual_scan
 from .verify import run_checks
 
@@ -251,19 +246,6 @@ def _parse_grid(raw) -> list[float]:
     return [float(g) for g in np.linspace(start, stop, steps)]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SEQSPACE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"warning: SEQSPACE_THREADS={raw!r} is not an integer; using 1",
-              file=sys.stderr)
-        return 1
-    return max(1, cap)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -296,6 +278,13 @@ def _format(config: RunConfig, default: str = "json") -> str:
     return config.format if config.format is not None else default
 
 
+def _method(spec) -> str:
+    """Provenance tag of a norm: Orlicz values come from the bracketed solver."""
+    if isinstance(spec, EX):
+        spec = spec.base
+    return "root_find" if isinstance(spec, (Orlicz, UN)) else "closed_form"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -311,12 +300,14 @@ def _cmd_norm(config: RunConfig) -> int:
                            "--operator acts on ambient sequences, not lattice coefficients")
         lat, lattice_json = _load_lattice(config)
         value = lattice_norm(lat, vec)
+        method = _method(lat)
     else:
         space, space_json = _load_space(config)
         x = np.asarray(vec, dtype=float)
         if config.operator is not None:
             x = apply_array(parse_operator(config.operator), x)
         value = norm(space, x)
+        method = _method(space)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "norm",
@@ -325,12 +316,12 @@ def _cmd_norm(config: RunConfig) -> int:
         "operator": config.operator,
         "input_len": len(vec),
         "value": _num(float(value)),
-        "method": "closed_form",
+        "method": method,
     }
     if _format(config) == "csv":
         _emit(config, _render_csv(
             ["schema_version", "command", "value", "method"],
-            [[SCHEMA_VERSION, "norm", float(value), "closed_form"]],
+            [[SCHEMA_VERSION, "norm", float(value), method]],
         ))
     else:
         _emit(config, _render_json(payload))
@@ -398,15 +389,7 @@ def _cmd_scan(config: RunConfig) -> int:
     kw = {"seed": config.seed if config.seed is not None else DEFAULT_SEED}
     if config.dim is not None:
         kw["dim"] = int(config.dim)
-    threads = _thread_cap()
-    if threads > 1 and len(lams) > 1:
-        # each point is keyed by its own lambda, so per-point calls reproduce
-        # the sequential scan byte for byte
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda g: residual_scan(space, [g], **kw), lams)
-            points = [pt for chunk in chunks for pt in chunk]
-    else:
-        points = residual_scan(space, lams, **kw)
+    points = residual_scan(space, lams, **kw)
     if _format(config) == "csv":
         rows = [[SCHEMA_VERSION, pt.lam, pt.estimate, pt.method, pt.dim, pt.seed]
                 for pt in points]
@@ -437,8 +420,10 @@ def _cmd_witness(config: RunConfig) -> int:
     if config.n is None or config.n < 1:
         raise CliError(EXIT_BAD_PARAMETER, "witness needs --n >= 1")
     p, n = float(config.p), int(config.n)
+    method = "closed_form"
     if config.kind == "vn":
         space = _load_space(config)[0] if config.space is not None else Lp(p)
+        method = _method(space)
         rep = doubling_orbit_witness(space, p, n)
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -451,7 +436,7 @@ def _cmd_witness(config: RunConfig) -> int:
             "residual": rep.residual,
             "predicted": rep.predicted,
             "support": rep.support,
-            "method": "closed_form",
+            "method": method,
         }
         fields_out = ["lambda", "norm_value", "residual", "predicted", "support"]
     else:
@@ -468,12 +453,12 @@ def _cmd_witness(config: RunConfig) -> int:
             "d2_predicted": rep.d2_predicted,
             "d3_predicted": rep.d3_predicted,
             "support": rep.support,
-            "method": "closed_form",
+            "method": method,
         }
         fields_out = ["norm_value", "d2_residual", "d2_predicted",
                       "d3_residual", "d3_predicted", "support"]
     if _format(config) == "csv":
-        rows = [[SCHEMA_VERSION, config.kind, p, n, name, payload[name], "closed_form"]
+        rows = [[SCHEMA_VERSION, config.kind, p, n, name, payload[name], method]
                 for name in fields_out]
         _emit(config, _render_csv(
             ["schema_version", "kind", "p", "n", "field", "value", "method"], rows))

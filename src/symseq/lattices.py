@@ -31,6 +31,7 @@ from .spaces import (
     OrliczFn,
     SpaceSpec,
     WeightSeq,
+    _luxemburg,
     _orlicz_from_json,
     _orlicz_inverse_vec,
     _orlicz_to_json,
@@ -147,45 +148,10 @@ def lattice_norm(lat: LatticeSpec, a) -> float:
         mu = np.asarray(lat.mu(np.arange(1.0, arr.size + 1.0)), dtype=float)
         return float(np.sum((np.abs(arr) * mu) ** lat.q) ** (1.0 / lat.q))
     if isinstance(lat, UN):
-        return _un_luxemburg(lat.N, np.abs(arr))
+        if arr.size > 64:
+            raise ValueError("UN norm supports at most 64 coordinates")
+        return _luxemburg(lat.N, np.abs(arr), weights=2.0 ** np.arange(arr.size))
     raise TypeError(f"unknown lattice spec {lat!r}")
-
-
-def _un_luxemburg(N: OrliczFn, a: np.ndarray, rel_tol: float = 1e-12) -> float:
-    """inf{u > 0 : sum_k 2^(k-1) N(a_k / u) <= 1} by bisection.
-
-    Any admissible u has 2^(k-1) N(a_k/u) <= 1 for each k, so
-    u >= a_k / N^{-1}(2^(1-k)) gives a positive lower bracket; the upper
-    bracket grows geometrically from there.
-    """
-    if a.size == 0 or not np.any(a > 0.0):
-        return 0.0
-    if a.size > 64:
-        raise ValueError("UN norm supports at most 64 coordinates")
-    weights = 2.0 ** np.arange(a.size)
-    pos = a > 0.0
-    inv = _orlicz_inverse_vec(N, 1.0 / weights[pos])
-    lo = float(np.max(a[pos] / inv))
-
-    def modular(u: float) -> float:
-        return float(np.sum(weights * N(a / u)))
-
-    hi = lo
-    for _ in range(200):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("UN norm bracketing failed")
-    for _ in range(200):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if modular(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:

@@ -248,25 +248,70 @@ def _descending(x) -> np.ndarray:
     return out[: nz[-1] + 1] if nz.size else out[:0]
 
 
-def _luxemburg(N: OrliczFn, a: np.ndarray, rel_tol: float = 1e-12) -> float:
-    """Luxemburg norm of a nonnegative vector by bisection.
+# Relative distance a step keeps from either end of a bracket; the solver
+# stops once a bracket is at most twice this wide.
+_ROOT_TOL = 4.0 * np.finfo(float).eps
 
-    Bracket: any admissible u satisfies u >= max(a) since N(1) = 1, and
-    u = sum(a) is admissible by convexity (sum N(a_k/u) <= N(sum a_k / u) = 1),
-    so [max(a)/2, sum(a)] brackets the infimum.
+
+def _bracketed_root(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Solve f(t) = 0 for each entry, returning the admissible end of its bracket.
+
+    f maps positive t to a residual, one independent equation per entry,
+    that increases with t and is nonnegative exactly where t is admissible;
+    lo and hi are positive and every hi is admissible by construction.  Each
+    pass takes an Illinois regula falsi step (Dowell & Jarratt 1971) in
+    log t, where power-type residuals are nearly linear, measured from the
+    nearer end so that rounding cannot carry it out of the bracket.  A
+    non-finite residual or bracket width falls back to the geometric
+    midpoint, and every step keeps a relative distance of _ROOT_TOL from
+    both ends so that one-sided convergence cannot stall.
     """
-    if a.size == 0:
-        return 0.0
-    lo, hi = float(a.max()) / 2.0, float(a.sum())
-    for _ in range(200):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(N(a / mid))) > 1.0:
-            lo = mid
-        else:
-            hi = mid
+    # non-finite residuals (log 0, overflow in N) are expected and handled
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        flo = f(lo)
+        fhi = np.maximum(f(hi), 0.0)
+        hi = np.where(flo >= 0.0, lo, hi)
+        was_up = was_down = np.zeros(hi.shape, dtype=bool)
+        for _ in range(200):
+            live = hi - lo > 2.0 * _ROOT_TOL * hi
+            if not live.any():
+                break
+            w = np.log(hi / lo)
+            d_lo = w * flo / (flo - fhi)  # secant point is lo e^d_lo = hi e^-d_hi
+            d_hi = w * fhi / (fhi - flo)
+            t = np.where(d_lo < d_hi, lo * np.exp(d_lo), hi * np.exp(-d_hi))
+            t = np.where(np.isfinite(d_lo + d_hi), t, np.sqrt(lo) * np.sqrt(hi))
+            t = np.minimum(np.maximum(t, lo * (1.0 + _ROOT_TOL)), hi * (1.0 - _ROOT_TOL))
+            ft = f(t)
+            up = live & (ft >= 0.0)
+            down = live ^ up
+            # Illinois: an end kept twice in a row has its residual halved
+            flo = np.where(up & was_up, 0.5 * flo, np.where(down, ft, flo))
+            fhi = np.where(down & was_down, 0.5 * fhi, np.where(up, ft, fhi))
+            lo = np.where(down, t, lo)
+            hi = np.where(up, t, hi)
+            was_up, was_down = up, down
     return hi
+
+
+def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for nonnegative a, weights w_k >= 1.
+
+    The weights default to 1 (the Orlicz norm); ``UN`` passes 2^(k-1).  With
+    m = max(a) and b = a/m the norm is m v for v in [1, sum w_k b_k]: v < 1
+    gives N(1/v) > 1 at the largest coordinate, and v = sum w_k b_k is
+    admissible because convexity gives N(t) <= t on [0, 1].
+    """
+    m = float(a.max()) if a.size else 0.0
+    if m == 0.0:
+        return 0.0
+    b = a / m
+    w = 1.0 if weights is None else weights
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        return -np.log(np.sum(w * N(b / v[:, None]), axis=1))
+
+    return m * float(_bracketed_root(residual, np.ones(1), np.array([np.sum(w * b)]))[0])
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -293,73 +338,30 @@ def norm(space: SpaceSpec, x) -> float:
 
 
 def orlicz_inverse(N: OrliczFn, s: float) -> float:
-    """t >= 0 with N(t) = s, via geometric bracketing and log-scale bisection.
+    """t >= 0 with N(t) = s: a t with N(t) >= s, within ~1e-15 relative of
+    the least one.
 
-    The bracket expands/contracts geometrically (normalized convex N has
-    N(t) <= t on [0, 1], so the inverse of s >= 1e-300 never underflows) and
-    the bisection runs on the geometric mean, giving ~1e-14 relative accuracy;
-    that implies the absolute guarantee |N(t) - s| <= 1e-13 max(1, s).
+    That implies the absolute guarantee |N(t) - s| <= 1e-13 max(1, s).
     """
     if s < 0.0 or not math.isfinite(s):
         raise ValueError("orlicz_inverse needs finite s >= 0")
     if s == 0.0:
         return 0.0
-    hi = 1.0
-    for _ in range(1100):
-        if float(N(np.array([hi]))[0]) >= s:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("orlicz_inverse could not bracket: N stays below s")
-    lo = hi
-    for _ in range(1200):
-        cand = lo / 2.0
-        if cand < 1e-320:
-            raise ValueError("orlicz_inverse bracketing failure near underflow")
-        if float(N(np.array([cand]))[0]) < s:
-            lo = cand
-            break
-        lo = cand
-        hi = cand * 2.0
-    for _ in range(200):
-        mid = lo * math.sqrt(hi / lo)
-        if not lo < mid < hi:
-            break
-        if float(N(np.array([mid]))[0]) >= s:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return hi
+    return float(_orlicz_inverse_vec(N, np.array([s]))[0])
 
 
 def _orlicz_inverse_vec(N: OrliczFn, s: np.ndarray) -> np.ndarray:
-    """Vectorized orlicz_inverse for positive s (same bracketing scheme)."""
+    """N^{-1}(s) for positive s, elementwise.
+
+    Normalized convex N has N(t) <= t on [0, 1] and N(t) >= t beyond, so the
+    inverse lies between s and 1.
+    """
     s = np.asarray(s, dtype=float)
-    hi = np.ones_like(s)
-    for _ in range(1100):
-        need = N(hi) < s
-        if not np.any(need):
-            break
-        hi[need] *= 2.0
-    lo = hi.copy()
-    for _ in range(1200):
-        over = N(lo) >= s
-        if not np.any(over):
-            break
-        hi = np.where(over, lo, hi)
-        lo = np.where(over, lo / 2.0, lo)
-        if np.any(lo < 1e-320):
-            raise ValueError("orlicz_inverse bracketing failure near underflow")
-    for _ in range(200):
-        mid = lo * np.sqrt(hi / lo)
-        up = N(mid) >= s
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-        if np.all(hi - lo <= 1e-14 * hi):
-            break
-    return hi
+
+    def residual(t: np.ndarray) -> np.ndarray:
+        return np.log(N(t) / s)
+
+    return _bracketed_root(residual, np.minimum(s, 1.0), np.maximum(s, 1.0))
 
 
 def fundamental_function(space: SpaceSpec, n: int) -> float:

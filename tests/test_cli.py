@@ -88,6 +88,40 @@ def test_norm_lattice(capsys):
     assert json.loads(out)["value"] == pytest.approx(3.0)
 
 
+ORLICZ_15 = '{"kind":"orlicz","orlicz":{"form":"power","p":1.5}}'
+
+
+def test_norm_orlicz_is_tagged_root_find(capsys):
+    argv = ["norm", "--space", ORLICZ_15, "--vector", "[3, 4]"]
+    code, out, _ = _run(argv, capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["method"] == "root_find"
+    assert payload["value"] == pytest.approx((3**1.5 + 4**1.5) ** (1 / 1.5), rel=1e-14)
+    _, out, _ = _run(argv + ["--format", "csv"], capsys)
+    assert out.splitlines()[1].endswith(",root_find")
+
+
+def test_norm_un_and_ex_orlicz_are_tagged_root_find(capsys):
+    for lattice in ('{"kind":"un","orlicz":{"form":"power","p":2}}',
+                    '{"kind":"ex","base":' + ORLICZ_15 + '}'):
+        code, out, _ = _run(["norm", "--lattice", lattice, "--vector", "[1, 2]"], capsys)
+        assert code == 0 and json.loads(out)["method"] == "root_find"
+    # UN over t^2 is the weighted l^2 norm sqrt(1 + 2 * 4)
+    _, out, _ = _run(["norm", "--lattice", '{"kind":"un","orlicz":{"form":"power","p":2}}',
+                      "--vector", "[1, 2]"], capsys)
+    assert json.loads(out)["value"] == pytest.approx(3.0, rel=1e-14)
+
+
+def test_witness_vn_orlicz_is_tagged_root_find(capsys):
+    argv = ["witness", "--kind", "vn", "--p", "1.5", "--n", "4", "--space", ORLICZ_15]
+    code, out, _ = _run(argv, capsys)
+    assert code == 0 and json.loads(out)["method"] == "root_find"
+    _, out, _ = _run(argv + ["--format", "csv"], capsys)
+    assert all(ln.endswith(",root_find") for ln in out.splitlines()[1:])
+    _, out, _ = _run(["witness", "--kind", "vn", "--p", "1.5", "--n", "4"], capsys)
+    assert json.loads(out)["method"] == "closed_form"
+
+
 def test_norm_requires_exactly_one_source(capsys):
     code, _, err = _run(["norm", "--vector", "[1]"], capsys)
     assert code == EXIT_BAD_PARAMETER
@@ -176,15 +210,6 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = _run(argv, capsys)
     _, second, _ = _run(argv, capsys)
     assert first == second
-
-
-def test_threads_do_not_change_bytes(capsys, monkeypatch):
-    argv = ["scan", "--space", '{"kind":"lp","p":2}', "--grid", "0.9:1.7:5",
-            "--dim", "128", "--format", "csv"]
-    _, solo, _ = _run(argv, capsys)
-    monkeypatch.setenv("SEQSPACE_THREADS", "4")
-    _, pooled, _ = _run(argv, capsys)
-    assert solo == pooled
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -6,10 +6,11 @@ partial-sum formulas on hand-sorted data) and frozen here.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symseq.spaces import (
@@ -90,6 +91,10 @@ def test_homogeneity(xs, c):
 
 @settings(max_examples=60)
 @given(vectors, vectors)
+@example(
+    xs=[0, 10678, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1.5],
+    ys=[0, 10689, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1.5],
+)
 def test_triangle_inequality(xs, ys):
     n = max(len(xs), len(ys))
     x = np.pad(np.asarray(xs), (0, n - len(xs)))
@@ -123,6 +128,12 @@ def test_quasi_norm_can_break_the_triangle():
     x = np.array([0.21, 0.29])
     y = np.array([0.43, 0.35])
     assert norm(sp, x + y) > 1.018 * (norm(sp, x) + norm(sp, y))
+
+
+def test_orlicz_norm_of_a_subnormal():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm(Orlicz(OrliczFn.power(1.5)), [5e-324]) == 5e-324
 
 
 def test_zero_vector():
