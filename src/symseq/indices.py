@@ -19,6 +19,12 @@ is 1/N^{-1}(2^{-k})), which is exactly why these families are of
 fundamental type; the two routes here share one profile kernel, so the
 reported Boyd/fundamental gaps for them are identically zero.
 
+Partial sums W(j) of w^q come in closed form whenever the summand is a
+pure power, k^{-theta q} for ``power_weights`` and k^{q/p-1} for l^{p,q}:
+a term-by-term head up to 2^12 plus an Euler-Maclaurin tail whose
+remainder is bounded below 1e-16 relative (``_power_partial_sums``).  Only
+custom generator weights still stream every term up to the largest point.
+
 Truncations: the inner sup grid is held constant across n, making the
 truncation bias n-independent so that it cancels in the difference
 extrapolation of ``estimate_rate``.  Every index is reported as an interval
@@ -92,6 +98,8 @@ def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
 
     Streams 1..max(points) in chunks so cumulative sums at positions far
     beyond memory limits (default grids reach 2^30) never materialize.
+    The index routines call it only for custom generator weights; pure
+    power summands go to the closed-form ``_power_partial_sums``.
     """
     pts = np.asarray(points, dtype=np.int64)
     if pts.size == 0:
@@ -111,13 +119,78 @@ def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lorentz_profiles(q: float, w, n_max: int, j_max: int):
+# Head length of the power-sum kernel, summed term by term; past it, Euler-Maclaurin.
+_EM_HEAD = 1 << 12
+# B_2/2!, B_4/4!, B_6/6! and B_8/8!
+_EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+
+def _falling(s: float, m: int) -> float:
+    """s (s-1) ... (s-m+1): the m-th derivative of x^s is this times x^(s-m)."""
+    return math.prod(s - i for i in range(m))
+
+
+def _em_odd_terms(s: float, x):
+    """sum_{j=1..3} B_2j/(2j)! f^(2j-1)(x) for f(x) = x^s."""
+    return sum(
+        c * _falling(s, 2 * j + 1) * x ** (s - 2 * j - 1)
+        for j, c in enumerate(_EM_COEF[:3])
+    )
+
+
+def _em_remainder_bound(s: float, n):
+    """2 |B_8|/8! |f^(7)(n) - f^(7)(M)|: bounds the error of the B_6-truncated tail."""
+    m = np.float64(_EM_HEAD)
+    return 2.0 * abs(_EM_COEF[3] * _falling(s, 7)) * np.abs(n ** (s - 7.0) - m ** (s - 7.0))
+
+
+def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
+    """sum_{k<=n} k^s at sorted positive int positions n, without streaming.
+
+    Positions up to M = _EM_HEAD read a term-by-term cumulative sum.  Past M the
+    tail sum_{M<k<=n} f(k), f(x) = x^s, is the Euler-Maclaurin expansion
+    (DLMF 2.10.1) with B_2..B_6 terms,
+
+        int_M^n f + (f(n) - f(M))/2 + sum_j B_2j/(2j)! (f^(2j-1)(n) - f^(2j-1)(M)),
+
+    whose remainder is at most 2 |B_8|/8! |f^(7)(n) - f^(7)(M)|, since
+    f^(8) keeps one sign on [M, n].  Sums that overflow (s beyond ~30 at the
+    default window) or a bound above 1e-16 relative raise ValueError.  The
+    integral takes the expm1 form near s = -1 so that nothing cancels.
+    """
+    pts = np.asarray(pts, dtype=np.int64)
+    head = np.cumsum(np.arange(1, _EM_HEAD + 1, dtype=float) ** s)
+    out = head[np.minimum(pts, _EM_HEAD) - 1]
+    far = pts > _EM_HEAD
+    if not far.any():
+        return out
+    m = np.float64(_EM_HEAD)
+    n = pts[far].astype(float)
+    t = s + 1.0
+    if abs(t) < 0.25:
+        log_ratio = np.log(n / m)
+        integral = log_ratio if t == 0.0 else m**t * np.expm1(t * log_ratio) / t
+    else:
+        integral = (n**t - m**t) / t
+    out[far] += integral + (n**s - m**s) / 2.0 + _em_odd_terms(s, n) - _em_odd_terms(s, m)
+    sums = out[far]
+    if not (np.all(np.isfinite(sums)) and np.all(_em_remainder_bound(s, n) < 1e-16 * sums)):
+        raise ValueError(
+            f"partial sums of k^{s} overflow or exceed the 1e-16 Euler-Maclaurin bound"
+        )
+    return out
+
+
+def _lorentz_profiles(q: float, summand, n_max: int, j_max: int):
     """U(n), L(n) = +-(1/q) log2 of the truncated partial-sum ratio sups.
 
-    One streamed pass serves two regimes.  The alpha-side sup needs large j,
+    W(j) sums the summand w_k^q: a float s stands for the pure power k^s and
+    goes to the closed-form kernel ``_power_partial_sums``; a callable
+    (custom generator weights) is streamed by ``partial_sums_at``.  One pass
+    over W serves two regimes.  The alpha-side sup needs large j,
     so L(n) uses the full grid j <= j_max for n <= n_max.  For nonincreasing
     weights the beta-side sup sits at small j, so U(n) continues to larger n
-    on the subgrid j <= 64 -- the largest streamed point stays put
+    on the subgrid j <= 64 -- the largest summed point stays put
     (64 * 2^{n_ext} = j_max * 2^{n_max}) and the slow beta modes get twice
     the differencing depth for free.  Weights whose growth regime arrives
     late (the dense grid beats the subgrid sup at n_max) fall back to the
@@ -130,7 +203,10 @@ def _lorentz_profiles(q: float, w, n_max: int, j_max: int):
     grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
     grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
     pts = np.unique(np.concatenate(grids))
-    logw = np.log2(partial_sums_at(lambda k: w.values_at(k) ** q, pts))
+    if callable(summand):
+        logw = np.log2(partial_sums_at(summand, pts))
+    else:
+        logw = np.log2(_power_partial_sums(summand, pts))
 
     def at(grid, n):
         return logw[np.searchsorted(pts, grid * (1 << n))]
@@ -169,19 +245,11 @@ def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
     return U, L
 
 
-class _PowerProfile:
-    """k^expo evaluator standing in for a WeightSeq in the profile kernel.
-
-    The l^{p,q} norm is (sum (a*_k)^q k^{q/p-1})^{1/q}, the same partial-sum
-    machinery as a Lorentz space with pseudo-weight w_k = k^{1/p-1/q} --
-    increasing (and the space quasi-normed) when q > p, hence no WeightSeq.
-    """
-
-    def __init__(self, expo: float):
-        self.expo = expo
-
-    def values_at(self, idx) -> np.ndarray:
-        return np.power(np.asarray(idx, dtype=float), self.expo)
+def _summand(q: float, w: WeightSeq):
+    """w_k^q for the Lorentz profile: the exponent -theta q for power weights."""
+    if w.theta is not None:
+        return -w.theta * q
+    return lambda k: w.values_at(k) ** q
 
 
 def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
@@ -197,10 +265,12 @@ def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
             n = np.arange(1, n_max + 1, dtype=float)
             return n / space.p, -n / space.p, "closed_form"
         tag = "truncated_sup(quasi)" if space.quasi else "truncated_sup"
-        U, L = _lorentz_profiles(q, _PowerProfile(1.0 / space.p - 1.0 / q), n_max, j_max)
+        # (sum (a*_k)^q k^{q/p-1})^{1/q}: the Lorentz profile of the
+        # pseudo-weight k^{1/p-1/q}, increasing when q > p
+        U, L = _lorentz_profiles(q, q / space.p - 1.0, n_max, j_max)
         return U, L, tag
     if isinstance(space, Lorentz):
-        U, L = _lorentz_profiles(space.q, space.w, n_max, j_max)
+        U, L = _lorentz_profiles(space.q, _summand(space.q, space.w), n_max, j_max)
         return U, L, "truncated_sup"
     if isinstance(space, Orlicz):
         U, L = _orlicz_profiles(space.N, n_max, k_max)
@@ -280,7 +350,7 @@ def lorentz_indices(
     if n_max < 2:
         raise ValueError("lorentz_indices needs n_max >= 2")
     if not simplified:
-        U, L = _lorentz_profiles(q, w, n_max, j_max)
+        U, L = _lorentz_profiles(q, _summand(q, w), n_max, j_max)
         return _alpha_beta(U, L, "truncated_sup")
     cond = weight_ratio_condition(q, w, n_max=n_max)
     if not cond.holds:

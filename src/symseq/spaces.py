@@ -62,13 +62,16 @@ class WeightSeq:
     The generator form takes a vectorized callable mapping an integer index
     array (1-based) to weights and supports arbitrarily large indices; the
     array form is restricted to norm evaluation within its length, and
-    index-estimation routines reject it.
+    index-estimation routines reject it.  ``theta`` is set (by
+    ``power_weights``) when the generator is k^(-theta); index routines then
+    sum the profile k^(-theta q) in closed form instead of streaming it.
     """
 
     kind: str  # "generator" | "array"
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     data: tuple[float, ...] | None = None
     label: str = ""
+    theta: float | None = None
 
     def __post_init__(self):
         if self.kind == "generator":
@@ -86,6 +89,10 @@ class WeightSeq:
         # Spot check: nonincreasing within floating-point slack.
         if np.any(np.diff(probe) > 1e-12 * probe[:-1]):
             raise ValueError("weights must be nonincreasing")
+        if self.theta is not None and not np.allclose(
+            probe, _WEIGHT_PROBE ** -self.theta, rtol=1e-12, atol=0.0
+        ):
+            raise ValueError("theta must match the generator k^(-theta)")
 
     def __len__(self) -> int:
         if self.kind != "array":
@@ -123,6 +130,7 @@ def power_weights(theta: float) -> WeightSeq:
         kind="generator",
         fn=lambda k, theta=theta: np.power(k, -theta),
         label=f"power:{theta}",
+        theta=float(theta),
     )
 
 
@@ -234,18 +242,28 @@ class Orlicz:
 SpaceSpec = Union[Lp, LpQ, Lorentz, Orlicz]
 
 
-def _descending(x) -> np.ndarray:
+def _descending(x) -> tuple[np.ndarray, float]:
+    """(b, scale): |x| sorted nonincreasing, trailing zeros dropped, as b = |x| / scale.
+
+    scale = 2^e with 2^e <= max|x| < 2^(e+1), so b lies in [0, 2): powers of
+    b neither overflow nor underflow, and since dividing by a power of two is
+    exact, norms computed on b and multiplied back by scale round exactly as
+    the unscaled sums would wherever those are representable.
+    """
     if isinstance(x, Seq):
         arr = x.array
     else:
         arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        return arr
-    if not np.all(np.isfinite(arr)):
+    if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("norm input must be finite")
-    out = np.sort(np.abs(arr))[::-1]
-    nz = np.nonzero(out)[0]
-    return out[: nz[-1] + 1] if nz.size else out[:0]
+    out = np.abs(arr)  # a fresh array: sorted and scaled in place
+    out.sort()
+    nz = np.count_nonzero(out)  # zeros sort first
+    if nz == 0:
+        return out[:0], 1.0
+    scale = math.ldexp(1.0, math.frexp(out[-1])[1] - 1)
+    out /= scale
+    return out[::-1][:nz], scale
 
 
 # Relative distance a step keeps from either end of a bracket; the solver
@@ -315,25 +333,29 @@ def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) ->
 
 
 def norm(space: SpaceSpec, x) -> float:
-    """Norm of x in the given space (quasi-norm for LpQ with q > p)."""
-    a = _descending(x)
-    if a.size == 0:
+    """Norm of x in the given space (quasi-norm for LpQ with q > p).
+
+    Every family evaluates the scaled rearrangement b = |x|* / scale of
+    ``_descending`` and multiplies back, so wide-magnitude inputs stay finite.
+    """
+    b, scale = _descending(x)
+    if b.size == 0:
         return 0.0
     if isinstance(space, Lp):
         if space.p == math.inf:
-            return float(a[0])
-        return float(np.sum(a ** space.p) ** (1.0 / space.p))
+            return scale * float(b[0])
+        return scale * float(np.sum(b ** space.p) ** (1.0 / space.p))
     if isinstance(space, LpQ):
-        k = np.arange(1, a.size + 1, dtype=float)
+        k = np.arange(1, b.size + 1, dtype=float)
         if space.q == math.inf:
-            return float(np.max(a * k ** (1.0 / space.p)))
-        s = np.sum(a ** space.q * k ** (space.q / space.p - 1.0))
-        return float(s ** (1.0 / space.q))
+            return scale * float(np.max(b * k ** (1.0 / space.p)))
+        s = np.sum(b ** space.q * k ** (space.q / space.p - 1.0))
+        return scale * float(s ** (1.0 / space.q))
     if isinstance(space, Lorentz):
-        w = space.w.values(a.size)
-        return float(np.sum((a * w) ** space.q) ** (1.0 / space.q))
+        w = space.w.values(b.size)
+        return scale * float(np.sum((b * w) ** space.q) ** (1.0 / space.q))
     if isinstance(space, Orlicz):
-        return _luxemburg(space.N, a)
+        return scale * _luxemburg(space.N, b)
     raise TypeError(f"unknown space spec {space!r}")
 
 
@@ -459,8 +481,8 @@ def space_to_json(space: SpaceSpec) -> dict:
         w = space.w
         if w.kind == "array":
             weights = {"form": "array", "values": list(w.data)}
-        elif w.label.startswith("power:"):
-            weights = {"form": "power", "theta": float(w.label.split(":")[1])}
+        elif w.theta is not None:
+            weights = {"form": "power", "theta": w.theta}
         else:
             raise ValueError("cannot serialize a custom weight generator")
         return {"kind": "lorentz", "q": space.q, "weights": weights}

@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symseq import indices
 from symseq._limits import estimate_rate
 from symseq.indices import (
+    _EM_HEAD,
+    _em_remainder_bound,
+    _power_partial_sums,
     Interval,
     boyd_indices,
     f_interval,
@@ -25,7 +29,7 @@ from symseq.indices import (
     partial_sums_at,
     report_to_json,
 )
-from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, power_weights
+from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, WeightSeq, power_weights
 
 LIGHT = dict(n_max=12, j_max=1 << 12, k_max=120)
 
@@ -191,6 +195,93 @@ def test_partial_sums_at_matches_direct_cumsum(points):
     got = partial_sums_at(fn, pts)
     want = np.array([np.sum(fn(np.arange(1, p + 1))) for p in pts])
     assert np.allclose(got, want, rtol=1e-10)
+
+
+# Exponents of every built-in profile shape: both sides of s = -1 (where the
+# integral turns logarithmic), the constant, and increasing powers.
+EM_EXPONENTS = (-1.2, -1.0, -1.0 + 1e-9, -0.8, -0.5, -1.0 / 3.0, 0.0, 0.5, 2.0)
+EM_POINTS = np.unique(
+    np.concatenate(
+        [
+            np.arange(1, 70),
+            _EM_HEAD + np.arange(-3, 4),
+            np.geomspace(1 << 13, 1 << 24, 40).astype(np.int64),
+            [1 << 24],
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("s", EM_EXPONENTS)
+def test_power_partial_sums_match_the_stream(s):
+    got = _power_partial_sums(s, EM_POINTS)
+    if s == 2.0:
+        # the stream's running total of squares passes 2^53 and drifts by
+        # ~1.6e-12 at 2^23, so squares are checked against their exact sums
+        want = np.array([float(n * (n + 1) * (2 * n + 1) // 6) for n in EM_POINTS.tolist()])
+    else:
+        want = partial_sums_at(lambda k: k**s, EM_POINTS)
+    assert np.max(np.abs(got / want - 1.0)) < 2e-13
+
+
+@pytest.mark.parametrize("s", EM_EXPONENTS)
+def test_power_partial_sums_head_is_the_cumsum(s):
+    head = np.cumsum(np.arange(1, _EM_HEAD + 1, dtype=float) ** s)
+    pts = EM_POINTS[EM_POINTS <= _EM_HEAD]
+    assert np.array_equal(_power_partial_sums(s, pts), head[pts - 1])
+
+
+@pytest.mark.parametrize("s", EM_EXPONENTS)
+def test_power_partial_sums_remainder_bound(s):
+    far = EM_POINTS[EM_POINTS > _EM_HEAD]
+    sums = _power_partial_sums(s, far)
+    assert np.all(_em_remainder_bound(s, far.astype(float)) < 1e-16 * sums)
+
+
+def test_power_partial_sums_of_ones_count_exactly():
+    assert np.array_equal(_power_partial_sums(0.0, EM_POINTS), EM_POINTS.astype(float))
+
+
+POWER_PROFILE_SPACES = [
+    Lorentz(2.0, power_weights(0.25)),
+    Lorentz(1.0, power_weights(0.3)),
+    LpQ(3.0, 2.0),
+    LpQ(2.0, 4.0),
+]
+
+
+def test_power_profiles_never_stream(monkeypatch):
+    def no_stream(term, points):
+        raise AssertionError("power profile was streamed")
+
+    monkeypatch.setattr(indices, "partial_sums_at", no_stream)
+    for sp in POWER_PROFILE_SPACES:
+        rep = index_report(sp)
+        assert rep.alpha.method.startswith("truncated_sup")
+        boyd_indices(sp)
+        fundamental_indices(sp)
+        assert fundamental_type_check(sp).evidence
+    for sp in POWER_PROFILE_SPACES[:2]:
+        lorentz_indices(sp.q, sp.w, simplified=False)
+
+
+def test_custom_generator_weights_still_stream(monkeypatch):
+    calls = []
+
+    def counting(term, points):
+        calls.append(int(points[-1]))
+        return partial_sums_at(term, points)
+
+    monkeypatch.setattr(indices, "partial_sums_at", counting)
+    w = WeightSeq(kind="generator", fn=lambda k: 1.0 / (1.0 + np.log(k)), label="log")
+    rep = index_report(Lorentz(2.0, w), n_max=8, j_max=1 << 8)
+    assert calls == [1 << 16]
+    # the streamed route is unchanged: values as computed before the
+    # closed-form kernel existed
+    assert rep.alpha.point == pytest.approx(0.26972353177247643, abs=1e-15)
+    assert rep.alpha.lo == pytest.approx(0.2125840208114839, abs=1e-15)
+    assert rep.beta.point == pytest.approx(0.4431430703857676, abs=1e-15)
+    assert rep.beta.lo == pytest.approx(0.29504300342113177, abs=1e-15)
 
 
 def test_estimate_rate_geometric_decay_converges():

@@ -28,6 +28,7 @@ from symseq.spaces import (
     space_from_json,
     space_to_json,
 )
+from symseq.verify import BUILTIN_SPACES
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.lists(finite, min_size=1, max_size=30)
@@ -87,6 +88,28 @@ def test_homogeneity(xs, c):
     x = np.asarray(xs)
     for sp in NORMED_SPACES:
         assert norm(sp, c * x) == pytest.approx(c * norm(sp, x), rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=20),
+    st.floats(min_value=-300.0, max_value=300.0),
+)
+def test_homogeneity_across_the_float_range(xs, log10_c):
+    x = np.asarray(xs)
+    c = 10.0**log10_c
+    for label, sp in BUILTIN_SPACES:
+        assert norm(sp, c * x) == pytest.approx(c * norm(sp, x), rel=1e-12), label
+
+
+def test_wide_magnitude_norms_stay_finite():
+    for m in (1e200, 1e-200):
+        assert norm(Lp(2.0), [m, m]) == pytest.approx(math.sqrt(2.0) * m, rel=1e-15)
+        assert norm(LpQ(3.0, 2.0), [m, m]) == pytest.approx(
+            fundamental_function(LpQ(3.0, 2.0), 2) * m, rel=1e-15
+        )
+        sp = Lorentz(2.0, power_weights(0.25))
+        assert norm(sp, [m, m]) == pytest.approx(fundamental_function(sp, 2) * m, rel=1e-15)
 
 
 @settings(max_examples=60)
@@ -202,6 +225,12 @@ def test_delta2_margin_power_log_bounded_by_four():
 def test_power_weights_values():
     w = power_weights(0.5)
     assert np.allclose(w.values(4), [1.0, 2**-0.5, 3**-0.5, 0.5])
+    assert w.theta == 0.5
+
+
+def test_weight_theta_must_match_the_generator():
+    with pytest.raises(ValueError, match="theta"):
+        WeightSeq(kind="generator", fn=lambda k: np.power(k, -0.5), theta=0.25)
 
 
 def test_weight_and_parameter_validation():
