@@ -16,8 +16,11 @@ dilation norms reduce to ratio sups of one scalar profile:
 For the Lorentz and Orlicz families the fundamental-index ratio sups are
 literally the same expressions (phi^q is a partial sum of w^q; phi(2^k)
 is 1/N^{-1}(2^{-k})), which is exactly why these families are of
-fundamental type; the two routes here share one profile kernel, so the
-reported Boyd/fundamental gaps for them are identically zero.
+fundamental type.  ``index_report`` is the one pass over the profile
+kernel and reports mu, nu as the alpha, beta points, so the Boyd and
+fundamental routes cannot disagree here.  ``weight_ratio_indices`` is a
+genuinely separate route for lambda_q(w): it reads dyadic weight ratios
+and never touches the partial sums.
 
 Partial sums W(j) of w^q come in closed form whenever the summand is a
 pure power, k^{-theta q} for ``power_weights`` and k^{q/p-1} for l^{p,q}:
@@ -56,14 +59,9 @@ __all__ = [
     "Interval",
     "IndexReport",
     "partial_sums_at",
-    "boyd_indices",
-    "fundamental_indices",
-    "orlicz_indices",
-    "lorentz_indices",
+    "weight_ratio_indices",
     "index_report",
     "f_interval",
-    "FundamentalTypeEvidence",
-    "fundamental_type_check",
     "report_to_json",
 ]
 
@@ -278,84 +276,26 @@ def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
     raise TypeError(f"unknown space spec {space!r}")
 
 
-def _alpha_beta(U, L, method: str) -> tuple[Interval, Interval]:
-    eu = estimate_rate(U)
-    el = estimate_rate(L)
-    beta = _interval(eu.point, eu.fekete, method)
-    # L is subadditive, so -min_n L(n)/n certifies alpha from below
-    alpha = _interval(-el.point, -el.fekete, method)
-    return alpha, beta
-
-
-def boyd_indices(
-    space: SpaceSpec,
-    n_max: int = 16,
-    j_max: int = 1 << 14,
-    k_max: int = 200,
+def weight_ratio_indices(
+    q: float, w: WeightSeq, n_max: int = 16
 ) -> tuple[Interval, Interval]:
-    """(alpha, beta): growth exponents of the dilation operator norms."""
-    if n_max < 2:
-        raise ValueError("boyd_indices needs n_max >= 2")
-    U, L, method = _profiles(space, n_max, j_max, k_max)
-    return _alpha_beta(U, L, method)
+    """(alpha, beta) of lambda_q(w) from dyadic weight ratios alone.
 
-
-def fundamental_indices(
-    space: SpaceSpec,
-    n_max: int = 16,
-    m_max: int = 1 << 14,
-    k_max: int = 200,
-) -> tuple[Interval, Interval]:
-    """(mu, nu): growth exponents of the fundamental-function ratio sups.
-
-    For the Lorentz/l^{p,q} families the ratio sups coincide term by term
-    with the dilation-norm formulas; for Orlicz the m-sup runs over the
-    dyadic grid (bounded bracketing, exact in the limit), which again makes
-    the two routes share values.  l^p is exact either way.
-    """
-    if n_max < 2:
-        raise ValueError("fundamental_indices needs n_max >= 2")
-    U, L, method = _profiles(space, n_max, m_max, k_max)
-    return _alpha_beta(U, L, method)
-
-
-def orlicz_indices(
-    N: OrliczFn, n_max: int = 20, k_max: int = 200
-) -> tuple[Interval, Interval]:
-    """(alpha, beta) of l_N from ratios of N^{-1} at dyadic arguments."""
-    if n_max < 2:
-        raise ValueError("orlicz_indices needs n_max >= 2")
-    U, L = _orlicz_profiles(N, n_max, k_max)
-    return _alpha_beta(U, L, "truncated_sup")
-
-
-def lorentz_indices(
-    q: float,
-    w: WeightSeq,
-    n_max: int = 16,
-    j_max: int = 1 << 14,
-    simplified: bool = False,
-) -> tuple[Interval, Interval]:
-    """(alpha, beta) of lambda_q(w).
-
-    The full route sups partial-sum ratios of w^q.  The simplified route is
-    available when the dyadic weight-ratio condition holds (sup growth of
-    w_{2^k}/w_{2^{k+n}} strictly below 2^{1/q}): then the block lattice is
-    the weighted l_q model, shift norms there are 2^{+-n/q} times plain
-    weight-ratio sups, and
+    A second route, independent of the partial-sum profile that
+    ``index_report`` uses.  It is available when the dyadic weight-ratio
+    condition holds (sup growth of w_{2^k}/w_{2^{k+n}} strictly below
+    2^{1/q}): then the block lattice is the weighted l_q model, shift norms
+    there are 2^{+-n/q} times plain weight-ratio sups, and
 
         alpha = 1/q - lim (1/n) log2 sup_k w_{2^k} / w_{2^{k+n}},
         beta  = 1/q + lim (1/n) log2 sup_k w_{2^{k+n}} / w_{2^k}.
     """
     if n_max < 2:
-        raise ValueError("lorentz_indices needs n_max >= 2")
-    if not simplified:
-        U, L = _lorentz_profiles(q, _summand(q, w), n_max, j_max)
-        return _alpha_beta(U, L, "truncated_sup")
+        raise ValueError("weight_ratio_indices needs n_max >= 2")
     cond = weight_ratio_condition(q, w, n_max=n_max)
     if not cond.holds:
         raise ValueError(
-            "simplified route needs the dyadic weight-ratio condition: "
+            "weight-ratio route needs the dyadic weight-ratio condition: "
             f"estimate {cond.estimate_at_n_max:.6f} >= threshold "
             f"{cond.threshold:.6f}"
         )
@@ -401,9 +341,18 @@ def index_report(
     dim: int | None = None,
     seed: int | None = None,
 ) -> IndexReport:
-    """Full index report; all four indices come from one profile pass."""
+    """Full index report; all four indices come from one profile pass.
+
+    This is the only route to the profile kernel.  For the Lorentz and
+    Orlicz families the fundamental-function ratio sups are the dilation
+    ratio sups term by term, so mu and nu are the alpha and beta points.
+    """
     U, L, method = _profiles(space, n_max, j_max, k_max)
-    alpha, beta = _alpha_beta(U, L, method)
+    eu = estimate_rate(U)
+    el = estimate_rate(L)
+    beta = _interval(eu.point, eu.fekete, method)
+    # L is subadditive, so -min_n L(n)/n certifies alpha from below
+    alpha = _interval(-el.point, -el.fekete, method)
     mu, nu = alpha.point, beta.point
     lo = math.inf if beta.point == 0.0 else 1.0 / beta.point
     hi = math.inf if alpha.point == 0.0 else 1.0 / alpha.point
@@ -421,37 +370,6 @@ def index_report(
             "dim": dim,
             "seed": seed,
         },
-    )
-
-
-@dataclass(frozen=True)
-class FundamentalTypeEvidence:
-    evidence: bool
-    alpha_mu_gap: float
-    nu_beta_gap: float
-
-
-def fundamental_type_check(
-    space: SpaceSpec,
-    n_max: int = 16,
-    j_max: int = 1 << 14,
-    k_max: int = 200,
-    tol: float = 5e-3,
-) -> FundamentalTypeEvidence:
-    """Compare the dilation-norm route with the fundamental-function route.
-
-    For every built-in family the two routes share the profile kernel (see
-    module docstring), so the gaps vanish up to rounding; the check guards
-    the wiring rather than re-proving the underlying coincidence.
-    """
-    alpha, beta = boyd_indices(space, n_max=n_max, j_max=j_max, k_max=k_max)
-    mu_i, nu_i = fundamental_indices(space, n_max=n_max, m_max=j_max, k_max=k_max)
-    g1 = alpha.point - mu_i.point
-    g2 = nu_i.point - beta.point
-    return FundamentalTypeEvidence(
-        evidence=abs(g1) < tol and abs(g2) < tol,
-        alpha_mu_gap=g1,
-        nu_beta_gap=g2,
     )
 
 

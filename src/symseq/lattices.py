@@ -328,7 +328,7 @@ class WeightRatioCondition:
     """Dyadic weight regularity: lim (sup_k w(2^k)/w(2^(k+n)))^(1/n) < 2^(1/q).
 
     When it holds, EX of the Lorentz space is lattice-isomorphic to the
-    weighted l_q model and the simplified index formulas apply.
+    weighted l_q model and ``indices.weight_ratio_indices`` applies.
     """
 
     holds: bool

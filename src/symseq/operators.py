@@ -50,7 +50,6 @@ __all__ = [
     "parse_operator",
     "operator_norm_lower",
     "NormSearchResult",
-    "lorentz_dilation_norm",
     "spectral_radius_estimate",
     "SpectralRadiusEstimate",
 ]
@@ -406,27 +405,6 @@ def operator_norm_lower(
         dim=dim,
         truncation_note=note,
     )
-
-
-def lorentz_dilation_norm(q: float, w, n: int, j_max: int = 4096) -> float:
-    """Exact ||sigma_{2^n}|| in the Lorentz space, truncated at j <= j_max.
-
-    Equals sup_j (W(2^n j) / W(j))^(1/q) where W(j) = sum_{i<=j} w_i^q; the
-    sup over all j is the exact operator norm, so the truncated value is a
-    certified lower bound that is exact whenever the sup sits at j <= j_max.
-    """
-    if n < 0:
-        raise ValueError("lorentz_dilation_norm needs n >= 0")
-    need = (1 << n) * j_max
-    if w.kind == "array" and len(w) < need:
-        raise ValueError(
-            f"array-backed weights too short for 2^{n} * j_max = {need}"
-        )
-    wq = w.values(need) ** q
-    cum = np.cumsum(wq)
-    j = np.arange(1, j_max + 1)
-    ratios = cum[(1 << n) * j - 1] / cum[j - 1]
-    return float(np.max(ratios) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,19 @@ from symseq.indices import (
     _em_remainder_bound,
     _power_partial_sums,
     Interval,
-    boyd_indices,
-    f_interval,
-    fundamental_indices,
-    fundamental_type_check,
     index_report,
-    lorentz_indices,
-    orlicz_indices,
     partial_sums_at,
     report_to_json,
+    weight_ratio_indices,
 )
 from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, WeightSeq, power_weights
 
 LIGHT = dict(n_max=12, j_max=1 << 12, k_max=120)
+
+
+def alpha_beta(space, **kw):
+    rep = index_report(space, **kw)
+    return rep.alpha, rep.beta
 
 
 # closed forms ---------------------------------------------------------------
@@ -39,14 +39,14 @@ LIGHT = dict(n_max=12, j_max=1 << 12, k_max=120)
 
 def test_lp_indices_are_one_over_p():
     for p in (1.0, 1.5, 2.0, 3.0, 10.0):
-        a, b = boyd_indices(Lp(p))
+        a, b = alpha_beta(Lp(p))
         assert a.point == pytest.approx(1.0 / p, abs=1e-12)
         assert b.point == pytest.approx(1.0 / p, abs=1e-12)
         assert a.method == "closed_form"
 
 
 def test_lp_infinity_indices_vanish():
-    a, b = boyd_indices(Lp(math.inf))
+    a, b = alpha_beta(Lp(math.inf))
     assert a.point == 0.0 and b.point == 0.0
 
 
@@ -62,13 +62,13 @@ def test_f_interval_lp():
 
 def test_lpq_indices_depend_on_p_only():
     for p, q in ((2.0, 1.0), (3.0, 2.0), (2.0, 4.0)):
-        a, b = boyd_indices(LpQ(p, q), **LIGHT)
+        a, b = alpha_beta(LpQ(p, q), **LIGHT)
         assert a.point == pytest.approx(1.0 / p, abs=2e-3)
         assert b.point == pytest.approx(1.0 / p, abs=2e-3)
 
 
 def test_quasi_variant_is_tagged():
-    a, b = boyd_indices(LpQ(2.0, 4.0), **LIGHT)
+    a, b = alpha_beta(LpQ(2.0, 4.0), **LIGHT)
     assert a.method.endswith("(quasi)")
     assert b.method.endswith("(quasi)")
 
@@ -76,7 +76,7 @@ def test_quasi_variant_is_tagged():
 def test_lorentz_power_weight_indices():
     # w = k^{-theta}: both indices equal (1 - theta q)/q
     for q, theta in ((1.0, 0.3), (2.0, 0.25), (2.0, 0.4)):
-        a, b = boyd_indices(Lorentz(q, power_weights(theta)), **LIGHT)
+        a, b = alpha_beta(Lorentz(q, power_weights(theta)), **LIGHT)
         want = (1.0 - theta * q) / q
         assert a.point == pytest.approx(want, abs=5e-3)
         assert b.point == pytest.approx(want, abs=5e-3)
@@ -84,7 +84,7 @@ def test_lorentz_power_weight_indices():
 
 def test_orlicz_power_indices_exact():
     for p in (1.5, 2.0, 3.0):
-        a, b = orlicz_indices(OrliczFn.power(p))
+        a, b = alpha_beta(Orlicz(OrliczFn.power(p)), n_max=20)
         assert a.point == pytest.approx(1.0 / p, abs=1e-10)
         assert b.point == pytest.approx(1.0 / p, abs=1e-10)
 
@@ -100,7 +100,7 @@ def test_intervals_bracket_their_point():
         Orlicz(OrliczFn.power_log(2.0, 0.6)),
     ]
     for sp in spaces:
-        a, b = boyd_indices(sp, **LIGHT)
+        a, b = alpha_beta(sp, **LIGHT)
         for iv in (a, b):
             assert 0.0 <= iv.lo <= iv.point <= iv.hi <= 1.0
 
@@ -128,24 +128,26 @@ def test_interval_validation():
 
 
 def test_fundamental_and_dilation_routes_coincide():
+    # one profile pass serves both routes: mu, nu are the alpha, beta points
     for sp in (Lp(2.0), Lorentz(2.0, power_weights(0.25)), Orlicz(OrliczFn.power(1.5))):
-        ev = fundamental_type_check(sp, tol=5e-3, **LIGHT)
-        assert ev.evidence, (ev.alpha_mu_gap, ev.nu_beta_gap)
+        rep = index_report(sp, **LIGHT)
+        assert rep.mu == rep.alpha.point and rep.nu == rep.beta.point
 
 
 def test_lorentz_simplified_route_matches_direct():
+    # the weight-ratio route against the partial-sum profile
     for q, theta in ((1.0, 0.3), (2.0, 0.25)):
         w = power_weights(theta)
-        a1, b1 = lorentz_indices(q, w, n_max=12, j_max=1 << 12)
-        a2, b2 = lorentz_indices(q, w, n_max=12, simplified=True)
+        a1, b1 = alpha_beta(Lorentz(q, w), n_max=12, j_max=1 << 12)
+        a2, b2 = weight_ratio_indices(q, w, n_max=12)
         assert a1.point == pytest.approx(a2.point, abs=2e-3)
         assert b1.point == pytest.approx(b2.point, abs=2e-3)
 
 
 def test_lorentz_simplified_route_refuses_irregular_weights():
     # theta > 1/q: the dyadic ratio limit 2^theta crosses the 2^{1/q} threshold
-    with pytest.raises(ValueError, match="simplified route"):
-        lorentz_indices(2.0, power_weights(0.7), n_max=8, simplified=True)
+    with pytest.raises(ValueError, match="weight-ratio route"):
+        weight_ratio_indices(2.0, power_weights(0.7), n_max=8)
 
 
 # regression pins -------------------------------------------------------------
@@ -153,7 +155,7 @@ def test_lorentz_simplified_route_refuses_irregular_weights():
 
 def test_power_log_regression_pins():
     sp = Orlicz(OrliczFn.power_log(2.0, 0.6))
-    a, b = boyd_indices(sp, n_max=12, k_max=120)
+    a, b = alpha_beta(sp, n_max=12, k_max=120)
     assert a.point == pytest.approx(0.5051620178451088, abs=1e-12)
     assert b.point == pytest.approx(0.5239244574720514, abs=1e-12)
     assert a.method == "truncated_sup"
@@ -166,8 +168,8 @@ def test_power_log_regression_pins():
 
 def test_power_log_window_growth_tightens():
     sp = Orlicz(OrliczFn.power_log(2.0, 0.6))
-    _, b_small = boyd_indices(sp, n_max=10, k_max=120)
-    _, b_big = boyd_indices(sp, n_max=20, k_max=200)
+    _, b_small = alpha_beta(sp, n_max=10, k_max=120)
+    _, b_big = alpha_beta(sp, n_max=20, k_max=200)
     assert abs(b_big.point - 0.5) < abs(b_small.point - 0.5)
 
 
@@ -258,11 +260,6 @@ def test_power_profiles_never_stream(monkeypatch):
     for sp in POWER_PROFILE_SPACES:
         rep = index_report(sp)
         assert rep.alpha.method.startswith("truncated_sup")
-        boyd_indices(sp)
-        fundamental_indices(sp)
-        assert fundamental_type_check(sp).evidence
-    for sp in POWER_PROFILE_SPACES[:2]:
-        lorentz_indices(sp.q, sp.w, simplified=False)
 
 
 def test_custom_generator_weights_still_stream(monkeypatch):
