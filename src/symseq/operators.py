@@ -2,9 +2,9 @@
 
 Operators act lazily on dense coefficient vectors; nothing is ever stored as
 a matrix, so applying any of them to vectors with 2^20 entries stays cheap.
-Two application paths share the same index arithmetic: a numpy path for float
-work and a pure-Python path that keeps exact types (``fractions.Fraction``)
-intact for the identity checks.
+One kernel, ``apply_array``, does the index arithmetic for every operator.
+Float input runs in float64; input with a ``fractions.Fraction`` entry runs
+on an object array of Fractions, so the identity checks stay exact.
 
 Conventions (1-based index k):
 
@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .seq import Seq
-from .spaces import SpaceSpec, Lorentz, norm
+from .spaces import SpaceSpec, norm
 
 __all__ = [
     "DilateUp",
@@ -45,7 +44,6 @@ __all__ = [
     "DoublingMinusLambda",
     "OperatorSpec",
     "apply",
-    "apply_list",
     "apply_array",
     "parse_operator",
     "operator_norm_lower",
@@ -131,11 +129,6 @@ OperatorSpec = (
 )
 
 
-def _zero_of(xs: Sequence) -> object:
-    # scan everything: exact lists often lead with plain-int zeros
-    return Fraction(0) if any(isinstance(v, Fraction) for v in xs) else 0.0
-
-
 def _block_count(length: int) -> int:
     """Number of dyadic blocks needed to cover the first `length` positions."""
     k = 0
@@ -144,70 +137,43 @@ def _block_count(length: int) -> int:
     return k
 
 
-def apply_list(op: OperatorSpec, xs: list) -> list:
-    """Apply an operator to a plain list; exact for Fraction entries."""
-    zero = _zero_of(xs)
-    n = len(xs)
-    if isinstance(op, DilateUp):
-        return [xs[i // op.m] for i in range(n * op.m)]
-    if isinstance(op, DilateDown):
-        m = op.m
-        return [sum(xs[k * m : (k + 1) * m], zero) / m for k in range((n + m - 1) // m)]
-    if isinstance(op, Shift):
-        if op.n >= 0:
-            return [zero] * op.n + list(xs)
-        return list(xs[-op.n :])
-    if isinstance(op, Doubling):
-        return apply_list(Shift(1), apply_list(DilateUp(2), xs))
-    if isinstance(op, DoublingInverse):
-        return apply_list(DilateDown(2), apply_list(Shift(-1), xs))
-    if isinstance(op, BlockEmbed):
-        out = []
-        for k, v in enumerate(xs):
-            out.extend([v] * (1 << k))
-        return out
-    if isinstance(op, AvgProject):
-        blocks = _block_count(n)
-        out = []
-        for k in range(blocks):
-            size = 1 << k
-            start = size - 1
-            mean = sum(xs[start : start + size], zero) / size
-            out.extend([mean] * size)
-        return out
-    if isinstance(op, AvgProjectN):
-        size = 1 << op.n
-        out = []
-        for k in range((n + size - 1) // size):
-            mean = sum(xs[k * size : (k + 1) * size], zero) / size
-            out.extend([mean] * size)
-        return out
-    if isinstance(op, ShiftMinusLambda):
-        shifted = [zero] + list(xs)
-        lam = op.lam
-        return [s - lam * x for s, x in zip(shifted, list(xs) + [zero])]
-    if isinstance(op, DoublingMinusLambda):
-        dbl = apply_list(Doubling(), xs)
-        lam = op.lam
-        padded = list(xs) + [zero] * (len(dbl) - n)
-        return [d - lam * x for d, x in zip(dbl, padded)]
-    raise TypeError(f"unknown operator {op!r}")
+def _vector(x) -> np.ndarray:
+    """Object array of Fractions if any entry is a Fraction, else float."""
+    arr = np.asarray(x)
+    if arr.dtype == object:
+        # scan everything: exact lists often lead with plain-int zeros
+        exact = [isinstance(v, Fraction) for v in arr]
+        if all(exact):
+            return arr
+        if any(exact):
+            return np.array([Fraction(v) for v in arr], dtype=object)
+    return np.asarray(x, dtype=float)
 
 
-def apply_array(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
-    """Apply an operator to a float array (vectorized)."""
-    x = np.asarray(x, dtype=float)
+def _zeros(n: int, like: np.ndarray) -> np.ndarray:
+    if like.dtype == object:
+        return np.full(n, Fraction(0), dtype=object)
+    return np.zeros(n)
+
+
+def apply_array(op: OperatorSpec, x) -> np.ndarray:
+    """Apply an operator to a vector (vectorized).
+
+    Float input runs in float64.  If any entry is a ``Fraction`` the vector
+    becomes an object array of Fractions and every result entry is an exact
+    Fraction, padding included.
+    """
+    x = _vector(x)
     n = x.size
     if isinstance(op, DilateUp):
         return np.repeat(x, op.m)
     if isinstance(op, DilateDown):
         m = op.m
-        pad = (-n) % m
-        xp = np.pad(x, (0, pad))
+        xp = np.concatenate([x, _zeros((-n) % m, x)])
         return xp.reshape(-1, m).sum(axis=1) / m
     if isinstance(op, Shift):
         if op.n >= 0:
-            return np.concatenate([np.zeros(op.n), x])
+            return np.concatenate([_zeros(op.n, x), x])
         return x[-op.n :]
     if isinstance(op, Doubling):
         return apply_array(Shift(1), apply_array(DilateUp(2), x))
@@ -220,27 +186,25 @@ def apply_array(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     if isinstance(op, AvgProject):
         blocks = _block_count(n)
         total = (1 << blocks) - 1
-        xp = np.pad(x, (0, total - n))
-        out = np.empty(total)
+        xp = np.concatenate([x, _zeros(total - n, x)])
+        out = np.empty(total, dtype=x.dtype)
         for k in range(blocks):
             size = 1 << k
             start = size - 1
-            out[start : start + size] = xp[start : start + size].mean()
+            out[start : start + size] = xp[start : start + size].sum() / size
         return out
     if isinstance(op, AvgProjectN):
         size = 1 << op.n
-        pad = (-n) % size
-        xp = np.pad(x, (0, pad))
-        means = xp.reshape(-1, size).mean(axis=1)
-        return np.repeat(means, size)
+        xp = np.concatenate([x, _zeros((-n) % size, x)])
+        return np.repeat(xp.reshape(-1, size).sum(axis=1) / size, size)
     if isinstance(op, ShiftMinusLambda):
-        out = np.concatenate([np.zeros(1), x]) - float(op.lam) * np.concatenate(
-            [x, np.zeros(1)]
-        )
-        return out
+        lam = op.lam if x.dtype == object else float(op.lam)
+        zero = _zeros(1, x)
+        return np.concatenate([zero, x]) - lam * np.concatenate([x, zero])
     if isinstance(op, DoublingMinusLambda):
+        lam = op.lam if x.dtype == object else float(op.lam)
         dbl = apply_array(Doubling(), x)
-        dbl[: n] -= float(op.lam) * x
+        dbl[:n] -= lam * x
         return dbl
     raise TypeError(f"unknown operator {op!r}")
 

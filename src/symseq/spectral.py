@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattices import _ex_norm_lp
-from .operators import Doubling, DoublingMinusLambda, ShiftMinusLambda, apply_array, apply_list
+from .operators import Doubling, DoublingMinusLambda, ShiftMinusLambda, apply_array
 from .seq import Seq
 from .spaces import Lp, SpaceSpec, norm
 
@@ -468,7 +468,7 @@ def shift_identity_check(lam, n: int, j: int) -> bool:
     e_j = [0] * (j - 1) + [1 if exact else 1.0]
     a = _geometric_shift_sum(lam, n, _geometric_shift_sum(lam, n, e_j))
     op = ShiftMinusLambda(lam)
-    got = apply_list(op, apply_list(op, a))
+    got = apply_array(op, apply_array(op, a)).tolist()
     want = [0] * (j + 2 * n + 2)
     want[j - 1] = lam**2
     want[j + n] = -2 * lam ** (1 - n)

@@ -4,6 +4,9 @@ The Lorentz dilation-norm pins were computed by an independent script
 (direct cumulative sums of w^q, maximum over j, achievability confirmed by
 random decreasing vectors) and frozen here; the values under test are read
 off the index kernel's partial-sum profile.
+
+``apply_list`` below is the earlier pure-Python operator kernel, kept
+verbatim as the exact reference for ``apply_array``.
 """
 
 import math
@@ -27,7 +30,6 @@ from symseq.operators import (
     ShiftMinusLambda,
     apply,
     apply_array,
-    apply_list,
     operator_norm_lower,
     parse_operator,
     spectral_radius_estimate,
@@ -42,6 +44,72 @@ fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 frac_vectors = st.lists(fracs, min_size=1, max_size=9)
 
 
+# reference: the list kernel apply_array replaced ------------------------------
+
+
+def _zero_of(xs):
+    # scan everything: exact lists often lead with plain-int zeros
+    return Fraction(0) if any(isinstance(v, Fraction) for v in xs) else 0.0
+
+
+def _block_count(length: int) -> int:
+    """Number of dyadic blocks needed to cover the first `length` positions."""
+    k = 0
+    while (1 << k) - 1 < length:
+        k += 1
+    return k
+
+
+def apply_list(op, xs: list) -> list:
+    """Apply an operator to a plain list; exact for Fraction entries."""
+    zero = _zero_of(xs)
+    n = len(xs)
+    if isinstance(op, DilateUp):
+        return [xs[i // op.m] for i in range(n * op.m)]
+    if isinstance(op, DilateDown):
+        m = op.m
+        return [sum(xs[k * m : (k + 1) * m], zero) / m for k in range((n + m - 1) // m)]
+    if isinstance(op, Shift):
+        if op.n >= 0:
+            return [zero] * op.n + list(xs)
+        return list(xs[-op.n :])
+    if isinstance(op, Doubling):
+        return apply_list(Shift(1), apply_list(DilateUp(2), xs))
+    if isinstance(op, DoublingInverse):
+        return apply_list(DilateDown(2), apply_list(Shift(-1), xs))
+    if isinstance(op, BlockEmbed):
+        out = []
+        for k, v in enumerate(xs):
+            out.extend([v] * (1 << k))
+        return out
+    if isinstance(op, AvgProject):
+        blocks = _block_count(n)
+        out = []
+        for k in range(blocks):
+            size = 1 << k
+            start = size - 1
+            mean = sum(xs[start : start + size], zero) / size
+            out.extend([mean] * size)
+        return out
+    if isinstance(op, AvgProjectN):
+        size = 1 << op.n
+        out = []
+        for k in range((n + size - 1) // size):
+            mean = sum(xs[k * size : (k + 1) * size], zero) / size
+            out.extend([mean] * size)
+        return out
+    if isinstance(op, ShiftMinusLambda):
+        shifted = [zero] + list(xs)
+        lam = op.lam
+        return [s - lam * x for s, x in zip(shifted, list(xs) + [zero])]
+    if isinstance(op, DoublingMinusLambda):
+        dbl = apply_list(Doubling(), xs)
+        lam = op.lam
+        padded = list(xs) + [zero] * (len(dbl) - n)
+        return [d - lam * x for d, x in zip(dbl, padded)]
+    raise TypeError(f"unknown operator {op!r}")
+
+
 def _pad_eq(u, v):
     n = max(len(u), len(v))
     return list(u) + [0] * (n - len(u)) == list(v) + [0] * (n - len(v))
@@ -51,64 +119,78 @@ def _pad_eq(u, v):
 
 
 def test_dilate_up_repeats_entries():
-    assert apply_list(DilateUp(3), [1, 2]) == [1, 1, 1, 2, 2, 2]
+    assert apply_array(DilateUp(3), [1, 2]).tolist() == [1, 1, 1, 2, 2, 2]
 
 
 def test_dilate_down_block_means():
-    assert apply_list(DilateDown(2), [Fraction(1), Fraction(2), Fraction(5)]) == [
+    assert apply_array(DilateDown(2), [Fraction(1), Fraction(2), Fraction(5)]).tolist() == [
         Fraction(3, 2),
         Fraction(5, 2),
     ]
 
 
 def test_shift_both_directions():
-    assert apply_list(Shift(2), [7, 8]) == [0, 0, 7, 8]
-    assert apply_list(Shift(-1), [7, 8, 9]) == [8, 9]
+    assert apply_array(Shift(2), [7, 8]).tolist() == [0, 0, 7, 8]
+    assert apply_array(Shift(-1), [7, 8, 9]).tolist() == [8, 9]
 
 
 def test_doubling_definition():
     # (Dx)_1 = 0, (Dx)_k = x_{floor(k/2)}
-    assert apply_list(Doubling(), [5, 6]) == [0, 5, 5, 6, 6]
+    assert apply_array(Doubling(), [5, 6]).tolist() == [0, 5, 5, 6, 6]
 
 
 def test_doubling_inverse_inverts():
     x = [Fraction(3), Fraction(1, 2), Fraction(4)]
-    assert apply_list(DoublingInverse(), apply_list(Doubling(), x)) == x
+    assert apply_array(DoublingInverse(), apply_array(Doubling(), x)).tolist() == x
 
 
 def test_block_embed_dyadic_blocks():
     # a_k spreads over coordinates [2^{k-1}, 2^k - 1]
-    out = apply_list(BlockEmbed(), [Fraction(1), Fraction(2), Fraction(3)])
-    assert out == [1, 2, 2, 3, 3, 3, 3]
+    out = apply_array(BlockEmbed(), [Fraction(1), Fraction(2), Fraction(3)])
+    assert out.tolist() == [1, 2, 2, 3, 3, 3, 3]
 
 
 def test_avg_project_is_idempotent_and_block_constant():
     x = [Fraction(k) for k in range(1, 8)]
-    qx = apply_list(AvgProject(), x)
+    qx = apply_array(AvgProject(), x).tolist()
     assert qx[1] == qx[2] and qx[3] == qx[4] == qx[5] == qx[6]
-    assert apply_list(AvgProject(), qx) == qx
+    assert apply_array(AvgProject(), qx).tolist() == qx
 
 
 def test_avg_project_n_length_2n_blocks():
     rn = AvgProjectN(1)  # blocks of length 2
-    out = apply_list(rn, [Fraction(1), Fraction(3), Fraction(2)])
-    assert out == [Fraction(2), Fraction(2), Fraction(1), Fraction(1)]
+    out = apply_array(rn, [Fraction(1), Fraction(3), Fraction(2)])
+    assert out.tolist() == [Fraction(2), Fraction(2), Fraction(1), Fraction(1)]
+
+
+ALL_OPS = [DilateUp(2), DilateDown(3), Shift(2), Shift(-1), Doubling(),
+           DoublingInverse(), BlockEmbed(), AvgProject(), AvgProjectN(2),
+           ShiftMinusLambda(Fraction(1, 2)), DoublingMinusLambda(Fraction(2))]
 
 
 @settings(max_examples=80)
 @given(frac_vectors)
 def test_apply_list_and_array_agree(xs):
-    ops = [DilateUp(2), DilateDown(3), Shift(2), Shift(-1), Doubling(),
-           BlockEmbed(), AvgProject(), AvgProjectN(2), ShiftMinusLambda(0.5),
-           DoublingMinusLambda(2.0)]
     x = np.array([float(v) for v in xs])
-    for op in ops:
-        exact = np.array([float(v) for v in apply_list(op, list(xs))])
+    for op in ALL_OPS:
+        exact = apply_list(op, list(xs))
+        got = apply_array(op, list(xs)).tolist()
+        assert got == exact and all(type(v) is Fraction for v in got), op
         fast = apply_array(op, x)
-        n = max(exact.size, fast.size)
-        a = np.pad(exact, (0, n - exact.size))
+        ref = np.array([float(v) for v in exact])
+        n = max(ref.size, fast.size)
+        a = np.pad(ref, (0, n - ref.size))
         b = np.pad(fast, (0, n - fast.size))
+        assert fast.dtype == np.float64
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12), op
+
+
+def test_exact_path_starts_at_any_fraction_entry():
+    # plain-int zeros ahead of the first Fraction still yield Fractions
+    out = apply_array(AvgProject(), [0, 0, Fraction(1, 3)])
+    assert out.tolist() == [0, Fraction(1, 6), Fraction(1, 6)]
+    assert all(type(v) is Fraction for v in out)
+    assert apply_array(AvgProject(), [0, 0, 1]).dtype == np.float64
 
 
 def test_apply_on_seq_round_trips():
@@ -123,16 +205,16 @@ def test_apply_on_seq_round_trips():
 @given(frac_vectors, st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8))
 def test_doubling_block_embed_intertwining(xs, lam):
     # (D - lam) S = S (tau_1 - lam) exactly
-    left = apply_list(DoublingMinusLambda(lam), apply_list(BlockEmbed(), list(xs)))
-    right = apply_list(BlockEmbed(), apply_list(ShiftMinusLambda(lam), list(xs)))
+    left = apply_array(DoublingMinusLambda(lam), apply_array(BlockEmbed(), xs))
+    right = apply_array(BlockEmbed(), apply_array(ShiftMinusLambda(lam), xs))
     assert _pad_eq(left, right)
 
 
 @settings(max_examples=60)
 @given(frac_vectors, st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8))
 def test_avg_project_commutes_with_doubling(xs, lam):
-    left = apply_list(AvgProject(), apply_list(DoublingMinusLambda(lam), list(xs)))
-    right = apply_list(DoublingMinusLambda(lam), apply_list(AvgProject(), list(xs)))
+    left = apply_array(AvgProject(), apply_array(DoublingMinusLambda(lam), xs))
+    right = apply_array(DoublingMinusLambda(lam), apply_array(AvgProject(), xs))
     assert _pad_eq(left, right)
 
 
