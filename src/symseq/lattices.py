@@ -65,7 +65,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EX:
-    """Block lattice of a symmetric space; norms via the block embedding."""
+    """Block lattice of a symmetric space; norms via the block embedding.
+
+    l^p and Orlicz bases never materialize S a: l^p has a closed form and
+    EX(l_N) is UN(N).  Other bases spread a over 2^len(a) - 1 entries.
+    """
 
     base: SpaceSpec
     cap: int = 24  # materialization cap: len(a) blocks -> 2^cap - 1 entries
@@ -138,6 +142,9 @@ def lattice_norm(lat: LatticeSpec, a) -> float:
     if isinstance(lat, EX):
         if isinstance(lat.base, Lp):
             return _ex_norm_lp(lat.base.p, arr)
+        if isinstance(lat.base, Orlicz):
+            # block k holds 2^(k-1) equal entries: the modular of S a is UN's
+            return lattice_norm(UN(lat.base.N), arr)
         if arr.size > lat.cap:
             raise ValueError(
                 f"EX norm materializes 2^len - 1 entries; len {arr.size} "

@@ -22,6 +22,7 @@ from symseq.lattices import (
 from symseq.spaces import (
     Lorentz,
     Lp,
+    Orlicz,
     OrliczFn,
     fundamental_function,
     norm,
@@ -67,6 +68,23 @@ def test_ex_materialization_cap_raises():
     lat = EX(Lorentz(2.0, power_weights(0.25)), cap=10)
     with pytest.raises(ValueError):
         lattice_norm(lat, np.ones(11))
+
+
+def test_ex_orlicz_norm_is_the_un_norm():
+    rng = np.random.default_rng(23)
+    for N in (OrliczFn.power(1.5), OrliczFn.power_log(2.0, 0.6)):
+        ex, un = EX(Orlicz(N)), UN(N)
+        for _ in range(40):
+            a = rng.standard_normal(int(rng.integers(1, 13)))
+            got = lattice_norm(ex, a)
+            assert got == lattice_norm(un, a)
+            spread = norm(Orlicz(N), apply_array(BlockEmbed(), a))
+            assert got == pytest.approx(spread, rel=1e-13)
+        # past the materialization cap: UN's 64-coordinate limit applies
+        a = rng.standard_normal(30)
+        assert lattice_norm(ex, a) == lattice_norm(un, a) > 0.0
+        with pytest.raises(ValueError, match="64 coordinates"):
+            lattice_norm(ex, np.ones(65))
 
 
 def test_unit_norms_are_fundamental_values():
