@@ -123,7 +123,10 @@ def test_triangle_inequality(xs, ys):
     x = np.pad(np.asarray(xs), (0, n - len(xs)))
     y = np.pad(np.asarray(ys), (0, n - len(ys)))
     for sp in NORMED_SPACES:
-        assert norm(sp, x + y) <= norm(sp, x) + norm(sp, y) + 1e-9
+        rhs = norm(sp, x) + norm(sp, y)
+        # rounding allowance in ulps of the sum: the Orlicz root sits up to
+        # 8 eps relative (16 ulps) above the true norm, then a few roundings
+        assert norm(sp, x + y) <= rhs + 32 * np.spacing(rhs)
 
 
 @settings(max_examples=60)
