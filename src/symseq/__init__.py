@@ -17,7 +17,6 @@ Everything a caller normally needs re-exports from here.
 from .indices import (
     IndexReport,
     Interval,
-    f_interval,
     index_report,
     report_to_json,
     weight_ratio_indices,
@@ -91,7 +90,6 @@ from .spectral import (
     check_disjoint_supports,
     doubling_orbit_witness,
     moment_functional,
-    rational_dilation,
     residual_scan,
     shift_identity_check,
     solve_shift_minus_lambda,
@@ -144,7 +142,6 @@ __all__ = [
     "disjoint_sum",
     "doubling_orbit_witness",
     "dyadic_equivalence_report",
-    "f_interval",
     "fundamental_function",
     "index_report",
     "lattice_from_json",
@@ -156,7 +153,6 @@ __all__ = [
     "orlicz_inverse",
     "parse_operator",
     "power_weights",
-    "rational_dilation",
     "rearrange",
     "report_to_json",
     "residual_scan",

@@ -61,7 +61,6 @@ __all__ = [
     "partial_sums_at",
     "weight_ratio_indices",
     "index_report",
-    "f_interval",
     "report_to_json",
 ]
 
@@ -323,14 +322,6 @@ class IndexReport:
     f_interval: tuple[float, float]
     method: dict
     params: dict
-
-
-def f_interval(report: IndexReport) -> tuple[float, float]:
-    """[1/beta, 1/alpha] from point estimates; 1/0 renders as infinity."""
-    a, b = report.alpha.point, report.beta.point
-    hi = math.inf if a == 0.0 else 1.0 / a
-    lo = math.inf if b == 0.0 else 1.0 / b
-    return (lo, hi)
 
 
 def index_report(

@@ -150,6 +150,11 @@ def _vector(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _exact_scalar(v) -> Fraction | None:
+    """``v`` as a Fraction if it is an int or a Fraction, else None."""
+    return Fraction(v) if isinstance(v, (int, Fraction)) else None
+
+
 def _zeros(n: int, like: np.ndarray) -> np.ndarray:
     if like.dtype == object:
         return np.full(n, Fraction(0), dtype=object)

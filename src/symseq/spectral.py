@@ -13,6 +13,10 @@ disjoint across distinct (j,k) powers (a 2-3 divisibility argument, checked
 here exhaustively in exact arithmetic).  Disjointness turns l^p norms of
 orbit combinations into counting, which yields simultaneous approximate
 eigenvectors u_n for both dilation bases with residuals (2/n)^{1/p}.
+Every key of the orbit up to powers (J, K) is an integer over the single
+denominator 6 2^J 3^K, so one kernel, ``_dilate``, runs the dilations on
+int64 numerators: base-b dilation is (a + i*den) // b, exact because b
+divides a, and equal keys are equal rationals.
 
 The shift-side machinery: T = tau_1 - lambda has the annihilating moment
 functional a -> sum lambda^k a_k; squares of geometric shift sums reduce
@@ -24,17 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .lattices import _ex_norm_lp
-from .operators import Doubling, DoublingMinusLambda, ShiftMinusLambda, apply_array
+from .operators import Doubling, DoublingMinusLambda, ShiftMinusLambda, _exact_scalar, apply_array
 from .seq import Seq
 from .spaces import Lp, SpaceSpec, norm
 
 __all__ = [
-    "rational_dilation",
     "DisjointnessReport",
     "check_disjoint_supports",
     "WitnessReport",
@@ -52,22 +54,33 @@ __all__ = [
 # Rational-index dilations ---------------------------------------------------
 
 
-def rational_dilation(base: int, x: dict) -> dict:
-    """e_q -> sum_{i=0}^{base-1} e_{(q+i)/base} on Fraction-keyed vectors.
+def _merge(num: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys, with the coefficients of repeated keys added."""
+    keys, inv = np.unique(num, return_inverse=True)
+    return keys, np.bincount(inv, weights=coef, minlength=keys.size)
 
-    Keys stay inside (0,1); Fraction keys are kept reduced automatically, so
-    support disjointness is literal key inequality.  Colliding keys add.
+
+def _dilate(base: int, num: np.ndarray, coef: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_q -> sum_{i<base} e_{(q+i)/base} on keys q = num/den, int64 numerators.
+
+    The caller fixes ``den`` so that base divides every numerator it dilates
+    (an orbit of e_{1/6} up to powers (J, K) needs den = 6 2^J 3^K); floor
+    division is then exact, and key equality is rational equality.
     """
-    if base < 2:
-        raise ValueError("rational_dilation needs base >= 2")
-    out: dict = {}
-    for q, c in x.items():
-        if not 0 < q < 1:
-            raise ValueError(f"index {q} outside (0,1)")
-        for i in range(base):
-            key = Fraction(q + i, base)
-            out[key] = out.get(key, 0) + c
-    return out
+    img = (num[:, None] + np.arange(base) * den) // base
+    return _merge(img.ravel(), np.repeat(coef, base))
+
+
+def _orbits(j_max: int, k_max: int, den: int):
+    """Yield (j, k), (numerators, coefficients) of D3^k D2^j e_{1/6}, j-major."""
+    if 3 * den > np.iinfo(np.int64).max:
+        raise ValueError(f"orbit denominator {den} overflows int64")
+    row = (np.array([den // 6]), np.ones(1))
+    for j in range(1, j_max + 1):
+        row = cur = _dilate(2, *row, den)
+        for k in range(1, k_max + 1):
+            cur = _dilate(3, *cur, den)
+            yield (j, k), cur
 
 
 @dataclass(frozen=True)
@@ -84,31 +97,39 @@ def check_disjoint_supports(l_max: int, m_max: int) -> DisjointnessReport:
 
     For 1 <= l <= l_max, 1 <= m <= m_max, the iterate of e_{1/6} under l
     base-2 and m base-3 dilations must have exactly 2^l 3^m unit
-    coefficients, and distinct (l,m) must have disjoint supports.  Exact
-    arithmetic throughout; any failure is returned, not raised.
+    coefficients, and distinct (l,m) must have disjoint supports.  Keys are
+    exact integers over den = 6 2^l_max 3^m_max.  Cardinalities are checked
+    orbit by orbit, then one ``np.unique`` over all keys finds the first
+    repeated key, reported as a Fraction.  Any failure is returned, not raised.
     """
     if l_max < 1 or m_max < 1:
         raise ValueError("check_disjoint_supports needs l_max, m_max >= 1")
-    seen: dict = {}
+    den = 6 * 2**l_max * 3**m_max
     cards: dict = {}
-    by_l = {0: {Fraction(1, 6): 1}}
-    for l in range(1, l_max + 1):
-        by_l[l] = rational_dilation(2, by_l[l - 1])
-    for l in range(1, l_max + 1):
-        cur = by_l[l]
-        for m in range(1, m_max + 1):
-            cur = rational_dilation(3, cur)
-            cards[(l, m)] = len(cur)
-            if len(cur) != 2**l * 3**m or any(c != 1 for c in cur.values()):
-                return DisjointnessReport(False, l_max, m_max, cards, ((l, m), (l, m), None))
-            for key in cur:
-                if key in seen:
-                    return DisjointnessReport(False, l_max, m_max, cards, (seen[key], (l, m), key))
-                seen[key] = (l, m)
+    owners, parts = [], []
+    for (l, m), (num, coef) in _orbits(l_max, m_max, den):
+        cards[(l, m)] = num.size
+        if num.size != 2**l * 3**m or np.any(coef != 1):
+            return DisjointnessReport(False, l_max, m_max, cards, ((l, m), (l, m), None))
+        owners += [(l, m)] * num.size
+        parts.append(num)
+    keys = np.concatenate(parts)
+    uniq, first = np.unique(keys, return_index=True)
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[first] = False
+    if repeat.any():
+        i = int(np.argmax(repeat))  # the earliest key seen before
+        earlier = owners[first[np.searchsorted(uniq, keys[i])]]
+        key = _exact_scalar(int(keys[i])) / den
+        return DisjointnessReport(False, l_max, m_max, cards, (earlier, owners[i], key))
     return DisjointnessReport(True, l_max, m_max, cards, None)
 
 
 # Doubling-orbit witnesses ---------------------------------------------------
+
+
+# entries an ambient (materialized) doubling orbit may reach
+_AMBIENT_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -126,7 +147,6 @@ def doubling_orbit_witness(
     p: float,
     n: int,
     seed: Seq | None = None,
-    ambient_cap: int = 1 << 20,
     materialize: bool | None = None,
 ) -> WitnessReport:
     """Residual of the damped doubling orbit v_n against lambda = 2^{1/p}.
@@ -167,9 +187,9 @@ def doubling_orbit_witness(
     if seed.is_zero() or any(v < 0 for v in seed):
         raise ValueError("seed must be nonnegative and nonzero")
     y = seed.array
-    if len(seed) << max(n - 1, 0) > ambient_cap:
+    if len(seed) << max(n - 1, 0) > _AMBIENT_CAP:
         raise ValueError(
-            f"orbit support ~2^{n - 1} * {len(seed)} exceeds the ambient cap {ambient_cap}"
+            f"orbit support ~2^{n - 1} * {len(seed)} exceeds the ambient cap {_AMBIENT_CAP}"
         )
     parts = []
     for _ in range(n):
@@ -228,9 +248,11 @@ def branching_witness(p: float, n: int, materialize: bool | None = None) -> Bran
     u_n = n^{-2/p} sum_{j,k=1}^{n} 2^{-j/p} 3^{-k/p} (orbit at powers (j,k)).
     Returns ||2^{-1/p} D2 u_n - u_n|| and ||3^{-1/p} D3 u_n - u_n|| in l^p;
     the telescoping boundary layers make both equal (2/n)^{1/p} exactly.
-    For small n the vectors are materialized on their rational supports and
-    the operators applied literally; beyond that the orbit-coefficient
-    representation is used (identical numbers, by disjointness).
+    For n <= 5 the vectors are materialized on their rational supports, as
+    int64 numerators over one denominator, and D2, D3 are applied as
+    written; beyond that the orbit-coefficient representation is used
+    (identical numbers, by disjointness).  Tests hold the coefficient route
+    to the materialized one.
     """
     if n < 1:
         raise ValueError("branching_witness needs n >= 1")
@@ -243,49 +265,28 @@ def branching_witness(p: float, n: int, materialize: bool | None = None) -> Bran
     scale = float(n) ** (-2.0 / p)
 
     if materialize:
-        orbit: dict = {}
-        row = {Fraction(1, 6): 1}
-        for j in range(1, n + 2):
-            row = rational_dilation(2, row)
-            cur = dict(row)
-            for k in range(1, n + 2):
-                cur = rational_dilation(3, cur)
-                orbit[(j, k)] = cur
-
-        def combine(weights: dict) -> dict:
-            out: dict = {}
-            for (j, k), wgt in weights.items():
-                for key in orbit[(j, k)]:
-                    out[key] = out.get(key, 0.0) + wgt
-            return out
-
-        u_w = {
-            (j, k): scale * 2.0 ** (-j / p) * 3.0 ** (-k / p)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)
-        }
-        u = combine(u_w)
-
-        def lp(vec: dict) -> float:
-            return float(sum(abs(c) ** p for c in vec.values()) ** (1.0 / p))
-
-        def residual(base: int) -> float:
-            shifted = rational_dilation(base, u)
-            damp = float(base) ** (-1.0 / p)
-            diff = {key: damp * c for key, c in shifted.items()}
-            for key, c in u.items():
-                diff[key] = diff.get(key, 0.0) - c
-            return lp(diff)
-
+        # keys over den = 6 2^{n+1} 3^{n+1}, so D2 u and D3 u stay exact too
+        den = 6 * 2 ** (n + 1) * 3 ** (n + 1)
+        nums, coefs = [], []
+        for (j, k), (num, coef) in _orbits(n, n, den):
+            nums.append(num)
+            coefs.append(scale * 2.0 ** (-j / p) * 3.0 ** (-k / p) * coef)
+        u_num, u = _merge(np.concatenate(nums), np.concatenate(coefs))
+        res = []
+        for base in (2, 3):
+            d_num, d = _dilate(base, u_num, u, den)
+            damped = base ** (-1.0 / p) * d
+            diff = _merge(np.concatenate((d_num, u_num)), np.concatenate((damped, -u)))[1]
+            res.append(float(np.sum(np.abs(diff) ** p) ** (1.0 / p)))
         return BranchingReport(
             p=p,
             n=n,
-            norm_value=lp(u),
-            d2_residual=residual(2),
-            d3_residual=residual(3),
+            norm_value=float(np.sum(u**p) ** (1.0 / p)),
+            d2_residual=res[0],
+            d3_residual=res[1],
             d2_predicted=predicted,
             d3_predicted=predicted,
-            support=len(u),
+            support=u_num.size,
             materialized=True,
         )
 
@@ -463,8 +464,9 @@ def shift_identity_check(lam, n: int, j: int) -> bool:
     """
     if n < 1 or j < 1:
         raise ValueError("shift_identity_check needs n, j >= 1")
-    exact = isinstance(lam, (int, Fraction))
-    lam = Fraction(lam) if exact else float(lam)
+    rational = _exact_scalar(lam)
+    exact = rational is not None
+    lam = rational if exact else float(lam)
     e_j = [0] * (j - 1) + [1 if exact else 1.0]
     a = _geometric_shift_sum(lam, n, _geometric_shift_sum(lam, n, e_j))
     op = ShiftMinusLambda(lam)
@@ -483,11 +485,12 @@ def shift_identity_check(lam, n: int, j: int) -> bool:
     return close and abs(edge - (n + 1) * lam**-n) <= 1e-10 * abs(edge)
 
 
-def moment_functional(lam, a) -> float | Fraction:
+def moment_functional(lam, a):
     """sum_k lam^k a_k over the finite support (Horner from the top).
 
     Annihilates the image of (tau_1 - lam): the functional of e_{k+1} -
-    lam e_k vanishes term by term.
+    lam e_k vanishes term by term.  Exact (an int or a Fraction) when lam
+    and every entry are, else a float.
     """
     entries = list(a)
     acc = 0
@@ -509,11 +512,10 @@ def solve_shift_minus_lambda(lam, b):
     while entries and entries[-1] == 0:
         entries.pop()
     moment = moment_functional(lam, entries)
-    exact = isinstance(lam, (int, Fraction)) and all(
-        isinstance(v, (int, Fraction)) for v in entries
-    )
+    rational = _exact_scalar(lam)
+    exact = rational is not None and all(_exact_scalar(v) is not None for v in entries)
     if exact:
-        lam = Fraction(lam)  # keep the recurrence divisions exact
+        lam = rational  # keep the recurrence divisions exact
         if moment != 0:
             raise ValueError(
                 f"moment sum lam^k b_k = {moment} != 0: b is not in the image of (shift - lam)"

@@ -107,7 +107,7 @@ def _rng(seed: int, offset: int) -> np.random.Generator:
     Every assertion drawn from it is a theorem about the drawn vectors, not
     a property of one stream.  The envelope pins keep their own frozen seed.
     """
-    return np.random.default_rng(_MASTER_SEED + seed + offset)
+    return np.random.default_rng([_MASTER_SEED, seed, offset])
 
 
 def _rand_vec(rng, max_len: int, signed: bool = True) -> np.ndarray:

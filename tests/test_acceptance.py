@@ -7,9 +7,10 @@ string (observed vs expected) surfaces in the assertion message on failure.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from symseq import verify
+from symseq import spectral, verify
 
 
 def _gate(check_fn):
@@ -68,6 +69,17 @@ def test_criterion_08_detects_base3_residual_offset(monkeypatch):
 
 def test_criterion_09_orbit_disjointness():
     _gate(verify.check_orbit_disjointness)
+
+
+def test_criterion_09_detects_colliding_images(monkeypatch):
+    # without the i*den offset all base images of a key coincide
+    def no_offset(base, num, coef, den):
+        return spectral._merge(np.repeat(num // base, base), np.repeat(coef, base))
+
+    monkeypatch.setattr(spectral, "_dilate", no_offset)
+    r = verify.check_orbit_disjointness()
+    assert not r.passed
+    assert "((1, 1), (1, 1), None)" in r.detail
 
 
 def test_criterion_10_shift_machinery():

@@ -5,6 +5,9 @@ The scan oracle below is a dense SVD: for p = 2 the true minimum of
 is the smallest singular value of the associated (2d+2) x d matrix.  Scan
 estimates must stay above it (they exhibit a witness, never beat the
 optimum) and within a modest factor of it (frozen after an oracle run).
+
+``rational_dilation`` below is the earlier Fraction-keyed orbit kernel, kept
+verbatim as the exact reference for the int64 kernel ``_dilate``.
 """
 
 import math
@@ -15,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symseq import spectral
 from symseq.seq import Seq
 from symseq.spaces import Lorentz, Lp, power_weights
 from symseq.spectral import (
+    _dilate,
+    _orbits,
     branching_witness,
     check_disjoint_supports,
     doubling_orbit_witness,
     moment_functional,
-    rational_dilation,
     residual_scan,
     shift_identity_check,
     solve_shift_minus_lambda,
@@ -35,27 +40,90 @@ coef_fracs = st.fractions(min_value=-30, max_value=30, max_denominator=10)
 # rational dilation ------------------------------------------------------------
 
 
+def rational_dilation(base: int, x: dict) -> dict:
+    """e_q -> sum_{i=0}^{base-1} e_{(q+i)/base} on Fraction-keyed vectors.
+
+    Keys stay inside (0,1); Fraction keys are kept reduced automatically, so
+    support disjointness is literal key inequality.  Colliding keys add.
+    """
+    if base < 2:
+        raise ValueError("rational_dilation needs base >= 2")
+    out: dict = {}
+    for q, c in x.items():
+        if not 0 < q < 1:
+            raise ValueError(f"index {q} outside (0,1)")
+        for i in range(base):
+            key = Fraction(q + i, base)
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _on_kernel(base: int, x: dict, den: int) -> dict:
+    """Run a Fraction-keyed vector through the int64 kernel and read it back."""
+    num = np.array([int(q * den) for q in x], dtype=np.int64)
+    coef = np.array([float(c) for c in x.values()])
+    keys, out = _dilate(base, num, coef, den)
+    return {Fraction(int(a), den): c for a, c in zip(keys, out)}
+
+
 def test_rational_dilation_splits_mass():
-    out = rational_dilation(2, {Fraction(1, 2): Fraction(3)})
+    out = _on_kernel(2, {Fraction(1, 2): Fraction(3)}, 4)
     assert out == {Fraction(1, 4): Fraction(3), Fraction(3, 4): Fraction(3)}
 
 
 def test_rational_dilation_merges_collisions():
     x = {Fraction(1, 3): Fraction(1), Fraction(2, 3): Fraction(2)}
-    out = rational_dilation(3, x)
+    out = _on_kernel(3, x, 9)
     # 1/9,4/9,7/9 from the first atom; 2/9,5/9,8/9 from the second
     assert len(out) == 6 and out[Fraction(4, 9)] == Fraction(1)
 
 
-def test_rational_dilation_validates_support():
-    with pytest.raises(ValueError):
-        rational_dilation(2, {Fraction(3, 2): Fraction(1)})
+def test_kernel_adds_repeated_keys():
+    keys, coef = _dilate(3, np.array([3, 3]), np.array([1.0, 2.0]), 9)
+    assert keys.tolist() == [1, 4, 7] and coef.tolist() == [3.0, 3.0, 3.0]
+
+
+def test_kernel_orbits_match_the_fraction_reference():
+    # every orbit up to (3, 3), keys read back as Fractions over one den
+    den = 6 * 2**3 * 3**3
+    got = {jk: orbit for jk, orbit in _orbits(3, 3, den)}
+    row = {Fraction(1, 6): 1}
+    for j in range(1, 4):
+        row = cur = rational_dilation(2, row)
+        for k in range(1, 4):
+            cur = rational_dilation(3, cur)
+            num, coef = got[(j, k)]
+            assert [Fraction(int(a), den) for a in num] == sorted(cur)
+            assert coef.tolist() == [cur[q] for q in sorted(cur)]
 
 
 def test_disjoint_supports_small_grid():
     rep = check_disjoint_supports(3, 3)
     assert rep.ok and rep.collision is None
     assert rep.cardinalities[(2, 2)] == 4 * 9  # |orbit(l, m)| = 2^l 3^m
+
+
+def test_disjoint_supports_refuses_int64_overflow():
+    # keys over 6 2^1 3^40 would wrap in int64 instead of growing
+    with pytest.raises(ValueError, match="int64"):
+        check_disjoint_supports(1, 40)
+
+
+def test_disjoint_supports_reports_the_first_shared_key(monkeypatch):
+    real = spectral._orbits
+
+    def overlapping(j_max, k_max, den):
+        seen = {}
+        for jk, (num, coef) in real(j_max, k_max, den):
+            seen[jk] = num
+            if jk == (2, 1):
+                num = np.concatenate((seen[(1, 1)][:1], num[1:]))
+            yield jk, (num, coef)
+
+    monkeypatch.setattr(spectral, "_orbits", overlapping)
+    rep = check_disjoint_supports(3, 3)
+    assert not rep.ok
+    assert rep.collision == ((1, 1), (2, 1), Fraction(1, 36))
 
 
 # doubling-orbit witness ---------------------------------------------------------

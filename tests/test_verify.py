@@ -28,3 +28,9 @@ def test_run_checks_passes_the_seed(monkeypatch):
 def test_default_seed_is_the_master_stream():
     (via_run,) = verify.run_checks(only=[10])
     assert _payload(via_run) == _payload(verify.check_shift_machinery())
+
+
+def test_seed_streams_do_not_overlap():
+    # seed + offset once collided: (0, 10) and (7, 3) drew the same vectors
+    first = [verify._rng(s, o).integers(1 << 62) for s, o in ((0, 10), (7, 3))]
+    assert first[0] != first[1]
