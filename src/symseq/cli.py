@@ -28,7 +28,7 @@ import numpy as np
 from .indices import index_report, report_to_json
 from .lattices import EX, UN, lattice_from_json, lattice_norm, lattice_to_json
 from .operators import apply_array, parse_operator
-from .spaces import Lp, Orlicz, norm, space_from_json, space_to_json
+from .spaces import Orlicz, norm, space_from_json, space_to_json
 from .spectral import branching_witness, doubling_orbit_witness, residual_scan
 from .verify import run_checks
 
@@ -422,7 +422,7 @@ def _cmd_witness(config: RunConfig) -> int:
     p, n = float(config.p), int(config.n)
     method = "closed_form"
     if config.kind == "vn":
-        space = _load_space(config)[0] if config.space is not None else Lp(p)
+        space = _load_space(config)[0]
         method = _method(space)
         rep = doubling_orbit_witness(space, p, n)
         payload = {
@@ -440,6 +440,9 @@ def _cmd_witness(config: RunConfig) -> int:
         }
         fields_out = ["lambda", "norm_value", "residual", "predicted", "support"]
     else:
+        if config.space is not None or config.q is not None:
+            raise CliError(EXIT_BAD_PARAMETER,
+                           "witness --kind un lives on l^p; it takes no --space or --q")
         rep = branching_witness(p, n)
         payload = {
             "schema_version": SCHEMA_VERSION,

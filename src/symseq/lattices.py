@@ -27,6 +27,7 @@ from .seq import Seq
 from .spaces import (
     Lorentz,
     Lp,
+    LpQ,
     Orlicz,
     OrliczFn,
     SpaceSpec,
@@ -167,10 +168,11 @@ def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
         raise ValueError("unit_norms needs k_max >= 1")
     if isinstance(lat, EX):
         base = lat.base
-        if isinstance(base, Lorentz) and k_max > 26:
+        summed = isinstance(base, Lorentz) or (isinstance(base, LpQ) and base.q != math.inf)
+        if summed and k_max > 26:
             raise ValueError(
-                "EX over a Lorentz base sums 2^(k-1) weights per unit norm; "
-                "k_max > 26 is not materializable"
+                "EX over a Lorentz or finite-q l^{p,q} base sums 2^(k-1) terms "
+                "per unit norm; k_max > 26 is not materializable"
             )
         return np.array(
             [fundamental_function(base, 1 << (k - 1)) for k in range(1, k_max + 1)]

@@ -17,7 +17,7 @@ rearrangement first, so permutation invariance is exact by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np

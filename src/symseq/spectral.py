@@ -4,7 +4,11 @@ The doubling operator D satisfies ||Dx||_p^p = 2||x||_p^p, so lambda =
 2^{1/p} is the natural candidate eigenvalue; summing the orbit of a dyadic
 block indicator with geometric damping lambda^{1-k} produces unit vectors
 v_n with ||(D - lambda)v_n||_p = (4/n)^{1/p} exactly -- the shifted operator
-telescopes the orbit to its two boundary layers.
+telescopes the orbit to its two boundary layers.  D maps dyadic block k
+onto block k+1, so (D - lambda) S = S (tau_1 - lambda) for the block
+embedding S: every doubling residual of a block-constant vector, in the
+witnesses and the scans on every family, is one shift residual on the
+block lattice EX(X), evaluated by ``lattice_norm``.
 
 A second construction works on sequences indexed by reduced rationals in
 (0,1): the base-b dilation e_q -> sum_{i<b} e_{(q+i)/b} for b = 2, 3 sends
@@ -31,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import _ex_norm_lp
-from .operators import Doubling, DoublingMinusLambda, ShiftMinusLambda, _exact_scalar, apply_array
+from .lattices import EX, lattice_norm
+from .operators import ShiftMinusLambda, _exact_scalar, apply_array
 from .seq import Seq
-from .spaces import Lp, SpaceSpec, norm
+from .spaces import Lp, SpaceSpec
 
 __all__ = [
     "DisjointnessReport",
@@ -128,10 +132,6 @@ def check_disjoint_supports(l_max: int, m_max: int) -> DisjointnessReport:
 # Doubling-orbit witnesses ---------------------------------------------------
 
 
-# entries an ambient (materialized) doubling orbit may reach
-_AMBIENT_CAP = 1 << 20
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     lam: float
@@ -142,74 +142,44 @@ class WitnessReport:
     norm_value: float
 
 
-def doubling_orbit_witness(
-    space: SpaceSpec,
-    p: float,
-    n: int,
-    seed: Seq | None = None,
-    materialize: bool | None = None,
-) -> WitnessReport:
+def _block_residual(lat: EX, lam: float, a: np.ndarray) -> tuple[float, float]:
+    """||(tau_1 - lam) a|| / ||a|| in the block lattice, and ||a||.
+
+    D maps dyadic block k onto block k+1, so (D - lam) S = S (tau_1 - lam):
+    the residual of a block-constant vector S a is this lattice ratio, and
+    ``lattice_norm`` alone decides how each family evaluates it.
+    """
+    den = lattice_norm(lat, a)
+    return lattice_norm(lat, apply_array(ShiftMinusLambda(lam), a)) / den, den
+
+
+def doubling_orbit_witness(space: SpaceSpec, p: float, n: int) -> WitnessReport:
     """Residual of the damped doubling orbit v_n against lambda = 2^{1/p}.
 
-    v_n = n^{-1/p} sum_{k=1}^{n} 2^{(1-k)/p} D^{k-1}(seed).  With the default
-    seed e_1 the orbit runs through dyadic block indicators, so for an l^p
-    space the whole computation lives in block coordinates (closed-form block
-    norms; no 2^n-entry vector is materialized) and the residual is exactly
-    (4/n)^{1/p} when p matches the space.  ``materialize=True`` forces the
-    ambient path (the two must agree; tests cross-check them).
+    v_n = n^{-1/p} sum_{k=1}^{n} 2^{(1-k)/p} D^{k-1} e_1 runs through dyadic
+    block indicators, so v_n = S a with a_k = n^{-1/p} 2^{(1-k)/p} and the
+    residual is evaluated in EX(space) on n + 1 block coordinates; no
+    2^n-entry vector is built unless the family's block norm materializes
+    (within ``EX.cap``).  For l^p with p matching the space the residual is
+    exactly (4/n)^{1/p}.
     """
     if n < 1:
         raise ValueError("doubling_orbit_witness needs n >= 1")
     if not 1 <= p < math.inf:
         raise ValueError("doubling_orbit_witness needs 1 <= p < inf")
-    if seed is not None and not isinstance(seed, Seq):
-        seed = Seq(seed)
+    if n > 1 << 20:
+        raise ValueError("witness length overflow")
     lam = 2.0 ** (1.0 / p)
-    default_seed = seed is None or seed == Seq((1.0,))
-    if materialize is not True and default_seed and isinstance(space, Lp) and space.p != math.inf:
-        if n > 1 << 20:
-            raise ValueError("witness length overflow")
-        k = np.arange(1, n + 1, dtype=float)
-        a = n ** (-1.0 / p) * 2.0 ** ((1.0 - k) / p)
-        t = np.concatenate(([0.0], a)) - lam * np.concatenate((a, [0.0]))
-        den = _ex_norm_lp(space.p, a)
-        residual = _ex_norm_lp(space.p, t) / den
-        predicted = (4.0 / n) ** (1.0 / p) if space.p == p else None
-        return WitnessReport(
-            lam=lam,
-            n=n,
-            residual=float(residual),
-            predicted=predicted,
-            support=(1 << n) - 1,
-            norm_value=float(den),
-        )
-    seed = Seq((1.0,)) if seed is None else seed
-    if seed.is_zero() or any(v < 0 for v in seed):
-        raise ValueError("seed must be nonnegative and nonzero")
-    y = seed.array
-    if len(seed) << max(n - 1, 0) > _AMBIENT_CAP:
-        raise ValueError(
-            f"orbit support ~2^{n - 1} * {len(seed)} exceeds the ambient cap {_AMBIENT_CAP}"
-        )
-    parts = []
-    for _ in range(n):
-        parts.append(y)
-        y = apply_array(Doubling(), y)
-    v = np.zeros(parts[-1].size)
-    for k, yk in enumerate(parts, start=1):
-        v[: yk.size] += 2.0 ** ((1.0 - k) / p) * yk
-    v *= n ** (-1.0 / p)
-    den = norm(space, v)
-    residual = norm(space, apply_array(DoublingMinusLambda(lam), v)) / den
-    predicted = None
-    if isinstance(space, Lp) and space.p == p and default_seed:
-        predicted = (4.0 / n) ** (1.0 / p)
+    k = np.arange(1, n + 1, dtype=float)
+    a = n ** (-1.0 / p) * 2.0 ** ((1.0 - k) / p)
+    residual, den = _block_residual(EX(space), lam, a)
+    predicted = (4.0 / n) ** (1.0 / p) if space == Lp(p) else None
     return WitnessReport(
         lam=lam,
         n=n,
         residual=float(residual),
         predicted=predicted,
-        support=int(np.count_nonzero(v)),
+        support=(1 << n) - 1,
         norm_value=float(den),
     )
 
@@ -357,17 +327,14 @@ def _orbit_family_residual(lam: float, p: float, m: np.ndarray) -> np.ndarray:
     return 2.0 ** ((log_num_p - log_den_p) / p)
 
 
-def _geom_profile_residual(lam: float, p: float, rho: float, m: int) -> float:
-    """Residual of the window profile a_k = rho^{k-1}, k <= m, in l^p blocks."""
-    k = np.arange(1, m + 1, dtype=float)
-    a = rho ** (k - 1.0)
-    t = np.concatenate(([0.0], a)) - lam * np.concatenate((a, [0.0]))
-    return _ex_norm_lp(p, t) / _ex_norm_lp(p, a)
+def _geom_profile_residual(lat: EX, lam: float, rho: float, m: int) -> float:
+    """Residual of the window profile a_k = rho^{k-1}, k <= m, in EX blocks."""
+    return _block_residual(lat, lam, rho ** np.arange(m, dtype=float))[0]
 
 
-def _scan_point_lp(lam: float, p: float, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
+def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
     mgrid = 2 ** np.arange(0, int(math.log2(dim)) + 1)
-    fam = _orbit_family_residual(lam, p, mgrid)
+    fam = _orbit_family_residual(lam, lat.base.p, mgrid)
     best_i = int(np.argmin(fam))
     best = float(fam[best_i])
     method = "closed_form"
@@ -377,11 +344,11 @@ def _scan_point_lp(lam: float, p: float, dim: int, restarts: int, rng) -> tuple[
     starts = np.concatenate((np.linspace(0.05, 1.45, 15), rng.uniform(0.05, 1.45, restarts)))
     for rho0 in starts:
         rho, step = float(rho0), 0.1
-        val = _geom_profile_residual(lam, p, rho, window)
+        val = _geom_profile_residual(lat, lam, rho, window)
         while step > 1e-4:
             moved = False
             for cand in (rho - step, rho + step):
-                if 1e-3 < cand and (v := _geom_profile_residual(lam, p, cand, window)) < val:
+                if 1e-3 < cand and (v := _geom_profile_residual(lat, lam, cand, window)) < val:
                     rho, val, moved = cand, v, True
             if not moved:
                 step /= 2.0
@@ -390,18 +357,12 @@ def _scan_point_lp(lam: float, p: float, dim: int, restarts: int, rng) -> tuple[
     return best, method, params
 
 
-def _scan_point_general(lam: float, space: SpaceSpec, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
+def _scan_point_general(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
     blocks = max(1, int(math.log2(max(dim, 2))))
     best, method, params = math.inf, "operator_search", {}
     for m in range(1, blocks + 1):
         for rho in np.concatenate((np.array([1.0 / lam]), np.linspace(0.1, 1.2, 12), rng.uniform(0.05, 1.4, restarts))):
-            k = np.arange(1, m + 1, dtype=float)
-            a = rho ** (k - 1.0)
-            v = np.repeat(a, 2 ** np.arange(m))
-            den = norm(space, v)
-            if den == 0.0:
-                continue
-            r = norm(space, apply_array(DoublingMinusLambda(lam), v)) / den
+            r = _geom_profile_residual(lat, lam, rho, m)
             if r < best:
                 best, params = float(r), {"m": m, "rho": float(rho)}
     return best, method, params
@@ -417,25 +378,29 @@ def residual_scan(
     """Upper estimates of inf_{||x||=1} ||(D - lambda)x|| over a lambda grid.
 
     Every value is an upper estimate of the infimum (a witness was found
-    achieving it); no spectral-gap lower bounds are claimed anywhere.  For
-    l^p spaces ``dim`` counts dyadic-block coordinates and the damped-orbit
-    family is evaluated in closed form; for other spaces vectors are
-    materialized and ``dim`` caps the ambient support.
+    achieving it); no spectral-gap lower bounds are claimed anywhere.  Every
+    witness is block-constant, S a with a_k = rho^{k-1} on m blocks, and its
+    residual is evaluated in EX(space) by ``_block_residual`` on every
+    family.  For l^p, ``dim`` counts blocks (m <= dim; the damped-orbit
+    family in closed form, a descent over rho on min(dim, 64) blocks); for
+    other spaces m <= log2(dim), so ``dim`` bounds the support 2^m - 1, and
+    a block norm that materializes stops at ``EX.cap`` blocks.
     """
     grid = [float(g) for g in lambda_grid]
     if not grid or any(g <= 0 for g in grid):
         raise ValueError("lambda grid entries must be positive")
     if dim < 1:
         raise ValueError("residual_scan needs dim >= 1")
+    lat = EX(space)
     out = []
     for lam in grid:
         # per-point generator keyed by the lambda bit pattern: results do not
         # depend on grid order or partitioning, so scans parallelize cleanly
         rng = np.random.default_rng([seed, int(np.float64(lam).view(np.uint64))])
         if isinstance(space, Lp) and space.p != math.inf:
-            est, method, params = _scan_point_lp(lam, space.p, dim, restarts, rng)
+            est, method, params = _scan_point_lp(lam, lat, dim, restarts, rng)
         else:
-            est, method, params = _scan_point_general(lam, space, dim, restarts, rng)
+            est, method, params = _scan_point_general(lam, lat, dim, restarts, rng)
         out.append(ScanPoint(lam=lam, estimate=est, method=method, params=params, dim=dim, seed=seed))
     return out
 

@@ -16,6 +16,8 @@ from symseq.cli import (
     parse_args,
     run,
 )
+from symseq.spaces import LpQ
+from symseq.spectral import doubling_orbit_witness
 
 
 def _run(argv, capsys):
@@ -120,6 +122,29 @@ def test_witness_vn_orlicz_is_tagged_root_find(capsys):
     assert all(ln.endswith(",root_find") for ln in out.splitlines()[1:])
     _, out, _ = _run(["witness", "--kind", "vn", "--p", "1.5", "--n", "4"], capsys)
     assert json.loads(out)["method"] == "closed_form"
+
+
+def test_witness_un_refuses_space_flags(capsys, tmp_path):
+    base = ["witness", "--kind", "un", "--p", "2", "--n", "2"]
+    orlicz = '{"kind":"orlicz","orlicz":{"form":"power","p":3}}'
+    for extra in (["--space", orlicz], ["--q", "1"]):
+        code, out, err = _run(base + extra, capsys)
+        assert code == EXIT_BAD_PARAMETER and out == ""
+        assert "--space or --q" in err
+    cfg = tmp_path / "un.json"
+    cfg.write_text(json.dumps({"space": json.loads(orlicz)}))
+    code, out, _ = _run(base + ["--config", str(cfg)], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+
+
+def test_witness_vn_q_shorthand_runs_on_lpq(capsys):
+    code, out, _ = _run(["witness", "--kind", "vn", "--p", "2", "--q", "1", "--n", "3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    want = doubling_orbit_witness(LpQ(2.0, 1.0), 2.0, 3)
+    assert payload["residual"] == want.residual and payload["predicted"] is None
+    _, lp_out, _ = _run(["witness", "--kind", "vn", "--p", "2", "--n", "3"], capsys)
+    assert json.loads(lp_out)["residual"] != want.residual
 
 
 def test_norm_requires_exactly_one_source(capsys):

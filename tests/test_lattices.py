@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from symseq import lattices
 from symseq.lattices import (
     EX,
     UN,
@@ -22,6 +23,7 @@ from symseq.lattices import (
 from symseq.spaces import (
     Lorentz,
     Lp,
+    LpQ,
     Orlicz,
     OrliczFn,
     fundamental_function,
@@ -93,6 +95,27 @@ def test_unit_norms_are_fundamental_values():
         s = unit_norms(lat, 12)
         want = [fundamental_function(base, 2 ** (k - 1)) for k in range(1, 13)]
         assert np.allclose(s, want, rtol=1e-12)
+
+
+def test_unit_norms_refuse_summed_bases_past_k_max_26(monkeypatch):
+    # a finite-q l^{p,q} unit norm sums 2^(k-1) terms, like a Lorentz one;
+    # the sentinel fails a missing guard before any such sum is allocated
+    # q = inf has a closed form and no cap
+    assert unit_norms(EX(LpQ(3.0, math.inf)), 64)[-1] == pytest.approx(2.0 ** (63 / 3.0))
+    real = lattices.fundamental_function
+
+    def sentinel(space, n):
+        if n > 1 << 25:
+            raise AssertionError(f"fundamental_function asked for n = {n}")
+        return real(space, n)
+
+    monkeypatch.setattr(lattices, "fundamental_function", sentinel)
+    for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
+        assert unit_norms(EX(base), 8).size == 8
+        with pytest.raises(ValueError, match="k_max > 26"):
+            unit_norms(EX(base), 27)
+        with pytest.raises(ValueError, match="k_max > 26"):
+            shift_exponents(EX(base))
 
 
 def test_weighted_lq_norm_definition():

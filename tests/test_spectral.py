@@ -7,7 +7,10 @@ estimates must stay above it (they exhibit a witness, never beat the
 optimum) and within a modest factor of it (frozen after an oracle run).
 
 ``rational_dilation`` below is the earlier Fraction-keyed orbit kernel, kept
-verbatim as the exact reference for the int64 kernel ``_dilate``.
+verbatim as the exact reference for the int64 kernel ``_dilate``; likewise
+``ambient_vn`` and ``ambient_scan_residual`` are the earlier materialized
+doubling-orbit witness and scan evaluation, the references for the
+block-coordinate residual.
 """
 
 import math
@@ -18,10 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symseq import spectral
+from symseq import lattices, spaces, spectral
+from symseq.lattices import EX
+from symseq.operators import Doubling, DoublingMinusLambda, apply_array
 from symseq.seq import Seq
-from symseq.spaces import Lorentz, Lp, power_weights
+from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, norm, power_weights
 from symseq.spectral import (
+    WitnessReport,
     _dilate,
     _orbits,
     branching_witness,
@@ -32,6 +38,7 @@ from symseq.spectral import (
     shift_identity_check,
     solve_shift_minus_lambda,
 )
+from symseq.verify import BUILTIN_SPACES
 
 lam_fracs = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=9)
 coef_fracs = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -139,25 +146,128 @@ def test_vn_residual_closed_form():
             assert rep.lam == pytest.approx(2.0 ** (1.0 / p))
 
 
-def test_vn_block_and_ambient_paths_agree():
-    # forced ambient materialization reproduces the closed-form block path
-    for p in (1.0, 2.0):
-        for n in (1, 2, 5):
-            a = doubling_orbit_witness(Lp(p), p, n)
-            b = doubling_orbit_witness(Lp(p), p, n, materialize=True)
-            assert b.residual == pytest.approx(a.residual, rel=1e-10)
-            assert b.predicted == pytest.approx(a.predicted, rel=1e-12)
+# The earlier ambient branch of doubling_orbit_witness, kept verbatim: it runs
+# D n times on the materialized orbit and takes space norms.
+_AMBIENT_CAP = 1 << 20
 
 
-def test_vn_ambient_cap_guards_blowup():
-    with pytest.raises(ValueError):
-        doubling_orbit_witness(Lp(2.0), 2.0, 40, seed=[1.0, 0.5])
+def ambient_vn(space, p, n, seed=None):
+    if seed is not None and not isinstance(seed, Seq):
+        seed = Seq(seed)
+    lam = 2.0 ** (1.0 / p)
+    default_seed = seed is None or seed == Seq((1.0,))
+    seed = Seq((1.0,)) if seed is None else seed
+    if seed.is_zero() or any(v < 0 for v in seed):
+        raise ValueError("seed must be nonnegative and nonzero")
+    y = seed.array
+    if len(seed) << max(n - 1, 0) > _AMBIENT_CAP:
+        raise ValueError(
+            f"orbit support ~2^{n - 1} * {len(seed)} exceeds the ambient cap {_AMBIENT_CAP}"
+        )
+    parts = []
+    for _ in range(n):
+        parts.append(y)
+        y = apply_array(Doubling(), y)
+    v = np.zeros(parts[-1].size)
+    for k, yk in enumerate(parts, start=1):
+        v[: yk.size] += 2.0 ** ((1.0 - k) / p) * yk
+    v *= n ** (-1.0 / p)
+    den = norm(space, v)
+    residual = norm(space, apply_array(DoublingMinusLambda(lam), v)) / den
+    predicted = None
+    if isinstance(space, Lp) and space.p == p and default_seed:
+        predicted = (4.0 / n) ** (1.0 / p)
+    return WitnessReport(
+        lam=lam,
+        n=n,
+        residual=float(residual),
+        predicted=predicted,
+        support=int(np.count_nonzero(v)),
+        norm_value=float(den),
+    )
 
 
-def test_vn_on_non_lp_space_runs_materialized():
+# The earlier candidate evaluation of the general scan, kept verbatim.
+def ambient_scan_residual(space, lam, rho, m):
+    k = np.arange(1, m + 1, dtype=float)
+    a = rho ** (k - 1.0)
+    v = np.repeat(a, 2 ** np.arange(m))
+    den = norm(space, v)
+    return norm(space, apply_array(DoublingMinusLambda(lam), v)) / den
+
+
+ORLICZ_BUILTINS = [sp for _, sp in BUILTIN_SPACES if isinstance(sp, Orlicz)]
+EXACT_SPACES = [Lp(2.0), Lp(math.inf), LpQ(3.0, 2.0), LpQ(2.0, 4.0), Lorentz(2.0, power_weights(0.25))]
+
+
+def test_vn_block_residual_matches_the_ambient_orbit():
+    for space in EXACT_SPACES + ORLICZ_BUILTINS:
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for n in (1, 2, 3, 7, 12, 16):
+                got, want = doubling_orbit_witness(space, p, n), ambient_vn(space, p, n)
+                assert (got.lam, got.n, got.support) == (want.lam, want.n, want.support)
+                assert got.predicted == want.predicted
+                if isinstance(space, Orlicz) or space == Lp(2.0):
+                    # UN's solver and the closed l^p block sum round differently
+                    assert got.residual == pytest.approx(want.residual, rel=1e-14, abs=0)
+                    assert got.norm_value == pytest.approx(want.norm_value, rel=1e-14, abs=0)
+                else:
+                    assert got == want, (space, p, n)
+
+
+def test_scan_points_match_the_ambient_residual():
+    for space in EXACT_SPACES + ORLICZ_BUILTINS:
+        # l^p runs the closed-form family and the descent: keep m small
+        # enough to materialize every reported witness
+        lp = isinstance(space, Lp) and space.p != math.inf
+        for pt in residual_scan(space, [1.2, 1.5], dim=16 if lp else 1 << 10):
+            want = ambient_scan_residual(space, pt.lam, pt.params["rho"], pt.params["m"])
+            if lp or isinstance(space, Orlicz):
+                assert pt.estimate == pytest.approx(want, rel=1e-12 if lp else 1e-14, abs=0)
+            else:
+                assert pt.estimate == want, (space, pt)
+
+
+def test_vn_limits_are_the_lattice_limits():
+    lorentz = Lorentz(2.0, power_weights(0.25))
+    # EX materializes at most cap = 24 blocks; the residual has n + 1
+    with pytest.raises(ValueError, match="cap"):
+        doubling_orbit_witness(lorentz, 2.0, 30)
+    rep = doubling_orbit_witness(lorentz, 2.0, 22)
+    assert rep.support == (1 << 22) - 1 and 0.0 < rep.residual < 2.0
+    # UN allows 64 coordinates
+    with pytest.raises(ValueError, match="64 coordinates"):
+        doubling_orbit_witness(ORLICZ_BUILTINS[0], 1.5, 64)
+    with pytest.raises(ValueError, match="overflow"):
+        doubling_orbit_witness(Lp(2.0), 2.0, (1 << 20) + 1)
+
+
+def test_scan_dim_is_bounded_by_the_ex_cap(monkeypatch):
+    # residual_scan's blocks meet EX.cap like any block norm; a cap of 6
+    # stands in for the default 24 (dim >= 2^24) to keep vectors small
+    monkeypatch.setattr(spectral, "EX", lambda base: EX(base, cap=6))
+    sp = LpQ(3.0, 2.0)
+    assert len(residual_scan(sp, [1.2], dim=1 << 5)) == 1
+    with pytest.raises(ValueError, match="cap 6"):
+        residual_scan(sp, [1.2], dim=1 << 6)
+
+
+def test_vn_and_scan_on_orlicz_never_take_space_norms(monkeypatch):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("an Orlicz block residual took an ambient norm")
+
+    for mod in (spaces, lattices, spectral):
+        monkeypatch.setattr(mod, "norm", no_norm, raising=False)
+    orlicz = Orlicz(OrliczFn.power(1.5))
+    assert len(residual_scan(orlicz, [1.2, 1.5], dim=1 << 10)) == 2
+    assert doubling_orbit_witness(orlicz, 1.5, 16).residual > 0.0
+
+
+def test_vn_on_non_lp_space_runs_in_block_coordinates():
     sp = Lorentz(2.0, power_weights(0.25))
     rep = doubling_orbit_witness(sp, 2.0, 3)
     assert rep.norm_value > 0.0 and rep.residual > 0.0
+    assert rep.predicted is None
 
 
 # branching witness ---------------------------------------------------------------
