@@ -190,6 +190,12 @@ def _load_space(config: RunConfig):
         obj = ({"kind": "lpq", "p": config.p, "q": config.q}
                if config.q is not None else {"kind": "lp", "p": config.p})
     else:
+        # --p is the witness exponent; elsewhere it, like --q, is shorthand
+        # for a space and would be dropped beside --space
+        if config.q is not None or (config.p is not None and config.command != "witness"):
+            flag = "--q" if config.q is not None else "--p"
+            raise CliError(EXIT_BAD_PARAMETER,
+                           f"{flag} is a space shorthand; give it or --space, not both")
         obj = _structured(raw, "--space")
     if not isinstance(obj, dict):
         raise CliError(EXIT_BAD_PARAMETER, "--space must be a JSON object")
@@ -279,7 +285,7 @@ def _format(config: RunConfig, default: str = "json") -> str:
 
 
 def _method(spec) -> str:
-    """Provenance tag of a norm: Orlicz values come from the bracketed solver."""
+    """Provenance tag of a norm: Orlicz values come from a root solve."""
     if isinstance(spec, EX):
         spec = spec.base
     return "root_find" if isinstance(spec, (Orlicz, UN)) else "closed_form"
@@ -298,6 +304,8 @@ def _cmd_norm(config: RunConfig) -> int:
         if config.operator is not None:
             raise CliError(EXIT_BAD_PARAMETER,
                            "--operator acts on ambient sequences, not lattice coefficients")
+        if config.q is not None:
+            raise CliError(EXIT_BAD_PARAMETER, "--q is a space shorthand; --lattice takes none")
         lat, lattice_json = _load_lattice(config)
         value = lattice_norm(lat, vec)
         method = _method(lat)

@@ -12,6 +12,12 @@ Four families are supported, all rearrangement invariant:
 
 Here x* denotes the decreasing rearrangement.  Every norm evaluates the
 rearrangement first, so permutation invariance is exact by construction.
+
+The built-in Orlicz functions ``OrliczFn.power`` and ``OrliczFn.power_log``
+have the moment form N(t) = t^p (1 + a |ln t|) and carry p and a.  For them
+the Luxemburg modular collapses to a scalar function of two moments of the
+vector, so a norm is one vector pass and a scalar Newton solve and never
+evaluates N.  A custom callable has no such form and is solved by bracketing.
 """
 
 from __future__ import annotations
@@ -145,10 +151,16 @@ class OrliczFn:
     1024-point geometric grid on [1e-9, 1] for monotonicity and midpoint
     convexity and aborts on any violation; this is a spot check, not a proof,
     and it keeps malformed profiles out of every downstream computation.
+    ``p`` and ``a`` are set (by ``power`` and ``power_log``) when the callable
+    is t^p (1 + a |ln t|) with 0 <= a < p; the probe checks them against it.
+    Luxemburg norms then come from two moments of the vector (see
+    ``_luxemburg``) without calling N.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+    p: float | None = None
+    a: float = 0.0
 
     def __post_init__(self):
         v0 = float(self.fn(np.array([0.0]))[0])
@@ -166,6 +178,13 @@ class OrliczFn:
         bound = (vals[:-1] + vals[1:]) / 2.0
         if np.any(mid > bound + 1e-12 * np.maximum(1.0, bound)):
             raise ValueError("Orlicz function failed midpoint convexity probe")
+        if self.p is None:
+            if self.a != 0.0:
+                raise ValueError("the moment form needs p when a is set")
+        elif not (0.0 <= self.a < self.p) or not np.allclose(
+            vals, g**self.p * (1.0 + self.a * np.abs(np.log(g))), rtol=1e-12, atol=0.0
+        ):
+            raise ValueError("p and a must match the callable t^p (1 + a |ln t|), 0 <= a < p")
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
@@ -176,7 +195,7 @@ class OrliczFn:
         if p < 1.0:
             raise ValueError("power Orlicz profile needs p >= 1")
         return OrliczFn(
-            fn=lambda t, p=p: np.power(t, p), label=f"power:{p}"
+            fn=lambda t, p=p: np.power(t, p), label=f"power:{p}", p=float(p)
         )
 
     @staticmethod
@@ -195,7 +214,7 @@ class OrliczFn:
             out[pos] = tp**p * (1.0 + a * np.abs(np.log(tp)))
             return out
 
-        return OrliczFn(fn=f, label=f"power_log:{p}:{a}")
+        return OrliczFn(fn=f, label=f"power_log:{p}:{a}", p=float(p), a=float(a))
 
 
 @dataclass(frozen=True)
@@ -318,18 +337,61 @@ def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) ->
     The weights default to 1 (the Orlicz norm); ``UN`` passes 2^(k-1).  With
     m = max(a) and b = a/m the norm is m v for v in [1, sum w_k b_k]: v < 1
     gives N(1/v) > 1 at the largest coordinate, and v = sum w_k b_k is
-    admissible because convexity gives N(t) <= t on [0, 1].
+    admissible because convexity gives N(t) <= t on [0, 1].  The returned v
+    is admissible (the modular at it is at most 1 up to rounding) and within
+    a few _ROOT_TOL of the least admissible v.
+
+    When N carries its moment form t^p (1 + a |ln t|), b <= 1 <= v gives
+    |ln(b/v)| = ln v - ln b, so the modular is v^-p (A + B ln v) with
+    S0 = sum w b^p, S1 = sum w b^p ln b <= 0, A = S0 - a S1 >= 1, B = a S0;
+    ``_moment_root`` solves it without evaluating N.  Any other N is solved
+    by ``_bracketed_root`` on the modular itself.
     """
     m = float(a.max()) if a.size else 0.0
     if m == 0.0:
         return 0.0
     b = a / m
     w = 1.0 if weights is None else weights
+    if N.p is not None:
+        pos = b > 0.0  # UN vectors have zero coordinates; log needs them out
+        if weights is not None:
+            w = w[pos]
+        b = b[pos]
+        wbp = w * b**N.p
+        s0 = float(np.sum(wbp))
+        s1 = float(np.dot(wbp, np.log(b)))
+        return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
 
     def residual(v: np.ndarray) -> np.ndarray:
         return -np.log(np.sum(w * N(b / v[:, None]), axis=1))
 
     return m * float(_bracketed_root(residual, np.ones(1), np.array([np.sum(w * b)]))[0])
+
+
+def _moment_root(p: float, A: float, B: float) -> float:
+    """Least v >= 1 with A + B ln v <= v^p, to within a few _ROOT_TOL and on
+    the admissible side, for A >= 1, B >= 0 and B < p A.
+
+    Newton on h(s) = ln(A + B s) - p s in s = ln v, from s = 0: h(0) = ln A
+    >= 0, h' <= B/A - p < 0 and h is concave, so the first step lands on the
+    admissible side (h <= 0) and every later step decreases monotonically to
+    the root; with B = 0 the first step is the closed form v = A^(1/p).  The
+    iterate is kept as v and h is evaluated as ln((A + B ln v) / v^p), so no
+    precision is lost to the size of ln v.  A bounded nextafter guard moves
+    the float result onto the admissible side.
+    """
+    v = 1.0
+    for _ in range(64):
+        g = A + B * math.log(v)
+        step = math.log(g / v**p) / (p - B / g)
+        v *= math.exp(step)
+        if abs(step) <= _ROOT_TOL:
+            break
+    for _ in range(16):
+        if A + B * math.log(v) <= v**p:
+            break
+        v = math.nextafter(v, math.inf)
+    return v
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -492,9 +554,8 @@ def space_to_json(space: SpaceSpec) -> dict:
 
 
 def _orlicz_to_json(N: OrliczFn) -> dict:
-    parts = N.label.split(":")
-    if parts[0] == "power":
-        return {"form": "power", "p": float(parts[1])}
-    if parts[0] == "power_log":
-        return {"form": "power_log", "p": float(parts[1]), "a": float(parts[2])}
-    raise ValueError("cannot serialize a custom Orlicz callable")
+    if N.p is None:
+        raise ValueError("cannot serialize a custom Orlicz callable")
+    if N.a == 0.0:
+        return {"form": "power", "p": N.p}
+    return {"form": "power_log", "p": N.p, "a": N.a}

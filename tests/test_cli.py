@@ -165,6 +165,34 @@ def test_p_shorthand_builds_spaces(capsys):
     assert json.loads(out)["space"] == {"kind": "lpq", "p": 3.0, "q": 2.0}
 
 
+LP3 = '{"kind":"lp","p":3}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["fset", "--space", LP3, "--q", "1"],
+    ["index", "--space", LP3, "--q", "1"],
+    ["scan", "--space", LP3, "--q", "1", "--grid", "1:2:2"],
+    ["norm", "--space", LP3, "--q", "1", "--vector", "[1]"],
+    ["witness", "--kind", "vn", "--p", "2", "--q", "1", "--n", "3", "--space", LP3],
+    ["fset", "--space", LP3, "--p", "1"],
+    ["index", "--space", LP3, "--p", "1"],
+    ["scan", "--space", LP3, "--p", "1", "--grid", "1:2:2"],
+    ["norm", "--space", LP3, "--p", "1", "--vector", "[1]"],
+    ["norm", "--lattice", '{"kind":"un","orlicz":{"form":"power","p":2}}',
+     "--q", "1", "--vector", "[1]"],
+])
+def test_space_shorthand_beside_space_is_refused(argv, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "shorthand" in err
+
+
+def test_witness_p_beside_space_is_the_exponent(capsys):
+    code, out, _ = _run(["witness", "--kind", "vn", "--p", "2", "--n", "3",
+                         "--space", LP3], capsys)
+    assert code == 0 and json.loads(out)["p"] == 2.0
+
+
 # exit codes -----------------------------------------------------------------------
 
 

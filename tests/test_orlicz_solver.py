@@ -1,18 +1,21 @@
-"""The Orlicz solver against the bisection loops it replaced.
+"""The Orlicz solvers against the bisection loops they replaced and each other.
 
 The three functions below are the earlier bisection implementations, kept
 verbatim as the reference: ``_luxemburg`` and ``_un_luxemburg`` stop at a
-bracket of 1e-12 relative, ``_orlicz_inverse_vec`` at 1e-14.
+bracket of 1e-12 relative, ``_orlicz_inverse_vec`` at 1e-14.  The moment
+path of the built-in functions is checked against the bracketed path that
+the same callable takes when it carries no moment form.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from symseq import spaces
-from symseq.lattices import UN, lattice_norm
-from symseq.spaces import Orlicz, OrliczFn, norm
+from symseq.lattices import EX, UN, lattice_norm
+from symseq.spaces import Orlicz, OrliczFn, norm, space_from_json, space_to_json
 from symseq.verify import BUILTIN_SPACES
 
 ORLICZ_FNS = [(lbl, sp.N) for lbl, sp in BUILTIN_SPACES if isinstance(sp, Orlicz)]
@@ -161,3 +164,108 @@ def test_solver_returns_the_admissible_end():
     assert np.all(N(t) >= s)
     below = t * (1.0 - 4.0 * spaces._ROOT_TOL)
     assert np.all(N(below) < s)
+
+
+# the moment path of the built-in functions -----------------------------------
+
+
+def _moment_cases(seed: int, count: int):
+    """(N, x, weights): p in [1, 6], a up to the convexity bound p(p-1)/(2p-1),
+    Orlicz vectors of 1-3000 entries and UN vectors of up to 64 coordinates
+    with zeros, at magnitudes 1e-200 to 1e200."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = float(rng.choice([1.0, 6.0])) if i < 8 else rng.uniform(1.0, 6.0)
+        a_max = p * (p - 1.0) / (2.0 * p - 1.0)
+        a = [0.0, a_max][i % 2] if i < 8 else rng.uniform(0.0, a_max) * (i % 3 != 0)
+        N = OrliczFn.power_log(p, a) if a else OrliczFn.power(p)
+        if i % 2:
+            size = int([1, 3000][i % 4 // 2]) if i < 8 else int(rng.integers(1, 3001))
+            x = rng.standard_normal(size)
+            weights = None
+        else:
+            size = int([1, 64][i % 4 // 2]) if i < 8 else int(rng.integers(1, 65))
+            x = rng.standard_normal(size) * rng.choice([0.0, 1.0], size, p=[0.3, 0.7])
+            x[rng.integers(0, size)] += 1.0
+            weights = 2.0 ** np.arange(size)
+        yield N, x * 10.0 ** rng.uniform(-200.0, 200.0), weights
+
+
+def _solve(N: OrliczFn, x: np.ndarray, weights) -> float:
+    return norm(Orlicz(N), x) if weights is None else lattice_norm(UN(N), x)
+
+
+def test_moment_path_matches_the_bracketed_path():
+    worst = 0.0
+    for N, x, weights in _moment_cases(47, 400):
+        generic = OrliczFn(fn=N.fn)  # the same function without its moment form
+        got, want = _solve(N, x, weights), _solve(generic, x, weights)
+        worst = max(worst, abs(got / want - 1.0))
+    assert worst <= 1e-14
+
+
+def test_moment_path_is_admissible_and_tight():
+    for N, x, weights in _moment_cases(53, 400):
+        w = 1.0 if weights is None else weights
+        u = _solve(N, x, weights)
+        assert np.sum(w * N(np.abs(x) / u)) <= 1.0 + 1e-14
+        assert np.sum(w * N(np.abs(x) / (u * (1.0 - 8.0 * spaces._ROOT_TOL)))) > 1.0
+
+
+@pytest.mark.parametrize("label,N", ORLICZ_FNS)
+def test_builtin_norms_never_evaluate_N(label, N):
+    calls = []
+
+    def counting(t, fn=N.fn):
+        calls.append(np.size(t))
+        return fn(t)
+
+    N = dataclasses.replace(N)  # a private copy; construction evaluates N
+    object.__setattr__(N, "fn", counting)
+    rng = np.random.default_rng(59)
+    x = rng.standard_normal(100)
+    a = np.concatenate([[0.0, 1.0], rng.standard_normal(30)])
+    assert N(np.ones(1))[0] == 1.0 and calls == [1]  # the counter is live
+    calls.clear()
+    norm(Orlicz(N), x)
+    lattice_norm(UN(N), a)
+    lattice_norm(EX(Orlicz(N)), a)
+    assert calls == []
+
+
+def test_custom_functions_still_bracket(monkeypatch):
+    solves = []
+
+    def counting(f, lo, hi):
+        solves.append(lo.size)
+        return bracketed(f, lo, hi)
+
+    bracketed = spaces._bracketed_root
+    monkeypatch.setattr(spaces, "_bracketed_root", counting)
+    N = OrliczFn(fn=lambda t: t**3)
+    assert norm(Orlicz(N), [3.0, 4.0]) == pytest.approx(91.0 ** (1 / 3), rel=1e-14)
+    assert lattice_norm(UN(N), [1.0, 0.0, 2.0]) == pytest.approx(33.0 ** (1 / 3), rel=1e-14)
+    assert solves == [1, 1]
+    norm(Orlicz(OrliczFn.power(3.0)), [3.0, 4.0])
+    assert solves == [1, 1]
+
+
+def test_moment_form_must_match_the_callable():
+    with pytest.raises(ValueError):
+        OrliczFn(fn=lambda t: t**3, p=2.0)
+    with pytest.raises(ValueError):
+        OrliczFn(fn=lambda t: t**2, a=0.5)  # a without p
+    assert OrliczFn(fn=lambda t: t**3, p=3.0).p == 3.0
+    f = OrliczFn.power_log(2.0, 0.6).fn
+    with pytest.raises(ValueError):
+        OrliczFn(fn=f, p=2.0, a=0.5)
+    assert OrliczFn(fn=f, p=2.0, a=0.6).a == 0.6
+
+
+def test_builtin_orlicz_spaces_round_trip_through_json():
+    for label, N in ORLICZ_FNS:
+        desc = space_to_json(Orlicz(N))
+        assert space_to_json(space_from_json(desc)) == desc
+        assert (desc["orlicz"]["form"] == "power_log") == ("log" in label)
+    with pytest.raises(ValueError):
+        space_to_json(Orlicz(OrliczFn(fn=lambda t: t**2)))
