@@ -90,13 +90,30 @@ def _interval(point: float, certified: float, method: str) -> Interval:
     return Interval(lo=min(p, c), hi=max(p, c), point=p, method=method)
 
 
+def _compensated_cumsum(x: np.ndarray, hi: float, lo: float):
+    """Prefix sums of (hi + lo) + x_1 + x_2 + ..., carrying every rounding error.
+
+    Each step of the running sum loses an error that TwoSum recovers exactly;
+    the errors are summed apart in ``lo`` and added back at each position, so
+    the running total stays within ~1 ulp however long it runs.  Returns the
+    prefix sums and the (hi, lo) pair after the last term.
+    """
+    run = np.cumsum(np.concatenate(([hi], x)))
+    prev, cur = run[:-1], run[1:]
+    back = cur - prev
+    low = lo + np.cumsum((prev - (cur - back)) + (x - back))
+    return cur + low, float(cur[-1]), float(low[-1])
+
+
 def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
     """Partial sums sum_{k<=p} term(k) at sorted positive int positions.
 
     Streams 1..max(points) in chunks so cumulative sums at positions far
     beyond memory limits (default grids reach 2^30) never materialize.
-    The index routines call it only for custom generator weights; pure
-    power summands go to the closed-form ``_power_partial_sums``.
+    Each stretch between requested positions is summed pairwise, and the
+    running total over the stretches is compensated, so no error builds up
+    along the stream.  The index routines call it only for custom generator
+    weights; pure power summands go to the closed-form ``_power_partial_sums``.
     """
     pts = np.asarray(points, dtype=np.int64)
     if pts.size == 0:
@@ -104,15 +121,19 @@ def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
     if pts[0] < 1 or np.any(np.diff(pts) <= 0):
         raise ValueError("points must be strictly increasing and >= 1")
     out = np.empty(pts.size)
-    total = 0.0
+    hi = lo = 0.0
     top = int(pts[-1])
     for start in range(1, top + 1, _CHUNK):
         end = min(start + _CHUNK - 1, top)
-        cum = np.cumsum(term(np.arange(start, end + 1, dtype=float)))
-        lo = np.searchsorted(pts, start, side="left")
-        hi = np.searchsorted(pts, end, side="right")
-        out[lo:hi] = total + cum[pts[lo:hi] - start]
-        total += float(cum[-1])
+        terms = term(np.arange(start, end + 1, dtype=float))
+        first = np.searchsorted(pts, start, side="left")
+        last = np.searchsorted(pts, end, side="right")
+        # stretch i ends at the i-th point of the chunk; a tail past the last
+        # point only feeds the running total
+        cuts = pts[first:last] - start + 1
+        heads = np.concatenate(([0], cuts[cuts < terms.size]))
+        sums, hi, lo = _compensated_cumsum(np.add.reduceat(terms, heads), hi, lo)
+        out[first:last] = sums[: cuts.size]
     return out
 
 

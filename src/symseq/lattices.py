@@ -75,6 +75,14 @@ class EX:
     base: SpaceSpec
     cap: int = 24  # materialization cap: len(a) blocks -> 2^cap - 1 entries
 
+    def check_blocks(self, blocks: int) -> None:
+        """Refuse ``blocks`` coordinates when the base would materialize past ``cap``."""
+        if blocks > self.cap and not isinstance(self.base, (Lp, Orlicz)):
+            raise ValueError(
+                f"EX norm materializes 2^len - 1 entries; len {blocks} "
+                f"exceeds the cap {self.cap}"
+            )
+
 
 @dataclass(frozen=True)
 class WeightedLq:
@@ -118,9 +126,34 @@ def block_weights_from_lorentz(q: float, w: WeightSeq) -> Callable[[np.ndarray],
     return mu
 
 
-def _ex_norm_lp(p: float, a: np.ndarray) -> float:
-    """||S a||_p in closed form: block k contributes |a_k|^p 2^(k-1)."""
-    a = np.abs(np.asarray(a, dtype=float))
+def _lp_from_logs(p: float, logs: np.ndarray) -> list:
+    """(sum_j 2^logs_j)^(1/p) for each row, scaled by the row max against overflow.
+
+    The closing 2^(m/p) s^(1/p) is scalar pow, one row at a time: array pow
+    rounds an ulp away from it on some inputs.
+    """
+    m = np.max(logs, axis=1)
+    s = np.sum(2.0 ** (logs - m[:, None]), axis=1)
+    return [2.0 ** (mi / p) * si ** (1.0 / p) for mi, si in zip(m.tolist(), s)]
+
+
+def _ex_norm_lp(p: float, a: np.ndarray):
+    """||S a||_p in closed form along the last axis: block k adds |a_k|^p 2^(k-1).
+
+    A 1-D vector gives a float.  A 2-D stack gives one norm per row, each
+    bit-identical to the 1-D call on that row: rows free of zeros share one
+    array pass, and a row holding an exact zero takes the 1-D call, which
+    sums its nonzero entries alone (zeros left in would regroup the sum).
+    """
+    a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
+    if a.ndim > 1:
+        if p == math.inf or a.shape[1] == 0:
+            return a.max(axis=1, initial=0.0)
+        out = np.empty(a.shape[0])
+        full = np.all(a > 0.0, axis=1)
+        out[full] = _lp_from_logs(p, p * np.log2(a[full]) + np.arange(a.shape[1], dtype=float))
+        out[~full] = [_ex_norm_lp(p, row) for row in a[~full]]
+        return out
     if a.size == 0:
         return 0.0
     if p == math.inf:
@@ -130,27 +163,27 @@ def _ex_norm_lp(p: float, a: np.ndarray) -> float:
     nz = a > 0.0
     if not np.any(nz):
         return 0.0
-    logs = p * np.log2(a[nz]) + k[nz]
-    m = float(np.max(logs))
-    return float(2.0 ** (m / p) * np.sum(2.0 ** (logs - m)) ** (1.0 / p))
+    return float(_lp_from_logs(p, (p * np.log2(a[nz]) + k[nz])[None, :])[0])
 
 
-def lattice_norm(lat: LatticeSpec, a) -> float:
-    """Norm of the coordinate vector a in the lattice."""
+def lattice_norm(lat: LatticeSpec, a):
+    """Norm of the coordinate vector a in the lattice.
+
+    A 2-D stack of vectors gives one norm per row; EX over l^p reduces all
+    rows in one closed-form pass, every other lattice takes them one by one.
+    """
     arr = a.array if isinstance(a, Seq) else np.asarray(a, dtype=float)
+    if isinstance(lat, EX) and isinstance(lat.base, Lp):
+        return _ex_norm_lp(lat.base.p, arr)
+    if arr.ndim > 1:
+        return np.array([lattice_norm(lat, row) for row in arr])
     if arr.size == 0:
         return 0.0
     if isinstance(lat, EX):
-        if isinstance(lat.base, Lp):
-            return _ex_norm_lp(lat.base.p, arr)
         if isinstance(lat.base, Orlicz):
             # block k holds 2^(k-1) equal entries: the modular of S a is UN's
             return lattice_norm(UN(lat.base.N), arr)
-        if arr.size > lat.cap:
-            raise ValueError(
-                f"EX norm materializes 2^len - 1 entries; len {arr.size} "
-                f"exceeds the cap {lat.cap}"
-            )
+        lat.check_blocks(arr.size)
         return norm(lat.base, apply_array(BlockEmbed(), arr))
     if isinstance(lat, WeightedLq):
         mu = np.asarray(lat.mu(np.arange(1.0, arr.size + 1.0)), dtype=float)

@@ -155,7 +155,7 @@ def _exact_scalar(v) -> Fraction | None:
     return Fraction(v) if isinstance(v, (int, Fraction)) else None
 
 
-def _zeros(n: int, like: np.ndarray) -> np.ndarray:
+def _zeros(n: int | tuple, like: np.ndarray) -> np.ndarray:
     if like.dtype == object:
         return np.full(n, Fraction(0), dtype=object)
     return np.zeros(n)
@@ -203,9 +203,10 @@ def apply_array(op: OperatorSpec, x) -> np.ndarray:
         xp = np.concatenate([x, _zeros((-n) % size, x)])
         return np.repeat(xp.reshape(-1, size).sum(axis=1) / size, size)
     if isinstance(op, ShiftMinusLambda):
+        # along the last axis, so a stack of rows shifts row by row
         lam = op.lam if x.dtype == object else float(op.lam)
-        zero = _zeros(1, x)
-        return np.concatenate([zero, x]) - lam * np.concatenate([x, zero])
+        zero = _zeros(x.shape[:-1] + (1,), x)
+        return np.concatenate([zero, x], axis=-1) - lam * np.concatenate([x, zero], axis=-1)
     if isinstance(op, DoublingMinusLambda):
         lam = op.lam if x.dtype == object else float(op.lam)
         dbl = apply_array(Doubling(), x)

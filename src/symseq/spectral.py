@@ -142,12 +142,13 @@ class WitnessReport:
     norm_value: float
 
 
-def _block_residual(lat: EX, lam: float, a: np.ndarray) -> tuple[float, float]:
+def _block_residual(lat: EX, lam: float, a: np.ndarray):
     """||(tau_1 - lam) a|| / ||a|| in the block lattice, and ||a||.
 
     D maps dyadic block k onto block k+1, so (D - lam) S = S (tau_1 - lam):
     the residual of a block-constant vector S a is this lattice ratio, and
-    ``lattice_norm`` alone decides how each family evaluates it.
+    ``lattice_norm`` alone decides how each family evaluates it.  Takes one
+    coefficient row (floats out) or a stack of rows (one entry per row).
     """
     den = lattice_norm(lat, a)
     return lattice_norm(lat, apply_array(ShiftMinusLambda(lam), a)) / den, den
@@ -327,9 +328,9 @@ def _orbit_family_residual(lam: float, p: float, m: np.ndarray) -> np.ndarray:
     return 2.0 ** ((log_num_p - log_den_p) / p)
 
 
-def _geom_profile_residual(lat: EX, lam: float, rho: float, m: int) -> float:
-    """Residual of the window profile a_k = rho^{k-1}, k <= m, in EX blocks."""
-    return _block_residual(lat, lam, rho ** np.arange(m, dtype=float))[0]
+def _geom_profile_residuals(lat: EX, lam: float, rho: np.ndarray, m: int) -> np.ndarray:
+    """Residuals of the window profiles a_k = rho^{k-1}, k <= m, one per rho."""
+    return _block_residual(lat, lam, rho[:, None] ** np.arange(m, dtype=float))[0]
 
 
 def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
@@ -340,31 +341,40 @@ def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[f
     method = "closed_form"
     params = {"m": int(mgrid[best_i]), "rho": 1.0 / lam}
 
+    # one pattern search over rho per start, all starts in lockstep: a round
+    # tries rho -+ step for every live start in one stack, then applies the
+    # per-start rules (take the lower side first, halve when neither helps)
     window = min(dim, 64)
-    starts = np.concatenate((np.linspace(0.05, 1.45, 15), rng.uniform(0.05, 1.45, restarts)))
-    for rho0 in starts:
-        rho, step = float(rho0), 0.1
-        val = _geom_profile_residual(lat, lam, rho, window)
-        while step > 1e-4:
-            moved = False
-            for cand in (rho - step, rho + step):
-                if 1e-3 < cand and (v := _geom_profile_residual(lat, lam, cand, window)) < val:
-                    rho, val, moved = cand, v, True
-            if not moved:
-                step /= 2.0
-        if val < best:
-            best, method, params = val, "operator_search", {"m": window, "rho": rho}
+    rho = np.concatenate((np.linspace(0.05, 1.45, 15), rng.uniform(0.05, 1.45, restarts)))
+    step = np.full(rho.size, 0.1)
+    val = _geom_profile_residuals(lat, lam, rho, window)
+    while (live := np.flatnonzero(step > 1e-4)).size:
+        cand = np.stack((rho[live] - step[live], rho[live] + step[live]))
+        ok = cand > 1e-3
+        vals = np.full(cand.shape, np.inf)
+        vals[ok] = _geom_profile_residuals(lat, lam, cand[ok], window)
+        moved = np.zeros(live.size, dtype=bool)
+        for c, v in zip(cand, vals):
+            take = v < val[live]
+            rho[live[take]], val[live[take]] = c[take], v[take]
+            moved |= take
+        step[live[~moved]] /= 2.0
+    for r, v in zip(rho.tolist(), val.tolist()):
+        if v < best:
+            best, method, params = v, "operator_search", {"m": window, "rho": r}
     return best, method, params
 
 
 def _scan_point_general(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
     blocks = max(1, int(math.log2(max(dim, 2))))
+    # the largest residual row has blocks + 1 coordinates: refuse before any work
+    lat.check_blocks(blocks + 1)
     best, method, params = math.inf, "operator_search", {}
     for m in range(1, blocks + 1):
-        for rho in np.concatenate((np.array([1.0 / lam]), np.linspace(0.1, 1.2, 12), rng.uniform(0.05, 1.4, restarts))):
-            r = _geom_profile_residual(lat, lam, rho, m)
+        rhos = np.concatenate((np.array([1.0 / lam]), np.linspace(0.1, 1.2, 12), rng.uniform(0.05, 1.4, restarts)))
+        for rho, r in zip(rhos.tolist(), _geom_profile_residuals(lat, lam, rhos, m).tolist()):
             if r < best:
-                best, params = float(r), {"m": m, "rho": float(rho)}
+                best, params = r, {"m": m, "rho": rho}
     return best, method, params
 
 
@@ -384,7 +394,17 @@ def residual_scan(
     family.  For l^p, ``dim`` counts blocks (m <= dim; the damped-orbit
     family in closed form, a descent over rho on min(dim, 64) blocks); for
     other spaces m <= log2(dim), so ``dim`` bounds the support 2^m - 1, and
-    a block norm that materializes stops at ``EX.cap`` blocks.
+    a base whose block norm materializes refuses a ``dim`` past ``EX.cap``
+    blocks before it evaluates anything.
+
+    The l^p descent runs every start (15 spread, ``restarts`` seeded) in
+    lockstep: each round evaluates the candidates rho -+ step of all live
+    starts as one stack of profiles, then applies each start's accept and
+    halve rules to its own row.  Both candidates of a round come from the
+    rho held before it, the block norm of a row does the same float
+    operations whether it is evaluated alone or in a stack, and the final
+    pick walks the starts in order with a strict <, so every estimate is
+    bit-identical to running the starts one after another.
     """
     grid = [float(g) for g in lambda_grid]
     if not grid or any(g <= 0 for g in grid):

@@ -225,6 +225,16 @@ def test_exit_code_parameter_violation(capsys):
     assert code == EXIT_BAD_PARAMETER
 
 
+def test_scan_past_the_ex_cap_exits_before_any_work(capsys):
+    # 2^25 blocks would need 26 materialized coordinates; the cap is 24
+    code, out, err = _run(
+        ["scan", "--space", '{"kind":"lpq","p":3,"q":2}', "--grid", "1.1:1.3:2",
+         "--dim", str(1 << 25)], capsys
+    )
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "exceeds the cap 24" in err
+
+
 def test_distinct_messages_per_error_class(capsys):
     _, _, err_json = _run(["norm", "--space", "{", "--vector", "[1]"], capsys)
     _, _, err_kind = _run(["norm", "--space", '{"kind":"x"}', "--vector", "[1]"], capsys)

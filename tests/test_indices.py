@@ -199,6 +199,24 @@ def test_partial_sums_at_matches_direct_cumsum(points):
     assert np.allclose(got, want, rtol=1e-10)
 
 
+def test_partial_sums_at_does_not_drift():
+    # a sequential cumsum of the squares drifted 3.3e-12 relative by 2^23
+    pts = np.array([1 << k for k in range(24)])
+    want = np.array([float(n * (n + 1) * (2 * n + 1) // 6) for n in pts.tolist()])
+    got = partial_sums_at(lambda k: k * k, pts)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-15
+
+
+def test_partial_sums_at_carries_the_total_across_chunks(monkeypatch):
+    # small chunks put many stretch ends, chunk ends and carries in one stream
+    monkeypatch.setattr(indices, "_CHUNK", 1000)
+    vals = np.random.default_rng(4).random(10000)
+    pts = np.array([1, 2, 3, 999, 1000, 1001, 2500, 5000, 9999])
+    got = partial_sums_at(lambda k: vals[k.astype(np.int64) - 1], pts)
+    want = np.array([math.fsum(vals[:p]) for p in pts.tolist()])
+    assert np.all(np.abs(got - want) <= np.spacing(want))
+
+
 # Exponents of every built-in profile shape: both sides of s = -1 (where the
 # integral turns logarithmic), the constant, and increasing powers.
 EM_EXPONENTS = (-1.2, -1.0, -1.0 + 1e-9, -0.8, -0.5, -1.0 / 3.0, 0.0, 0.5, 2.0)
@@ -218,8 +236,7 @@ EM_POINTS = np.unique(
 def test_power_partial_sums_match_the_stream(s):
     got = _power_partial_sums(s, EM_POINTS)
     if s == 2.0:
-        # the stream's running total of squares passes 2^53 and drifts by
-        # ~1.6e-12 at 2^23, so squares are checked against their exact sums
+        # squares are integers: their exact sums are at hand
         want = np.array([float(n * (n + 1) * (2 * n + 1) // 6) for n in EM_POINTS.tolist()])
     else:
         want = partial_sums_at(lambda k: k**s, EM_POINTS)
@@ -273,12 +290,12 @@ def test_custom_generator_weights_still_stream(monkeypatch):
     w = WeightSeq(kind="generator", fn=lambda k: 1.0 / (1.0 + np.log(k)), label="log")
     rep = index_report(Lorentz(2.0, w), n_max=8, j_max=1 << 8)
     assert calls == [1 << 16]
-    # the streamed route is unchanged: values as computed before the
-    # closed-form kernel existed
-    assert rep.alpha.point == pytest.approx(0.26972353177247643, abs=1e-15)
-    assert rep.alpha.lo == pytest.approx(0.2125840208114839, abs=1e-15)
-    assert rep.beta.point == pytest.approx(0.4431430703857676, abs=1e-15)
-    assert rep.beta.lo == pytest.approx(0.29504300342113177, abs=1e-15)
+    # the values an exactly rounded (math.fsum) profile gives; the earlier
+    # sequential cumsum stream put beta.point at 0.4431430703857676
+    assert rep.alpha.point == pytest.approx(0.269723531772476, abs=1e-15)
+    assert rep.alpha.lo == pytest.approx(0.21258402081148384, abs=1e-15)
+    assert rep.beta.point == pytest.approx(0.44314307038596307, abs=1e-15)
+    assert rep.beta.lo == pytest.approx(0.29504300342113154, abs=1e-15)
 
 
 def test_estimate_rate_geometric_decay_converges():

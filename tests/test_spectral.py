@@ -10,7 +10,8 @@ optimum) and within a modest factor of it (frozen after an oracle run).
 verbatim as the exact reference for the int64 kernel ``_dilate``; likewise
 ``ambient_vn`` and ``ambient_scan_residual`` are the earlier materialized
 doubling-orbit witness and scan evaluation, the references for the
-block-coordinate residual.
+block-coordinate residual; ``reference_scan_point_lp`` is the earlier
+start-by-start l^p descent, the reference for the lockstep one.
 """
 
 import math
@@ -22,13 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symseq import lattices, spaces, spectral
-from symseq.lattices import EX
+from symseq.lattices import EX, lattice_norm
 from symseq.operators import Doubling, DoublingMinusLambda, apply_array
 from symseq.seq import Seq
 from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, norm, power_weights
 from symseq.spectral import (
     WitnessReport,
     _dilate,
+    _orbit_family_residual,
     _orbits,
     branching_witness,
     check_disjoint_supports,
@@ -246,10 +248,21 @@ def test_scan_dim_is_bounded_by_the_ex_cap(monkeypatch):
     # residual_scan's blocks meet EX.cap like any block norm; a cap of 6
     # stands in for the default 24 (dim >= 2^24) to keep vectors small
     monkeypatch.setattr(spectral, "EX", lambda base: EX(base, cap=6))
+    calls = []
+
+    def counting(lat, a):
+        calls.append(np.shape(a))
+        return lattices.lattice_norm(lat, a)
+
+    monkeypatch.setattr(spectral, "lattice_norm", counting)
     sp = LpQ(3.0, 2.0)
     assert len(residual_scan(sp, [1.2], dim=1 << 5)) == 1
+    assert calls
+    calls.clear()
+    # the m = 6 residual row would need 7 blocks: refused before any candidate
     with pytest.raises(ValueError, match="cap 6"):
         residual_scan(sp, [1.2], dim=1 << 6)
+    assert calls == []
 
 
 def test_vn_and_scan_on_orlicz_never_take_space_norms(monkeypatch):
@@ -357,6 +370,110 @@ def test_scan_validates_grid():
         residual_scan(Lp(2.0), [1.0, -0.5])
     with pytest.raises(ValueError):
         residual_scan(Lp(2.0), [1.0], dim=0)
+
+
+# The earlier l^p scan point, kept verbatim as the reference for the lockstep
+# descent: one pattern search per start, two 1-D block norms per candidate.
+# Its block norm and shift are the earlier scalar ones, also verbatim.
+def reference_ex_norm_lp(p: float, a: np.ndarray) -> float:
+    """||S a||_p in closed form: block k contributes |a_k|^p 2^(k-1)."""
+    a = np.abs(np.asarray(a, dtype=float))
+    if a.size == 0:
+        return 0.0
+    if p == math.inf:
+        return float(a.max())
+    k = np.arange(a.size, dtype=float)
+    # log-domain sum: the 2^(k-1) block cardinalities overflow beyond k ~ 1023
+    nz = a > 0.0
+    if not np.any(nz):
+        return 0.0
+    logs = p * np.log2(a[nz]) + k[nz]
+    m = float(np.max(logs))
+    return float(2.0 ** (m / p) * np.sum(2.0 ** (logs - m)) ** (1.0 / p))
+
+
+def reference_profile_residual(lat, lam, rho, m):
+    a = rho ** np.arange(m, dtype=float)
+    den = reference_ex_norm_lp(lat.base.p, a)
+    shifted = np.concatenate([np.zeros(1), a]) - lam * np.concatenate([a, np.zeros(1)])
+    return reference_ex_norm_lp(lat.base.p, shifted) / den
+
+
+def reference_scan_point_lp(lam, lat, dim, restarts, rng):
+    mgrid = 2 ** np.arange(0, int(math.log2(dim)) + 1)
+    fam = _orbit_family_residual(lam, lat.base.p, mgrid)
+    best_i = int(np.argmin(fam))
+    best = float(fam[best_i])
+    method = "closed_form"
+    params = {"m": int(mgrid[best_i]), "rho": 1.0 / lam}
+
+    window = min(dim, 64)
+    starts = np.concatenate((np.linspace(0.05, 1.45, 15), rng.uniform(0.05, 1.45, restarts)))
+    for rho0 in starts:
+        rho, step = float(rho0), 0.1
+        val = reference_profile_residual(lat, lam, rho, window)
+        while step > 1e-4:
+            moved = False
+            for cand in (rho - step, rho + step):
+                if 1e-3 < cand and (v := reference_profile_residual(lat, lam, cand, window)) < val:
+                    rho, val, moved = cand, v, True
+            if not moved:
+                step /= 2.0
+        if val < best:
+            best, method, params = val, "operator_search", {"m": window, "rho": rho}
+    return best, method, params
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 6.0])
+def test_lockstep_scan_matches_the_sequential_descent(p):
+    lamstar = 2.0 ** (1.0 / p)
+    grid = [lamstar + 0.1 * s for s in range(-4, 5)]
+    for seed in (1, 7):
+        for dim in (1, 2, 7, 64, 1 << 14):
+            for pt in residual_scan(Lp(p), grid, dim=dim, seed=seed):
+                rng = np.random.default_rng([seed, int(np.float64(pt.lam).view(np.uint64))])
+                want = reference_scan_point_lp(pt.lam, EX(Lp(p)), dim, 8, rng)
+                # repr pins the bits of every float and the key order of params
+                assert repr((pt.estimate, pt.method, pt.params)) == repr(want), (p, seed, dim)
+
+
+def test_row_wise_lp_block_norms_are_the_one_row_norms():
+    rng = np.random.default_rng(11)
+    # scales stay where the norm itself is finite, as the scalar pow needs
+    rows = rng.standard_normal((9, 40)) * 10.0 ** rng.integers(-200, 150, (9, 1))
+    rows[1, 3] = 0.0  # an exact zero keeps the masked 1-D sum
+    rows[2, ::2] = 0.0
+    rows[3] = 0.0
+    rows[4, 0] = 0.0
+    rows[5] = np.geomspace(1.0, 1e-300, 40)
+    # block weights 2^(k-1) overflow a float past k ~ 1024
+    long_rows = np.abs(rng.standard_normal((3, 1100))) * 2.0**-200
+    long_rows[1, 1050] = 0.0
+    for p in (1.0, 1.25, 2.0, 3.0, 6.0, math.inf):
+        for stack in (rows, long_rows):
+            got = lattices._ex_norm_lp(p, stack)
+            one = np.array([lattices._ex_norm_lp(p, r) for r in stack])
+            ref = np.array([reference_ex_norm_lp(p, r) for r in stack])
+            assert got.tobytes() == one.tobytes() == ref.tobytes(), p
+            assert lattice_norm(EX(Lp(p)), stack).tobytes() == got.tobytes()
+    assert lattices._ex_norm_lp(2.0, np.zeros((2, 0))).tolist() == [0.0, 0.0]
+    assert lattices._ex_norm_lp(2.0, np.zeros(0)) == 0.0
+    assert type(lattices._ex_norm_lp(2.0, rows[0])) is float
+    assert lattice_norm(EX(Lp(2.0)), -3.0) == 3.0
+
+
+def test_lp_scan_point_batches_its_block_norms(monkeypatch):
+    # ~1,700 block norms per point when every candidate took its own call
+    calls = []
+    real = lattices._ex_norm_lp
+
+    def counting(p, a):
+        calls.append(np.shape(a))
+        return real(p, a)
+
+    monkeypatch.setattr(lattices, "_ex_norm_lp", counting)
+    residual_scan(Lp(2.0), [1.3], dim=1 << 14)
+    assert 0 < len(calls) < 200
 
 
 def test_scan_is_partition_invariant():
