@@ -1,8 +1,9 @@
 """Symmetric sequence spaces: norms, dilation operators, Boyd-type indices.
 
-The package is organized bottom-up:
+The package is organized bottom-up.  The first three modules are leaves
+that import nothing from one another:
 
-    seq        finite sequences with rearrangement semantics
+    seq        finite sequences as an immutable value type
     spaces     l^p, l^{p,q}, Lorentz and Orlicz norms + fundamental functions
     operators  dilations, shifts, doubling, dyadic embedding/averaging
     lattices   dyadic-block lattices, shift exponents, equivalence reports
@@ -51,20 +52,10 @@ from .operators import (
     OperatorSpec,
     Shift,
     ShiftMinusLambda,
-    apply,
     apply_array,
-    operator_norm_lower,
     parse_operator,
-    spectral_radius_estimate,
 )
-from .seq import (
-    Seq,
-    disjoint_sum,
-    rearrange,
-    same_ordered_distribution,
-    seq_from_json,
-    seq_to_json,
-)
+from .seq import Seq
 from .spaces import (
     Lorentz,
     Lp,
@@ -73,7 +64,6 @@ from .spaces import (
     OrliczFn,
     SpaceSpec,
     WeightSeq,
-    delta2_margin,
     fundamental_function,
     norm,
     orlicz_inverse,
@@ -133,13 +123,10 @@ __all__ = [
     "WeightSeq",
     "WeightedLq",
     "WitnessReport",
-    "apply",
     "apply_array",
     "block_weights_from_lorentz",
     "branching_witness",
     "check_disjoint_supports",
-    "delta2_margin",
-    "disjoint_sum",
     "doubling_orbit_witness",
     "dyadic_equivalence_report",
     "fundamental_function",
@@ -149,24 +136,18 @@ __all__ = [
     "lattice_to_json",
     "moment_functional",
     "norm",
-    "operator_norm_lower",
     "orlicz_inverse",
     "parse_operator",
     "power_weights",
-    "rearrange",
     "report_to_json",
     "residual_scan",
     "run_checks",
-    "same_ordered_distribution",
     "sandwich_ratio",
-    "seq_from_json",
-    "seq_to_json",
     "shift_exponents",
     "shift_identity_check",
     "solve_shift_minus_lambda",
     "space_from_json",
     "space_to_json",
-    "spectral_radius_estimate",
     "unit_norms",
     "weight_ratio_condition",
     "weight_ratio_indices",

@@ -23,7 +23,6 @@ import numpy as np
 
 from ._limits import RateEstimate, estimate_rate
 from .operators import BlockEmbed, apply_array
-from .seq import Seq
 from .spaces import (
     Lorentz,
     Lp,
@@ -172,7 +171,7 @@ def lattice_norm(lat: LatticeSpec, a):
     A 2-D stack of vectors gives one norm per row; EX over l^p reduces all
     rows in one closed-form pass, every other lattice takes them one by one.
     """
-    arr = a.array if isinstance(a, Seq) else np.asarray(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     if isinstance(lat, EX) and isinstance(lat.base, Lp):
         return _ex_norm_lp(lat.base.p, arr)
     if arr.ndim > 1:
@@ -267,23 +266,26 @@ def shift_exponents(lat: LatticeSpec, n_max: int = 16, k_max: int = 64) -> Shift
     )
 
 
+def _dyadic_samples(v: np.ndarray) -> np.ndarray:
+    """(v_{2^k})_k, 1-based, for every 2^k <= len(v)."""
+    return v[(1 << np.arange(v.size.bit_length())) - 1]
+
+
 def sandwich_ratio(base: SpaceSpec, x) -> float:
     """||sum_k x*_{2^k} e_{k+1}||_EX divided by ||x||_base; lies in [1, 5].
 
     The lower bound is domination of x* by the block-spread dyadic samples;
     the upper bound costs one triangle inequality and two dyadic dilations.
     """
-    xs = x if isinstance(x, Seq) else Seq(x)
-    if xs.is_zero():
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sandwich_ratio input must be finite")
+    support = np.flatnonzero(arr)
+    if support.size == 0:
         raise ValueError("sandwich_ratio needs a nonzero vector")
-    star = np.sort(np.abs(xs.array))[::-1]
-    ln = star.size
-    coords = []
-    k = 0
-    while (1 << k) <= ln:
-        coords.append(star[(1 << k) - 1])
-        k += 1
-    return lattice_norm(EX(base), np.array(coords)) / norm(base, star)
+    # trailing zeros are not coordinates: they would add dyadic samples of 0
+    star = np.sort(np.abs(arr[: support[-1] + 1]))[::-1]
+    return lattice_norm(EX(base), _dyadic_samples(star)) / norm(base, star)
 
 
 @dataclass(frozen=True)
@@ -344,12 +346,7 @@ def dyadic_equivalence_report(
     for _ in range(trials):
         size = int(rng.integers(2, max_len + 1))
         x = random_decreasing(rng, size)
-        coords = []
-        k = 0
-        while (1 << k) <= size:
-            coords.append(x[(1 << k) - 1])
-            k += 1
-        rhs = lattice_norm(lat, np.array(coords))
+        rhs = lattice_norm(lat, _dyadic_samples(x))
         lhs = norm(space, x)
         r = rhs / lhs
         lo, hi = min(lo, r), max(hi, r)

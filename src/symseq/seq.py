@@ -1,29 +1,23 @@
-"""Finitely supported real sequences and rearrangement primitives.
+"""Finitely supported real sequences as an immutable value type.
 
 A sequence is stored densely: entry ``coeffs[k]`` is the (k+1)-th term, and
 everything past ``len(coeffs)`` is zero.  Trailing zeros are stripped on
 construction, so two ``Seq`` values are equal exactly when they denote the
 same infinite sequence; the zero sequence is the empty tuple.
+
+No numeric routine needs a ``Seq``: norms and operators read array-likes,
+and a ``Seq`` converts to one through numpy's sequence protocol.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "Seq",
-    "rearrange",
-    "disjoint_sum",
-    "same_ordered_distribution",
-    "seq_to_json",
-    "seq_from_json",
-]
+__all__ = ["Seq"]
 
 
 def _canonical(values: Iterable[float]) -> tuple[float, ...]:
@@ -63,51 +57,3 @@ class Seq:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-
-def rearrange(x: Seq) -> Seq:
-    """Decreasing rearrangement: |values| sorted in nonincreasing order.
-
-    Ties keep their original relative order (stable sort), which makes the
-    result deterministic; zeros sort to the tail and are stripped by
-    canonicalization.
-    """
-    if isinstance(x, Seq):
-        vals = x.coeffs
-    else:
-        vals = _canonical(x)
-    return Seq(sorted((abs(v) for v in vals), reverse=True))
-
-
-def disjoint_sum(x: Seq, y: Seq) -> Seq:
-    """A sequence whose nonzero values are the union of both supports.
-
-    Realized as concatenation; any rearrangement-invariant quantity of the
-    result depends only on the two multisets of values.
-    """
-    return Seq(x.coeffs + y.coeffs)
-
-
-def same_ordered_distribution(x: Seq, y: Seq) -> bool:
-    """True when x and y have equal multisets of nonzero (signed) entries."""
-    cx = Counter(v for v in x.coeffs if v != 0.0)
-    cy = Counter(v for v in y.coeffs if v != 0.0)
-    return cx == cy
-
-
-def seq_to_json(x: Seq) -> str:
-    return json.dumps(list(x.coeffs))
-
-
-def seq_from_json(text: str) -> Seq:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON for sequence: {exc}") from exc
-    if not isinstance(data, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
-    ):
-        raise ValueError("sequence JSON must be an array of numbers")
-    for v in data:
-        if not math.isfinite(v):
-            raise ValueError("sequence entries must be finite")
-    return Seq(data)

@@ -28,8 +28,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .seq import Seq
-
 __all__ = [
     "WeightSeq",
     "power_weights",
@@ -42,7 +40,6 @@ __all__ = [
     "norm",
     "fundamental_function",
     "orlicz_inverse",
-    "delta2_margin",
     "space_to_json",
     "space_from_json",
 ]
@@ -269,10 +266,7 @@ def _descending(x) -> tuple[np.ndarray, float]:
     exact, norms computed on b and multiplied back by scale round exactly as
     the unscaled sums would wherever those are representable.
     """
-    if isinstance(x, Seq):
-        arr = x.array
-    else:
-        arr = np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("norm input must be finite")
     out = np.abs(arr)  # a fresh array: sorted and scaled in place
@@ -466,22 +460,6 @@ def fundamental_function(space: SpaceSpec, n: int) -> float:
     if isinstance(space, Orlicz):
         return 1.0 / orlicz_inverse(space.N, 1.0 / n)
     raise TypeError(f"unknown space spec {space!r}")
-
-
-def delta2_margin(N: OrliczFn, u_min: float, samples: int = 256) -> float:
-    """max N(2u)/N(u) over a log grid on [u_min, 1/2].
-
-    A bounded value as u_min -> 0 witnesses the doubling condition at zero
-    (hence separability of the Orlicz sequence space); blow-up witnesses its
-    failure.
-    """
-    if not (0.0 < u_min <= 0.5):
-        raise ValueError("delta2_margin needs 0 < u_min <= 1/2")
-    u = np.geomspace(u_min, 0.5, samples)
-    vals = N(u)
-    if np.any(vals == 0.0):
-        raise ValueError("N vanished on the probe grid")
-    return float(np.max(N(2.0 * u) / vals))
 
 
 # JSON descriptors ----------------------------------------------------------

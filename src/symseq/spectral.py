@@ -37,7 +37,6 @@ import numpy as np
 
 from .lattices import EX, lattice_norm
 from .operators import ShiftMinusLambda, _exact_scalar, apply_array
-from .seq import Seq
 from .spaces import Lp, SpaceSpec
 
 __all__ = [
@@ -490,9 +489,8 @@ def solve_shift_minus_lambda(lam, b):
     Forward recurrence a_1 = -b_1/lam, a_k = (a_{k-1} - b_k)/lam; the result
     is finitely supported exactly when the moment functional of b vanishes
     (the recurrence telescopes to lam^k a_k = -(1/lam) sum_{i<=k} lam^i b_i).
-    Returns the same container kind it was given (Seq in, Seq out).
+    b is any finite iterable of numbers; the result is always a list.
     """
-    was_seq = isinstance(b, Seq)
     entries = list(b)
     while entries and entries[-1] == 0:
         entries.pop()
@@ -524,4 +522,4 @@ def solve_shift_minus_lambda(lam, b):
             a.pop()
         else:
             a.pop()  # telescoped tail; only float dust remains there
-    return Seq(a) if was_seq else a
+    return a

@@ -31,6 +31,7 @@ from symseq.spaces import (
     power_weights,
 )
 from symseq.operators import BlockEmbed, apply_array
+from symseq.seq import Seq
 
 
 # norms ------------------------------------------------------------------------
@@ -186,6 +187,23 @@ def test_sandwich_ratio_window():
 def test_sandwich_ratio_rejects_zero():
     with pytest.raises(ValueError):
         sandwich_ratio(Lp(2.0), np.zeros(3))
+
+
+def test_sandwich_ratio_reads_any_array_like():
+    # trailing zeros past a power of two would add a dyadic sample if kept
+    x = np.array([0.3, -2.0, 0.0, 1.25, 0.7, -0.1, 0.0, 0.05, 0.9])
+    padded = np.concatenate([x, np.zeros(31)])
+    bases = [Lp(2.0), Lorentz(2.0, power_weights(0.25)), Orlicz(OrliczFn.power_log(2.0, 0.6))]
+    for base in bases:
+        want = sandwich_ratio(base, x)
+        for form in (x.tolist(), Seq(x), padded):
+            assert sandwich_ratio(base, form) == want
+        # norms read a Seq through numpy's sequence protocol
+        assert norm(base, Seq(x)) == norm(base, x)
+        assert lattice_norm(EX(base), Seq(x)) == lattice_norm(EX(base), x)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sandwich_ratio(Lp(2.0), [1.0, bad, 0.5])
 
 
 # equivalence reports -------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""Every exported name resolves, and every imported name is used.
+"""Every exported name resolves, every imported name is used, and every
+definition is reached.
 
-The second check is a stdlib ``ast`` pass over each ``src/symseq`` module:
-an imported name must be used in the module or listed in its ``__all__``.
+The last two checks are stdlib ``ast`` passes over the ``src/symseq``
+modules.  An imported name must be used in its module or listed in its
+``__all__``.  A top-level function or class must be reachable by name from
+``cli.main`` or from a module-level statement; ``__all__`` strings and
+imports do not count, so an export alone keeps nothing alive.
 """
 
 import ast
@@ -52,3 +56,40 @@ def _unused_imports(path) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# Seq is a public value type that no command needs; perfbench/tracing.py
+# wraps its constructor, so it stays although nothing in the package calls it.
+_REACHABILITY_ROOTS = {"Seq"}
+
+
+def _unreached_definitions() -> list[str]:
+    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    roots = set(_REACHABILITY_ROOTS)
+
+    def names_in(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+                if path.stem == "cli" and node.name == "main":
+                    roots.add("main")
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= names_in(node)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for _, node in defs.get(name, []):
+            todo.extend(names_in(node) - reached)
+    return sorted(f"{mod}.{name}" for name, entries in defs.items() if name not in reached
+                  for mod, _ in entries)
+
+
+def test_every_definition_is_reachable():
+    unreached = _unreached_definitions()
+    assert not unreached, f"no command or module-level statement reaches: {unreached}"

@@ -1,23 +1,11 @@
-"""Canonicalization and rearrangement semantics of finite sequences."""
+"""Canonicalization of finite sequences."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from symseq.seq import (
-    Seq,
-    disjoint_sum,
-    rearrange,
-    same_ordered_distribution,
-    seq_from_json,
-    seq_to_json,
-)
-
-finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-vectors = st.lists(finite_floats, max_size=40)
+from symseq.seq import Seq
 
 
 def test_trailing_zeros_are_stripped():
@@ -36,61 +24,6 @@ def test_rejects_non_finite():
         Seq([1.0, math.inf])
     with pytest.raises(ValueError):
         Seq([math.nan])
-
-
-@given(vectors)
-def test_rearrange_is_nonincreasing_and_nonnegative(xs):
-    r = rearrange(Seq(xs))
-    vals = list(r)
-    assert all(v >= 0.0 for v in vals)
-    assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
-
-
-@given(vectors)
-def test_rearrange_preserves_multiset_of_magnitudes(xs):
-    r = rearrange(Seq(xs))
-    assert sorted(abs(v) for v in xs if v != 0.0) == sorted(r)
-
-
-@given(vectors)
-def test_rearrange_idempotent(xs):
-    r = rearrange(Seq(xs))
-    assert rearrange(r) == r
-
-
-@given(vectors, st.lists(finite_floats, max_size=40))
-def test_disjoint_sum_rearranges_like_the_merge(xs, ys):
-    # (x (+) y)* depends only on the two magnitude multisets
-    a, b = Seq(xs), Seq(ys)
-    merged = sorted([abs(v) for v in list(a) + list(b) if v != 0.0], reverse=True)
-    assert list(rearrange(disjoint_sum(a, b))) == merged
-
-
-@given(vectors)
-def test_same_ordered_distribution_under_permutation(xs):
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(len(xs))
-    assert same_ordered_distribution(Seq(xs), Seq([xs[i] for i in perm]))
-
-
-def test_distribution_distinguishes_multiplicity():
-    assert not same_ordered_distribution(Seq([1.0, 1.0]), Seq([1.0]))
-    # zeros do not count: padding is invisible
-    assert same_ordered_distribution(Seq([1.0, 0.0]), Seq([0.0, 1.0, 0.0]))
-
-
-@settings(max_examples=50)
-@given(vectors)
-def test_json_round_trip(xs):
-    s = Seq(xs)
-    assert seq_from_json(seq_to_json(s)) == s
-
-
-def test_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        seq_from_json('{"not": "an array"}')
-    with pytest.raises(ValueError):
-        seq_from_json('[1, "two"]')
 
 
 def test_array_view_matches_iteration():

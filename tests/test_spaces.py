@@ -20,7 +20,6 @@ from symseq.spaces import (
     Orlicz,
     OrliczFn,
     WeightSeq,
-    delta2_margin,
     fundamental_function,
     norm,
     orlicz_inverse,
@@ -202,24 +201,6 @@ def test_orlicz_inverse_inverts():
     for u in np.geomspace(1e-8, 1.0, 64):
         s = float(N(np.array([u]))[0])
         assert orlicz_inverse(N, s) == pytest.approx(u, rel=1e-9)
-
-
-# doubling margins (independent closed forms) --------------------------------
-
-
-def test_delta2_margin_power_is_two_to_p():
-    assert abs(delta2_margin(OrliczFn.power(1.5), 1e-8) - 2.8284271247461903) < 1e-12
-    assert abs(delta2_margin(OrliczFn.power(3.0), 1e-8) - 8.0) < 1e-12
-
-
-def test_delta2_margin_power_log_bounded_by_four():
-    # N(t) = t^2 (1 + 0.6|ln t|): ratio increases toward 2^p = 4 as u -> 0
-    N = OrliczFn.power_log(2.0, 0.6)
-    m6 = delta2_margin(N, 1e-6)
-    m9 = delta2_margin(N, 1e-9)
-    assert m6 < m9 < 4.0
-    assert abs(m6 - 3.8209173889426347) < 1e-6
-    assert abs(m9 - 3.8761680625078987) < 1e-6
 
 
 # weights and constructors ---------------------------------------------------

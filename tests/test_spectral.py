@@ -531,5 +531,5 @@ def test_solve_accepts_seq_input():
     a = [Fraction(2), Fraction(-1)]
     b = [-lam * a[0], a[0] - lam * a[1], a[1]]
     out = solve_shift_minus_lambda(lam, Seq([float(v) for v in b]))
-    assert isinstance(out, Seq)
-    assert list(out) == pytest.approx([2.0, -1.0])
+    assert type(out) is list
+    assert out == pytest.approx([2.0, -1.0])
