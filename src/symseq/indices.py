@@ -7,7 +7,8 @@ fundamental function phi(n) = ||chi_{1..n}||.  For each built-in family the
 dilation norms reduce to ratio sups of one scalar profile:
 
   l^p          exact: ||sigma_{2^n}|| = 2^{n/p},
-  lambda_q(w)  sup_j (W(2^n j)/W(j))^{1/q} with W(j) = sum_{k<=j} w_k^q
+  lambda_q(w)  sup_j (W(2^n j)/W(j))^{1/q}, W(j) = sum_{k<=j} w_k^q from
+               ``spaces._weight_sums``, streamed for custom weights only
                (l^{p,q} is the same profile with the pseudo-weight
                w_k = k^{1/p-1/q}),
   l_N          sup_k N^{-1}(2^{-k})/N^{-1}(2^{-k-n}) over the dyadic
@@ -21,12 +22,6 @@ kernel and reports mu, nu as the alpha, beta points, so the Boyd and
 fundamental routes cannot disagree here.  ``weight_ratio_indices`` is a
 genuinely separate route for lambda_q(w): it reads dyadic weight ratios
 and never touches the partial sums.
-
-Partial sums W(j) of w^q come in closed form whenever the summand is a
-pure power, k^{-theta q} for ``power_weights`` and k^{q/p-1} for l^{p,q}:
-a term-by-term head up to 2^12 plus an Euler-Maclaurin tail whose
-remainder is bounded below 1e-16 relative (``_power_partial_sums``).  Only
-custom generator weights still stream every term up to the largest point.
 
 Truncations: the inner sup grid is held constant across n, making the
 truncation bias n-independent so that it cancels in the difference
@@ -53,18 +48,16 @@ from .spaces import (
     SpaceSpec,
     WeightSeq,
     _orlicz_inverse_vec,
+    _weight_sums,
 )
 
 __all__ = [
     "Interval",
     "IndexReport",
-    "partial_sums_at",
     "weight_ratio_indices",
     "index_report",
     "report_to_json",
 ]
-
-_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,122 +83,11 @@ def _interval(point: float, certified: float, method: str) -> Interval:
     return Interval(lo=min(p, c), hi=max(p, c), point=p, method=method)
 
 
-def _compensated_cumsum(x: np.ndarray, hi: float, lo: float):
-    """Prefix sums of (hi + lo) + x_1 + x_2 + ..., carrying every rounding error.
-
-    Each step of the running sum loses an error that TwoSum recovers exactly;
-    the errors are summed apart in ``lo`` and added back at each position, so
-    the running total stays within ~1 ulp however long it runs.  Returns the
-    prefix sums and the (hi, lo) pair after the last term.
-    """
-    run = np.cumsum(np.concatenate(([hi], x)))
-    prev, cur = run[:-1], run[1:]
-    back = cur - prev
-    low = lo + np.cumsum((prev - (cur - back)) + (x - back))
-    return cur + low, float(cur[-1]), float(low[-1])
-
-
-def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
-    """Partial sums sum_{k<=p} term(k) at sorted positive int positions.
-
-    Streams 1..max(points) in chunks so cumulative sums at positions far
-    beyond memory limits (default grids reach 2^30) never materialize.
-    Each stretch between requested positions is summed pairwise, and the
-    running total over the stretches is compensated, so no error builds up
-    along the stream.  The index routines call it only for custom generator
-    weights; pure power summands go to the closed-form ``_power_partial_sums``.
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.size == 0:
-        return np.empty(0)
-    if pts[0] < 1 or np.any(np.diff(pts) <= 0):
-        raise ValueError("points must be strictly increasing and >= 1")
-    out = np.empty(pts.size)
-    hi = lo = 0.0
-    top = int(pts[-1])
-    for start in range(1, top + 1, _CHUNK):
-        end = min(start + _CHUNK - 1, top)
-        terms = term(np.arange(start, end + 1, dtype=float))
-        first = np.searchsorted(pts, start, side="left")
-        last = np.searchsorted(pts, end, side="right")
-        # stretch i ends at the i-th point of the chunk; a tail past the last
-        # point only feeds the running total
-        cuts = pts[first:last] - start + 1
-        heads = np.concatenate(([0], cuts[cuts < terms.size]))
-        sums, hi, lo = _compensated_cumsum(np.add.reduceat(terms, heads), hi, lo)
-        out[first:last] = sums[: cuts.size]
-    return out
-
-
-# Head length of the power-sum kernel, summed term by term; past it, Euler-Maclaurin.
-_EM_HEAD = 1 << 12
-# B_2/2!, B_4/4!, B_6/6! and B_8/8!
-_EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
-
-
-def _falling(s: float, m: int) -> float:
-    """s (s-1) ... (s-m+1): the m-th derivative of x^s is this times x^(s-m)."""
-    return math.prod(s - i for i in range(m))
-
-
-def _em_odd_terms(s: float, x):
-    """sum_{j=1..3} B_2j/(2j)! f^(2j-1)(x) for f(x) = x^s."""
-    return sum(
-        c * _falling(s, 2 * j + 1) * x ** (s - 2 * j - 1)
-        for j, c in enumerate(_EM_COEF[:3])
-    )
-
-
-def _em_remainder_bound(s: float, n):
-    """2 |B_8|/8! |f^(7)(n) - f^(7)(M)|: bounds the error of the B_6-truncated tail."""
-    m = np.float64(_EM_HEAD)
-    return 2.0 * abs(_EM_COEF[3] * _falling(s, 7)) * np.abs(n ** (s - 7.0) - m ** (s - 7.0))
-
-
-def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
-    """sum_{k<=n} k^s at sorted positive int positions n, without streaming.
-
-    Positions up to M = _EM_HEAD read a term-by-term cumulative sum.  Past M the
-    tail sum_{M<k<=n} f(k), f(x) = x^s, is the Euler-Maclaurin expansion
-    (DLMF 2.10.1) with B_2..B_6 terms,
-
-        int_M^n f + (f(n) - f(M))/2 + sum_j B_2j/(2j)! (f^(2j-1)(n) - f^(2j-1)(M)),
-
-    whose remainder is at most 2 |B_8|/8! |f^(7)(n) - f^(7)(M)|, since
-    f^(8) keeps one sign on [M, n].  Sums that overflow (s beyond ~30 at the
-    default window) or a bound above 1e-16 relative raise ValueError.  The
-    integral takes the expm1 form near s = -1 so that nothing cancels.
-    """
-    pts = np.asarray(pts, dtype=np.int64)
-    head = np.cumsum(np.arange(1, _EM_HEAD + 1, dtype=float) ** s)
-    out = head[np.minimum(pts, _EM_HEAD) - 1]
-    far = pts > _EM_HEAD
-    if not far.any():
-        return out
-    m = np.float64(_EM_HEAD)
-    n = pts[far].astype(float)
-    t = s + 1.0
-    if abs(t) < 0.25:
-        log_ratio = np.log(n / m)
-        integral = log_ratio if t == 0.0 else m**t * np.expm1(t * log_ratio) / t
-    else:
-        integral = (n**t - m**t) / t
-    out[far] += integral + (n**s - m**s) / 2.0 + _em_odd_terms(s, n) - _em_odd_terms(s, m)
-    sums = out[far]
-    if not (np.all(np.isfinite(sums)) and np.all(_em_remainder_bound(s, n) < 1e-16 * sums)):
-        raise ValueError(
-            f"partial sums of k^{s} overflow or exceed the 1e-16 Euler-Maclaurin bound"
-        )
-    return out
-
-
-def _lorentz_profiles(q: float, summand, n_max: int, j_max: int):
+def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     """U(n), L(n) = +-(1/q) log2 of the truncated partial-sum ratio sups.
 
-    W(j) sums the summand w_k^q: a float s stands for the pure power k^s and
-    goes to the closed-form kernel ``_power_partial_sums``; a callable
-    (custom generator weights) is streamed by ``partial_sums_at``.  One pass
-    over W serves two regimes.  The alpha-side sup needs large j,
+    W(j) is ``spaces._weight_sums`` of the space.  One pass over W serves two
+    regimes.  The alpha-side sup needs large j,
     so L(n) uses the full grid j <= j_max for n <= n_max.  For nonincreasing
     weights the beta-side sup sits at small j, so U(n) continues to larger n
     on the subgrid j <= 64 -- the largest summed point stays put
@@ -221,10 +103,7 @@ def _lorentz_profiles(q: float, summand, n_max: int, j_max: int):
     grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
     grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
     pts = np.unique(np.concatenate(grids))
-    if callable(summand):
-        logw = np.log2(partial_sums_at(summand, pts))
-    else:
-        logw = np.log2(_power_partial_sums(summand, pts))
+    logw = np.log2(_weight_sums(space, pts))
 
     def at(grid, n):
         return logw[np.searchsorted(pts, grid * (1 << n))]
@@ -235,11 +114,11 @@ def _lorentz_profiles(q: float, summand, n_max: int, j_max: int):
     U_small = np.empty(n_ext)
     for n in range(1, n_max + 1):
         d = at(j, n) - base
-        U_dense[n - 1] = float(np.max(d)) / q
-        L[n - 1] = float(-np.min(d)) / q
-        U_small[n - 1] = float(np.max(d[:j_small])) / q
+        U_dense[n - 1] = float(np.max(d)) / space.q
+        L[n - 1] = float(-np.min(d)) / space.q
+        U_small[n - 1] = float(np.max(d[:j_small])) / space.q
     for n in range(n_max + 1, n_ext + 1):
-        U_small[n - 1] = float(np.max(at(js, n) - base[:j_small])) / q
+        U_small[n - 1] = float(np.max(at(js, n) - base[:j_small])) / space.q
     if U_dense[-1] - U_small[n_max - 1] > 1e-9:
         return U_dense, L
     return U_small, L
@@ -263,33 +142,22 @@ def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
     return U, L
 
 
-def _summand(q: float, w: WeightSeq):
-    """w_k^q for the Lorentz profile: the exponent -theta q for power weights."""
-    if w.theta is not None:
-        return -w.theta * q
-    return lambda k: w.values_at(k) ** q
-
-
 def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
     """Shared kernel: per-n log ratio sups (U for beta/nu, L for alpha/mu)."""
     if isinstance(space, Lp):
         n = np.arange(1, n_max + 1, dtype=float)
         rate = 0.0 if space.p == math.inf else 1.0 / space.p
         return n * rate, -n * rate, "closed_form"
-    if isinstance(space, LpQ):
-        q = space.q
-        if q == math.inf:
-            # phi-profile space sup a*_k k^{1/p}: dilation ratios exact
-            n = np.arange(1, n_max + 1, dtype=float)
-            return n / space.p, -n / space.p, "closed_form"
-        tag = "truncated_sup(quasi)" if space.quasi else "truncated_sup"
-        # (sum (a*_k)^q k^{q/p-1})^{1/q}: the Lorentz profile of the
-        # pseudo-weight k^{1/p-1/q}, increasing when q > p
-        U, L = _lorentz_profiles(q, q / space.p - 1.0, n_max, j_max)
-        return U, L, tag
-    if isinstance(space, Lorentz):
-        U, L = _lorentz_profiles(space.q, _summand(space.q, space.w), n_max, j_max)
-        return U, L, "truncated_sup"
+    if isinstance(space, LpQ) and space.q == math.inf:
+        # phi-profile space sup a*_k k^{1/p}: dilation ratios exact
+        n = np.arange(1, n_max + 1, dtype=float)
+        return n / space.p, -n / space.p, "closed_form"
+    if isinstance(space, (LpQ, Lorentz)):
+        # l^{p,q} is the Lorentz profile of the pseudo-weight k^{1/p-1/q},
+        # increasing when q > p
+        quasi = isinstance(space, LpQ) and space.quasi
+        U, L = _lorentz_profiles(space, n_max, j_max)
+        return U, L, "truncated_sup(quasi)" if quasi else "truncated_sup"
     if isinstance(space, Orlicz):
         U, L = _orlicz_profiles(space.N, n_max, k_max)
         return U, L, "truncated_sup"

@@ -22,7 +22,6 @@ from typing import Callable, Union
 import numpy as np
 
 from ._limits import RateEstimate, estimate_rate
-from .operators import BlockEmbed, apply_array
 from .spaces import (
     Lorentz,
     Lp,
@@ -35,6 +34,7 @@ from .spaces import (
     _orlicz_from_json,
     _orlicz_inverse_vec,
     _orlicz_to_json,
+    _weight_sums,
     _weights_from_json,
     fundamental_function,
     norm,
@@ -65,22 +65,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EX:
-    """Block lattice of a symmetric space; norms via the block embedding.
-
-    l^p and Orlicz bases never materialize S a: l^p has a closed form and
-    EX(l_N) is UN(N).  Other bases spread a over 2^len(a) - 1 entries.
-    """
+    """Block lattice of a symmetric space, ||a||_E = ||S a||_X; ``lattice_norm``
+    takes it in closed form on every base and never materializes S a."""
 
     base: SpaceSpec
-    cap: int = 24  # materialization cap: len(a) blocks -> 2^cap - 1 entries
-
-    def check_blocks(self, blocks: int) -> None:
-        """Refuse ``blocks`` coordinates when the base would materialize past ``cap``."""
-        if blocks > self.cap and not isinstance(self.base, (Lp, Orlicz)):
-            raise ValueError(
-                f"EX norm materializes 2^len - 1 entries; len {blocks} "
-                f"exceeds the cap {self.cap}"
-            )
 
 
 @dataclass(frozen=True)
@@ -165,25 +153,53 @@ def _ex_norm_lp(p: float, a: np.ndarray):
     return float(_lp_from_logs(p, (p * np.log2(a[nz]) + k[nz])[None, :])[0])
 
 
+def _ex_norm_sorted(base: LpQ | Lorentz, a: np.ndarray):
+    """||S a|| along the last axis for a Lorentz or l^{p,q} base, in closed form.
+
+    Block k holds 2^(k-1) entries, so S a sorted runs through the sorted |a|,
+    c_1 >= c_2 >= ..., run i ending at P_i < 2^63: the norm is (sum c_i^q
+    (W(P_i) - W(P_{i-1})))^(1/q), or max c_i P_i^(1/p) for q = inf.  Rows
+    are scaled as in ``_descending``.  A stack makes one ``_weight_sums``
+    call; for power and array weights each row equals its 1-D call bit for bit.
+    """
+    a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
+    if a.shape[-1] > 63 or not np.all(np.isfinite(a)):
+        raise ValueError("EX norm needs finite input on at most 63 blocks (run ends below 2^63)")
+    rows = a.reshape(-1, a.shape[-1])
+    order = np.argsort(-rows, axis=1, kind="stable")
+    scale = np.ldexp(1.0, np.frexp(rows.max(axis=1, initial=0.0))[1] - 1)
+    c = np.take_along_axis(rows, order, axis=1) / scale[:, None]
+    ends = np.cumsum(np.left_shift(1, order), axis=1)
+    if base.q == math.inf:
+        out = scale * np.max(c * ends ** (1.0 / base.p), axis=1, initial=0.0)
+    else:
+        live = c > 0.0  # zeros sort last and add nothing
+        pts = np.unique(ends[live])
+        w = np.zeros(c.shape)
+        w[live] = _weight_sums(base, pts)[np.searchsorted(pts, ends[live])]
+        s = np.sum(c**base.q * np.diff(w, axis=1, prepend=0.0), axis=1)
+        out = scale * s ** (1.0 / base.q)
+    return out if a.ndim > 1 else float(out[0])
+
+
 def lattice_norm(lat: LatticeSpec, a):
     """Norm of the coordinate vector a in the lattice.
 
-    A 2-D stack of vectors gives one norm per row; EX over l^p reduces all
-    rows in one closed-form pass, every other lattice takes them one by one.
+    A 2-D stack gives one norm per row: one closed-form pass for EX over
+    l^p, l^{p,q} and Lorentz, one row at a time for every other lattice.
     """
     arr = np.asarray(a, dtype=float)
     if isinstance(lat, EX) and isinstance(lat.base, Lp):
         return _ex_norm_lp(lat.base.p, arr)
+    if isinstance(lat, EX) and isinstance(lat.base, (LpQ, Lorentz)):
+        return _ex_norm_sorted(lat.base, arr)
+    if isinstance(lat, EX) and isinstance(lat.base, Orlicz):
+        # block k holds 2^(k-1) equal entries: the modular of S a is UN's
+        return lattice_norm(UN(lat.base.N), arr)
     if arr.ndim > 1:
         return np.array([lattice_norm(lat, row) for row in arr])
     if arr.size == 0:
         return 0.0
-    if isinstance(lat, EX):
-        if isinstance(lat.base, Orlicz):
-            # block k holds 2^(k-1) equal entries: the modular of S a is UN's
-            return lattice_norm(UN(lat.base.N), arr)
-        lat.check_blocks(arr.size)
-        return norm(lat.base, apply_array(BlockEmbed(), arr))
     if isinstance(lat, WeightedLq):
         mu = np.asarray(lat.mu(np.arange(1.0, arr.size + 1.0)), dtype=float)
         return float(np.sum((np.abs(arr) * mu) ** lat.q) ** (1.0 / lat.q))
@@ -199,16 +215,7 @@ def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
     if k_max < 1:
         raise ValueError("unit_norms needs k_max >= 1")
     if isinstance(lat, EX):
-        base = lat.base
-        summed = isinstance(base, Lorentz) or (isinstance(base, LpQ) and base.q != math.inf)
-        if summed and k_max > 26:
-            raise ValueError(
-                "EX over a Lorentz or finite-q l^{p,q} base sums 2^(k-1) terms "
-                "per unit norm; k_max > 26 is not materializable"
-            )
-        return np.array(
-            [fundamental_function(base, 1 << (k - 1)) for k in range(1, k_max + 1)]
-        )
+        return np.array([fundamental_function(lat.base, 1 << k) for k in range(k_max)])
     if isinstance(lat, WeightedLq):
         return np.asarray(lat.mu(np.arange(1.0, k_max + 1.0)), dtype=float)
     if isinstance(lat, UN):
@@ -439,8 +446,7 @@ def lattice_from_json(obj) -> LatticeSpec:
         raise ValueError("lattice descriptor must be a JSON object")
     kind = obj.get("kind")
     if kind == "ex":
-        base = space_from_json(obj["base"])
-        return EX(base=base, cap=int(obj.get("cap", 24)))
+        return EX(base=space_from_json(obj["base"]))
     if kind == "wlq":
         q = float(obj["q"])
         mu, desc = _mu_from_json(q, obj["weights"])
@@ -452,7 +458,7 @@ def lattice_from_json(obj) -> LatticeSpec:
 
 def lattice_to_json(lat: LatticeSpec) -> dict:
     if isinstance(lat, EX):
-        return {"kind": "ex", "base": space_to_json(lat.base), "cap": lat.cap}
+        return {"kind": "ex", "base": space_to_json(lat.base)}
     if isinstance(lat, WeightedLq):
         if lat.descriptor is None:
             raise ValueError("cannot serialize a wlq lattice built from a raw callable")

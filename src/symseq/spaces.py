@@ -18,6 +18,11 @@ have the moment form N(t) = t^p (1 + a |ln t|) and carry p and a.  For them
 the Luxemburg modular collapses to a scalar function of two moments of the
 vector, so a norm is one vector pass and a scalar Newton solve and never
 evaluates N.  A custom callable has no such form and is solved by bracketing.
+
+Partial sums W(n) of w_k^q (k^(q/p-1) for l^{p,q}) give phi(n) = W(n)^(1/q),
+the index profiles and the Lorentz and l^{p,q} block-lattice norms; their one
+producer ``_weight_sums`` sums pure powers in closed form (a head up to 2^12
+and an Euler-Maclaurin tail) and streams only custom generator weights.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "norm",
     "fundamental_function",
     "orlicz_inverse",
+    "partial_sums_at",
     "space_to_json",
     "space_from_json",
 ]
@@ -64,10 +70,9 @@ class WeightSeq:
 
     The generator form takes a vectorized callable mapping an integer index
     array (1-based) to weights and supports arbitrarily large indices; the
-    array form is restricted to norm evaluation within its length, and
-    index-estimation routines reject it.  ``theta`` is set (by
-    ``power_weights``) when the generator is k^(-theta); index routines then
-    sum the profile k^(-theta q) in closed form instead of streaming it.
+    array form serves indices within its length only, partial sums included.
+    ``theta`` is set (by ``power_weights``) when the generator is k^(-theta);
+    ``_weight_sums`` then sums k^(-theta q) in closed form, without streaming.
     """
 
     kind: str  # "generator" | "array"
@@ -442,21 +447,144 @@ def _orlicz_inverse_vec(N: OrliczFn, s: np.ndarray) -> np.ndarray:
     return _bracketed_root(residual, np.minimum(s, 1.0), np.maximum(s, 1.0))
 
 
+_CHUNK = 1 << 22
+
+
+def _compensated_cumsum(x: np.ndarray, hi: float, lo: float):
+    """Prefix sums of (hi + lo) + x_1 + x_2 + ..., carrying every rounding error.
+
+    Each step of the running sum loses an error that TwoSum recovers exactly;
+    the errors are summed apart in ``lo`` and added back at each position, so
+    the running total stays within ~1 ulp however long it runs.  Returns the
+    prefix sums and the (hi, lo) pair after the last term.
+    """
+    run = np.cumsum(np.concatenate(([hi], x)))
+    prev, cur = run[:-1], run[1:]
+    back = cur - prev
+    low = lo + np.cumsum((prev - (cur - back)) + (x - back))
+    return cur + low, float(cur[-1]), float(low[-1])
+
+
+def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
+    """Partial sums sum_{k<=p} term(k) at sorted positive int positions.
+
+    Streams 1..max(points) in chunks so cumulative sums at positions far
+    beyond memory limits (default grids reach 2^30) never materialize.
+    Each stretch between requested positions is summed pairwise, and the
+    running total over the stretches is compensated, so no error builds up
+    along the stream.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.size == 0:
+        return np.empty(0)
+    if pts[0] < 1 or np.any(np.diff(pts) <= 0):
+        raise ValueError("points must be strictly increasing and >= 1")
+    out = np.empty(pts.size)
+    hi = lo = 0.0
+    top = int(pts[-1])
+    for start in range(1, top + 1, _CHUNK):
+        end = min(start + _CHUNK - 1, top)
+        terms = term(np.arange(start, end + 1, dtype=float))
+        first = np.searchsorted(pts, start, side="left")
+        last = np.searchsorted(pts, end, side="right")
+        # stretch i ends at the i-th point of the chunk; a tail past the last
+        # point only feeds the running total
+        cuts = pts[first:last] - start + 1
+        heads = np.concatenate(([0], cuts[cuts < terms.size]))
+        sums, hi, lo = _compensated_cumsum(np.add.reduceat(terms, heads), hi, lo)
+        out[first:last] = sums[: cuts.size]
+    return out
+
+
+# Head length of the power-sum kernel, summed term by term; past it, Euler-Maclaurin.
+_EM_HEAD = 1 << 12
+# B_2/2!, B_4/4!, B_6/6! and B_8/8!
+_EM_COEF = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+
+def _falling(s: float, m: int) -> float:
+    """s (s-1) ... (s-m+1): the m-th derivative of x^s is this times x^(s-m)."""
+    return math.prod(s - i for i in range(m))
+
+
+def _em_odd_terms(s: float, x):
+    """sum_{j=1..3} B_2j/(2j)! f^(2j-1)(x) for f(x) = x^s."""
+    return sum(
+        c * _falling(s, 2 * j + 1) * x ** (s - 2 * j - 1)
+        for j, c in enumerate(_EM_COEF[:3])
+    )
+
+
+def _em_remainder_bound(s: float, n):
+    """2 |B_8|/8! |f^(7)(n) - f^(7)(M)|: bounds the error of the B_6-truncated tail."""
+    m = np.float64(_EM_HEAD)
+    return 2.0 * abs(_EM_COEF[3] * _falling(s, 7)) * np.abs(n ** (s - 7.0) - m ** (s - 7.0))
+
+
+def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
+    """sum_{k<=n} k^s at sorted positive int positions n, without streaming.
+
+    Positions up to M = _EM_HEAD read a term-by-term cumulative sum.  Past M the
+    tail sum_{M<k<=n} f(k), f(x) = x^s, is the Euler-Maclaurin expansion
+    (DLMF 2.10.1) with B_2..B_6 terms,
+
+        int_M^n f + (f(n) - f(M))/2 + sum_j B_2j/(2j)! (f^(2j-1)(n) - f^(2j-1)(M)),
+
+    whose remainder is at most 2 |B_8|/8! |f^(7)(n) - f^(7)(M)|, since
+    f^(8) keeps one sign on [M, n].  Sums that overflow (s beyond ~30 at the
+    default window) or a bound above 1e-16 relative raise ValueError.  The
+    integral takes the expm1 form near s = -1 so that nothing cancels.
+    """
+    pts = np.asarray(pts, dtype=np.int64)
+    head = np.cumsum(np.arange(1, _EM_HEAD + 1, dtype=float) ** s)
+    out = head[np.minimum(pts, _EM_HEAD) - 1]
+    far = pts > _EM_HEAD
+    if not far.any():
+        return out
+    m = np.float64(_EM_HEAD)
+    n = pts[far].astype(float)
+    t = s + 1.0
+    if abs(t) < 0.25:
+        log_ratio = np.log(n / m)
+        integral = log_ratio if t == 0.0 else m**t * np.expm1(t * log_ratio) / t
+    else:
+        integral = (n**t - m**t) / t
+    out[far] += integral + (n**s - m**s) / 2.0 + _em_odd_terms(s, n) - _em_odd_terms(s, m)
+    sums = out[far]
+    if not (np.all(np.isfinite(sums)) and np.all(_em_remainder_bound(s, n) < 1e-16 * sums)):
+        raise ValueError(
+            f"partial sums of k^{s} overflow or exceed the 1e-16 Euler-Maclaurin bound"
+        )
+    return out
+
+
+def _weight_sums(space: LpQ | Lorentz, pts) -> np.ndarray:
+    """W(n) = sum_{k<=n} omega_k at sorted int positions 1 <= n < 2^63, where
+    omega_k = w_k^q (Lorentz) or k^(q/p-1) (l^{p,q}, finite q): pure powers in
+    closed form, array weights by a cumsum, custom generators by a stream."""
+    if len(pts) and pts[-1] >= 1 << 63:
+        raise ValueError("weight partial sums need positions below 2^63")
+    pts = np.asarray(pts, dtype=np.int64)
+    if isinstance(space, LpQ):
+        return _power_partial_sums(space.q / space.p - 1.0, pts)
+    w, q = space.w, space.q
+    if w.theta is not None:
+        return _power_partial_sums(-w.theta * q, pts)
+    if w.kind == "array":
+        return np.cumsum(w.values(int(pts.max(initial=0))) ** q)[pts - 1]
+    return partial_sums_at(lambda k: w.values_at(k) ** q, pts)
+
+
 def fundamental_function(space: SpaceSpec, n: int) -> float:
     """phi(n) = norm of the indicator of {1..n}; closed forms per family."""
     if n < 1:
         raise ValueError("fundamental_function needs n >= 1")
     if isinstance(space, Lp):
         return 1.0 if space.p == math.inf else float(n) ** (1.0 / space.p)
-    if isinstance(space, LpQ):
-        if space.q == math.inf:
-            return float(n) ** (1.0 / space.p)
-        k = np.arange(1, n + 1, dtype=float)
-        s = np.sum(k ** (space.q / space.p - 1.0))
-        return float(s ** (1.0 / space.q))
-    if isinstance(space, Lorentz):
-        w = space.w.values(n)
-        return float(np.sum(w ** space.q) ** (1.0 / space.q))
+    if isinstance(space, LpQ) and space.q == math.inf:
+        return float(n) ** (1.0 / space.p)
+    if isinstance(space, (LpQ, Lorentz)):
+        return float(_weight_sums(space, [n])[0] ** (1.0 / space.q))
     if isinstance(space, Orlicz):
         return 1.0 / orlicz_inverse(space.N, 1.0 / n)
     raise TypeError(f"unknown space spec {space!r}")

@@ -159,9 +159,9 @@ def doubling_orbit_witness(space: SpaceSpec, p: float, n: int) -> WitnessReport:
     v_n = n^{-1/p} sum_{k=1}^{n} 2^{(1-k)/p} D^{k-1} e_1 runs through dyadic
     block indicators, so v_n = S a with a_k = n^{-1/p} 2^{(1-k)/p} and the
     residual is evaluated in EX(space) on n + 1 block coordinates; no
-    2^n-entry vector is built unless the family's block norm materializes
-    (within ``EX.cap``).  For l^p with p matching the space the residual is
-    exactly (4/n)^{1/p}.
+    2^n-entry vector is built, so n reaches 2^20 on l^p and 62 on Lorentz
+    and l^{p,q} (block run ends stay below 2^63).  For l^p with p matching
+    the space the residual is exactly (4/n)^{1/p}.
     """
     if n < 1:
         raise ValueError("doubling_orbit_witness needs n >= 1")
@@ -366,8 +366,6 @@ def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[f
 
 def _scan_point_general(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
     blocks = max(1, int(math.log2(max(dim, 2))))
-    # the largest residual row has blocks + 1 coordinates: refuse before any work
-    lat.check_blocks(blocks + 1)
     best, method, params = math.inf, "operator_search", {}
     for m in range(1, blocks + 1):
         rhos = np.concatenate((np.array([1.0 / lam]), np.linspace(0.1, 1.2, 12), rng.uniform(0.05, 1.4, restarts)))
@@ -392,9 +390,8 @@ def residual_scan(
     residual is evaluated in EX(space) by ``_block_residual`` on every
     family.  For l^p, ``dim`` counts blocks (m <= dim; the damped-orbit
     family in closed form, a descent over rho on min(dim, 64) blocks); for
-    other spaces m <= log2(dim), so ``dim`` bounds the support 2^m - 1, and
-    a base whose block norm materializes refuses a ``dim`` past ``EX.cap``
-    blocks before it evaluates anything.
+    other spaces m <= log2(dim), so ``dim`` bounds the support 2^m - 1.  A
+    ``dim`` of 2^63 or more (past int64 block positions) is refused at once.
 
     The l^p descent runs every start (15 spread, ``restarts`` seeded) in
     lockstep: each round evaluates the candidates rho -+ step of all live
@@ -408,8 +405,8 @@ def residual_scan(
     grid = [float(g) for g in lambda_grid]
     if not grid or any(g <= 0 for g in grid):
         raise ValueError("lambda grid entries must be positive")
-    if dim < 1:
-        raise ValueError("residual_scan needs dim >= 1")
+    if not 1 <= dim < 1 << 63:
+        raise ValueError("residual_scan needs 1 <= dim < 2^63: block positions must stay below 2^63")
     lat = EX(space)
     out = []
     for lam in grid:

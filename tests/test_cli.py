@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from symseq import verify
+from symseq import spectral, verify
 from symseq.cli import (
     EXIT_BAD_JSON,
     EXIT_BAD_PARAMETER,
@@ -225,14 +225,22 @@ def test_exit_code_parameter_violation(capsys):
     assert code == EXIT_BAD_PARAMETER
 
 
-def test_scan_past_the_ex_cap_exits_before_any_work(capsys):
-    # 2^25 blocks would need 26 materialized coordinates; the cap is 24
+def test_scan_past_2_63_block_positions_exits_before_any_work(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "lattice_norm", lambda *a: calls.append(a))
     code, out, err = _run(
         ["scan", "--space", '{"kind":"lpq","p":3,"q":2}', "--grid", "1.1:1.3:2",
-         "--dim", str(1 << 25)], capsys
+         "--dim", str(1 << 70)], capsys
     )
-    assert code == EXIT_BAD_PARAMETER and out == ""
-    assert "exceeds the cap 24" in err
+    assert code == EXIT_BAD_PARAMETER and out == "" and calls == []
+    assert "2^63" in err
+
+
+def test_norm_ex_lattice_does_not_echo_a_cap_key(capsys):
+    lattice = '{"kind":"ex","base":{"kind":"lpq","p":3,"q":2},"cap":5}'
+    code, out, _ = _run(["norm", "--lattice", lattice, "--vector", "[1, 1]"], capsys)
+    assert code == 0
+    assert json.loads(out)["lattice"] == {"kind": "ex", "base": {"kind": "lpq", "p": 3.0, "q": 2.0}}
 
 
 def test_distinct_messages_per_error_class(capsys):

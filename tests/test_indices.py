@@ -12,19 +12,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symseq import indices
+from symseq import spaces
 from symseq._limits import estimate_rate
 from symseq.indices import (
-    _EM_HEAD,
-    _em_remainder_bound,
-    _power_partial_sums,
     Interval,
     index_report,
-    partial_sums_at,
     report_to_json,
     weight_ratio_indices,
 )
-from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, WeightSeq, power_weights
+from symseq.spaces import (
+    _EM_HEAD,
+    Lorentz,
+    Lp,
+    LpQ,
+    Orlicz,
+    OrliczFn,
+    WeightSeq,
+    _em_remainder_bound,
+    _power_partial_sums,
+    partial_sums_at,
+    power_weights,
+)
 
 LIGHT = dict(n_max=12, j_max=1 << 12, k_max=120)
 
@@ -209,7 +217,7 @@ def test_partial_sums_at_does_not_drift():
 
 def test_partial_sums_at_carries_the_total_across_chunks(monkeypatch):
     # small chunks put many stretch ends, chunk ends and carries in one stream
-    monkeypatch.setattr(indices, "_CHUNK", 1000)
+    monkeypatch.setattr(spaces, "_CHUNK", 1000)
     vals = np.random.default_rng(4).random(10000)
     pts = np.array([1, 2, 3, 999, 1000, 1001, 2500, 5000, 9999])
     got = partial_sums_at(lambda k: vals[k.astype(np.int64) - 1], pts)
@@ -273,7 +281,7 @@ def test_power_profiles_never_stream(monkeypatch):
     def no_stream(term, points):
         raise AssertionError("power profile was streamed")
 
-    monkeypatch.setattr(indices, "partial_sums_at", no_stream)
+    monkeypatch.setattr(spaces, "partial_sums_at", no_stream)
     for sp in POWER_PROFILE_SPACES:
         rep = index_report(sp)
         assert rep.alpha.method.startswith("truncated_sup")
@@ -286,7 +294,7 @@ def test_custom_generator_weights_still_stream(monkeypatch):
         calls.append(int(points[-1]))
         return partial_sums_at(term, points)
 
-    monkeypatch.setattr(indices, "partial_sums_at", counting)
+    monkeypatch.setattr(spaces, "partial_sums_at", counting)
     w = WeightSeq(kind="generator", fn=lambda k: 1.0 / (1.0 + np.log(k)), label="log")
     rep = index_report(Lorentz(2.0, w), n_max=8, j_max=1 << 8)
     assert calls == [1 << 16]

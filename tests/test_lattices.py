@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from symseq import lattices
+from symseq import spaces
 from symseq.lattices import (
     EX,
     UN,
@@ -26,6 +26,7 @@ from symseq.spaces import (
     LpQ,
     Orlicz,
     OrliczFn,
+    WeightSeq,
     fundamental_function,
     norm,
     power_weights,
@@ -67,10 +68,45 @@ def test_ex_handles_large_supports_without_materializing():
     assert lattice_norm(lat, a) == pytest.approx(want, rel=1e-12)
 
 
-def test_ex_materialization_cap_raises():
-    lat = EX(Lorentz(2.0, power_weights(0.25)), cap=10)
-    with pytest.raises(ValueError):
-        lattice_norm(lat, np.ones(11))
+# Reference for the closed form: spread a over its blocks and take the norm.
+SORTED_BASES = {
+    "lorentz_q2_th0.25": Lorentz(2.0, power_weights(0.25)),
+    "lorentz_q1_th0.3": Lorentz(1.0, power_weights(0.3)),
+    "lorentz_q1.5_array": Lorentz(
+        1.5, WeightSeq(kind="array", data=tuple(1.0 / np.sqrt(np.arange(1.0, 5000.0))))
+    ),
+    "lpq_2_1": LpQ(2.0, 1.0),
+    "lpq_3_2": LpQ(3.0, 2.0),
+    "lpq_2_4_quasi": LpQ(2.0, 4.0),
+    "lpq_3_inf": LpQ(3.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("base", SORTED_BASES.values(), ids=SORTED_BASES.keys())
+def test_ex_sorted_norm_matches_the_materialized_embedding(base):
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        a = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 13))))
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.3] = -0.75  # ties across blocks
+        got = lattice_norm(EX(base), a)
+        for row, value in zip(a, got):
+            assert lattice_norm(EX(base), row) == value  # the stack changes nothing
+            want = norm(base, apply_array(BlockEmbed(), row))
+            assert value == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_ex_sorted_norm_refuses_block_positions_past_2_63():
+    for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
+        # 63 blocks end at 2^63 - 1; a 64th would pass int64
+        assert lattice_norm(EX(base), np.ones(63)) == pytest.approx(
+            fundamental_function(base, (1 << 63) - 1), rel=1e-14
+        )
+        with pytest.raises(ValueError, match="2\\^63"):
+            lattice_norm(EX(base), np.ones(64))
+        # unit norms reach phi(2^63) at the default k_max = 64
+        with pytest.raises(ValueError, match="2\\^63"):
+            shift_exponents(EX(base))
 
 
 def test_ex_orlicz_norm_is_the_un_norm():
@@ -83,7 +119,7 @@ def test_ex_orlicz_norm_is_the_un_norm():
             assert got == lattice_norm(un, a)
             spread = norm(Orlicz(N), apply_array(BlockEmbed(), a))
             assert got == pytest.approx(spread, rel=1e-13)
-        # past the materialization cap: UN's 64-coordinate limit applies
+        # 2^29 entries per block at the top: UN's 64-coordinate limit applies
         a = rng.standard_normal(30)
         assert lattice_norm(ex, a) == lattice_norm(un, a) > 0.0
         with pytest.raises(ValueError, match="64 coordinates"):
@@ -98,25 +134,18 @@ def test_unit_norms_are_fundamental_values():
         assert np.allclose(s, want, rtol=1e-12)
 
 
-def test_unit_norms_refuse_summed_bases_past_k_max_26(monkeypatch):
-    # a finite-q l^{p,q} unit norm sums 2^(k-1) terms, like a Lorentz one;
-    # the sentinel fails a missing guard before any such sum is allocated
-    # q = inf has a closed form and no cap
+def test_unit_norms_of_power_bases_never_stream(monkeypatch):
+    # phi(2^39) of a finite-q l^{p,q} or power-weight Lorentz base is one
+    # closed-form partial sum; q = inf has a closed form of its own
     assert unit_norms(EX(LpQ(3.0, math.inf)), 64)[-1] == pytest.approx(2.0 ** (63 / 3.0))
-    real = lattices.fundamental_function
 
-    def sentinel(space, n):
-        if n > 1 << 25:
-            raise AssertionError(f"fundamental_function asked for n = {n}")
-        return real(space, n)
+    def no_stream(term, points):
+        raise AssertionError("a power-weight unit norm was streamed")
 
-    monkeypatch.setattr(lattices, "fundamental_function", sentinel)
+    monkeypatch.setattr(spaces, "partial_sums_at", no_stream)
     for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
-        assert unit_norms(EX(base), 8).size == 8
-        with pytest.raises(ValueError, match="k_max > 26"):
-            unit_norms(EX(base), 27)
-        with pytest.raises(ValueError, match="k_max > 26"):
-            shift_exponents(EX(base))
+        s = unit_norms(EX(base), 40)
+        assert s.size == 40 and np.all(np.diff(s) > 0.0)
 
 
 def test_weighted_lq_norm_definition():
@@ -263,7 +292,7 @@ def test_block_weights_from_lorentz_values():
 LATTICE_OBJS = [
     {"kind": "ex", "base": {"kind": "lp", "p": 2.0}},
     {"kind": "ex", "base": {"kind": "lorentz", "q": 2.0,
-                            "weights": {"form": "power", "theta": 0.25}}, "cap": 20},
+                            "weights": {"form": "power", "theta": 0.25}}},
     {"kind": "wlq", "q": 2.0, "weights": {"form": "geometric", "ratio": 1.3}},
     {"kind": "wlq", "q": 1.0, "weights": {"form": "array", "values": [1.0, 2.0, 4.0]}},
     {"kind": "wlq", "q": 2.0,

@@ -31,9 +31,9 @@ from symseq.operators import (
     apply_array,
     parse_operator,
 )
-from symseq.indices import _lorentz_profiles, _summand
+from symseq.indices import _lorentz_profiles
 from symseq.seq import Seq
-from symseq.spaces import Lp, norm, power_weights
+from symseq.spaces import Lorentz, Lp, norm, power_weights
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 # block embedding blows coordinate k up to 2^{k-1} ambient entries, so keep
@@ -264,7 +264,7 @@ def test_avg_project_contracts_on_lp():
 
 def lorentz_dilation_norm(q, w, n, j_max=4096):
     """sup_{j <= j_max} (W(2^n j) / W(j))^(1/q), read off the index profile."""
-    U, _ = _lorentz_profiles(q, _summand(q, w), n, j_max)
+    U, _ = _lorentz_profiles(Lorentz(q, w), n, j_max)
     return 2.0 ** U[n - 1]
 
 
@@ -284,8 +284,6 @@ def test_lorentz_dilation_norm_pins():
 
 def test_lorentz_dilation_norm_achievable():
     # the sup value is attained by an actual vector ratio (here j = 1)
-    from symseq.spaces import Lorentz
-
     sp = Lorentz(2.0, power_weights(0.25))
     x = np.ones(1)
     got = norm(sp, apply_array(DilateUp(8), x)) / norm(sp, x)

@@ -1,7 +1,7 @@
-"""Every exported name resolves, every imported name is used, and every
-definition is reached.
+"""Every exported name resolves, every imported name is used, every
+definition is reached, and the partial-sum kernels stay in ``spaces``.
 
-The last two checks are stdlib ``ast`` passes over the ``src/symseq``
+The last three checks are stdlib ``ast`` passes over the ``src/symseq``
 modules.  An imported name must be used in its module or listed in its
 ``__all__``.  A top-level function or class must be reachable by name from
 ``cli.main`` or from a module-level statement; ``__all__`` strings and
@@ -93,3 +93,27 @@ def _unreached_definitions() -> list[str]:
 def test_every_definition_is_reachable():
     unreached = _unreached_definitions()
     assert not unreached, f"no command or module-level statement reaches: {unreached}"
+
+
+def _sibling_imports(path) -> list[str]:
+    """The package modules ``path`` imports from (its relative imports)."""
+    return [node.module or "" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level]
+
+
+# The w^q partial-sum decision lives in spaces alone: spaces._weight_sums
+# picks the kernel, and no other module sums a weight or a power itself.
+_SUM_KERNELS = {"_power_partial_sums", "partial_sums_at"}
+
+
+def test_partial_sum_kernels_stay_in_spaces():
+    assert _sibling_imports(SRC / "spaces.py") == []
+    assert "operators" not in _sibling_imports(SRC / "lattices.py")
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "spaces":
+            continue
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        called = {n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                  for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert not (defined | called) & _SUM_KERNELS, path.name

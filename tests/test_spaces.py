@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symseq.lattices import EX, lattice_norm
 from symseq.spaces import (
     Lorentz,
     Lp,
@@ -109,6 +110,11 @@ def test_wide_magnitude_norms_stay_finite():
         )
         sp = Lorentz(2.0, power_weights(0.25))
         assert norm(sp, [m, m]) == pytest.approx(fundamental_function(sp, 2) * m, rel=1e-15)
+        # blocks 1 and 2 hold three equal entries
+        for base in (LpQ(3.0, 2.0), sp):
+            got = lattice_norm(EX(base), [m, m])
+            assert math.isfinite(got)
+            assert got == pytest.approx(fundamental_function(base, 3) * m, rel=1e-15)
 
 
 @settings(max_examples=60)

@@ -209,12 +209,13 @@ def test_vn_block_residual_matches_the_ambient_orbit():
                 got, want = doubling_orbit_witness(space, p, n), ambient_vn(space, p, n)
                 assert (got.lam, got.n, got.support) == (want.lam, want.n, want.support)
                 assert got.predicted == want.predicted
-                if isinstance(space, Orlicz) or space == Lp(2.0):
-                    # UN's solver and the closed l^p block sum round differently
+                if space == Lp(math.inf):
+                    assert got == want, (space, p, n)
+                else:
+                    # UN's solver, the closed l^p block sum and the sorted
+                    # Lorentz and l^{p,q} run sums round differently
                     assert got.residual == pytest.approx(want.residual, rel=1e-14, abs=0)
                     assert got.norm_value == pytest.approx(want.norm_value, rel=1e-14, abs=0)
-                else:
-                    assert got == want, (space, p, n)
 
 
 def test_scan_points_match_the_ambient_residual():
@@ -224,45 +225,25 @@ def test_scan_points_match_the_ambient_residual():
         lp = isinstance(space, Lp) and space.p != math.inf
         for pt in residual_scan(space, [1.2, 1.5], dim=16 if lp else 1 << 10):
             want = ambient_scan_residual(space, pt.lam, pt.params["rho"], pt.params["m"])
-            if lp or isinstance(space, Orlicz):
-                assert pt.estimate == pytest.approx(want, rel=1e-12 if lp else 1e-14, abs=0)
-            else:
+            if space == Lp(math.inf):
                 assert pt.estimate == want, (space, pt)
+            else:
+                assert pt.estimate == pytest.approx(want, rel=1e-12 if lp else 1e-14, abs=0)
 
 
 def test_vn_limits_are_the_lattice_limits():
-    lorentz = Lorentz(2.0, power_weights(0.25))
-    # EX materializes at most cap = 24 blocks; the residual has n + 1
-    with pytest.raises(ValueError, match="cap"):
-        doubling_orbit_witness(lorentz, 2.0, 30)
-    rep = doubling_orbit_witness(lorentz, 2.0, 22)
-    assert rep.support == (1 << 22) - 1 and 0.0 < rep.residual < 2.0
+    # the residual has n + 1 blocks, whose run ends must stay below 2^63
+    for space in (Lorentz(2.0, power_weights(0.25)), LpQ(3.0, 2.0)):
+        for n in (22, 40, 62):
+            rep = doubling_orbit_witness(space, 2.0, n)
+            assert rep.support == (1 << n) - 1 and 0.0 < rep.residual < 2.0
+        with pytest.raises(ValueError, match="2\\^63"):
+            doubling_orbit_witness(space, 2.0, 63)
     # UN allows 64 coordinates
     with pytest.raises(ValueError, match="64 coordinates"):
         doubling_orbit_witness(ORLICZ_BUILTINS[0], 1.5, 64)
     with pytest.raises(ValueError, match="overflow"):
         doubling_orbit_witness(Lp(2.0), 2.0, (1 << 20) + 1)
-
-
-def test_scan_dim_is_bounded_by_the_ex_cap(monkeypatch):
-    # residual_scan's blocks meet EX.cap like any block norm; a cap of 6
-    # stands in for the default 24 (dim >= 2^24) to keep vectors small
-    monkeypatch.setattr(spectral, "EX", lambda base: EX(base, cap=6))
-    calls = []
-
-    def counting(lat, a):
-        calls.append(np.shape(a))
-        return lattices.lattice_norm(lat, a)
-
-    monkeypatch.setattr(spectral, "lattice_norm", counting)
-    sp = LpQ(3.0, 2.0)
-    assert len(residual_scan(sp, [1.2], dim=1 << 5)) == 1
-    assert calls
-    calls.clear()
-    # the m = 6 residual row would need 7 blocks: refused before any candidate
-    with pytest.raises(ValueError, match="cap 6"):
-        residual_scan(sp, [1.2], dim=1 << 6)
-    assert calls == []
 
 
 def test_vn_and_scan_on_orlicz_never_take_space_norms(monkeypatch):
