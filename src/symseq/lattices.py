@@ -131,8 +131,12 @@ def _ex_norm_lp(p: float, a: np.ndarray):
     bit-identical to the 1-D call on that row: rows free of zeros share one
     array pass, and a row holding an exact zero takes the 1-D call, which
     sums its nonzero entries alone (zeros left in would regroup the sum).
+    NaN or inf anywhere raises ValueError: max propagates NaN, so one max
+    of |a| tests every entry.
     """
     a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
+    if a.size and not math.isfinite(a.max()):
+        raise ValueError("norm input must be finite")
     if a.ndim > 1:
         if p == math.inf or a.shape[1] == 0:
             return a.max(axis=1, initial=0.0)

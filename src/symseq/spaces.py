@@ -22,7 +22,9 @@ evaluates N.  A custom callable has no such form and is solved by bracketing.
 Partial sums W(n) of w_k^q (k^(q/p-1) for l^{p,q}) give phi(n) = W(n)^(1/q),
 the index profiles and the Lorentz and l^{p,q} block-lattice norms; their one
 producer ``_weight_sums`` sums pure powers in closed form (a head up to 2^12
-and an Euler-Maclaurin tail) and streams only custom generator weights.
+and an Euler-Maclaurin tail) and streams only custom generator weights.  The
+power tables k^s behind the Lorentz and l^{p,q} norms and that head depend
+only on the space and are cached per exponent (``_powers``).
 """
 
 from __future__ import annotations
@@ -269,19 +271,52 @@ def _descending(x) -> tuple[np.ndarray, float]:
     scale = 2^e with 2^e <= max|x| < 2^(e+1), so b lies in [0, 2): powers of
     b neither overflow nor underflow, and since dividing by a power of two is
     exact, norms computed on b and multiplied back by scale round exactly as
-    the unscaled sums would wherever those are representable.
+    the unscaled sums would wherever those are representable.  Sorting puts
+    NaN and inf in the last slot, so one test of that entry rejects any
+    non-finite input.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("norm input must be finite")
-    out = np.abs(arr)  # a fresh array: sorted and scaled in place
+    out = np.abs(np.asarray(x, dtype=float))  # a fresh array: sorted and scaled in place
     out.sort()
+    if out.size and not math.isfinite(out[-1]):
+        raise ValueError("norm input must be finite")
     nz = np.count_nonzero(out)  # zeros sort first
     if nz == 0:
         return out[:0], 1.0
     scale = math.ldexp(1.0, math.frexp(out[-1])[1] - 1)
     out /= scale
     return out[::-1][:nz], scale
+
+
+# Tables of k^s, k = 1..n, one per exponent s: the power weights of Lorentz
+# and l^{p,q} norms and the head of the power-sum kernel depend only on the
+# space.  Each table is read-only and grows geometrically; the cache keeps the
+# _TABLE_EXPONENTS exponents filled most recently, and requests longer than
+# _TABLE_LEN entries (512 KiB) are computed per call.
+_TABLE_EXPONENTS = 32
+_TABLE_LEN = 1 << 16
+_power_tables: dict[float, np.ndarray] = {}
+_power_heads: dict[float, np.ndarray] = {}
+
+
+def _keep(cache: dict, s: float, arr: np.ndarray) -> np.ndarray:
+    """Store arr read-only under s, evicting the oldest exponent past the bound."""
+    arr.flags.writeable = False
+    cache.pop(s, None)
+    if len(cache) >= _TABLE_EXPONENTS:
+        del cache[next(iter(cache))]
+    cache[s] = arr
+    return arr
+
+
+def _powers(s: float, n: int) -> np.ndarray:
+    """k^s for k = 1..n, a read-only slice of the cached table for s."""
+    table = _power_tables.get(s)
+    if table is not None and table.size >= n:
+        return table[:n]
+    if n > _TABLE_LEN:
+        return np.power(np.arange(1, n + 1, dtype=float), s)
+    size = min(max(n, 0 if table is None else 2 * table.size), _TABLE_LEN)
+    return _keep(_power_tables, s, np.power(np.arange(1, size + 1, dtype=float), s))[:n]
 
 
 # Relative distance a step keeps from either end of a bracket; the solver
@@ -344,9 +379,12 @@ def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) ->
     |ln(b/v)| = ln v - ln b, so the modular is v^-p (A + B ln v) with
     S0 = sum w b^p, S1 = sum w b^p ln b <= 0, A = S0 - a S1 >= 1, B = a S0;
     ``_moment_root`` solves it without evaluating N.  Any other N is solved
-    by ``_bracketed_root`` on the modular itself.
+    by ``_bracketed_root`` on the modular itself.  NaN or inf in a raises
+    ValueError (max propagates NaN).
     """
     m = float(a.max()) if a.size else 0.0
+    if not math.isfinite(m):
+        raise ValueError("norm input must be finite")
     if m == 0.0:
         return 0.0
     b = a / m
@@ -398,6 +436,8 @@ def norm(space: SpaceSpec, x) -> float:
 
     Every family evaluates the scaled rearrangement b = |x|* / scale of
     ``_descending`` and multiplies back, so wide-magnitude inputs stay finite.
+    Power weights (Lorentz with ``theta``, l^{p,q}) come from the cached
+    k^s tables of ``_powers``.
     """
     b, scale = _descending(x)
     if b.size == 0:
@@ -405,16 +445,16 @@ def norm(space: SpaceSpec, x) -> float:
     if isinstance(space, Lp):
         if space.p == math.inf:
             return scale * float(b[0])
-        return scale * float(np.sum(b ** space.p) ** (1.0 / space.p))
+        return scale * float(np.add.reduce(b ** space.p) ** (1.0 / space.p))
     if isinstance(space, LpQ):
-        k = np.arange(1, b.size + 1, dtype=float)
         if space.q == math.inf:
-            return scale * float(np.max(b * k ** (1.0 / space.p)))
-        s = np.sum(b ** space.q * k ** (space.q / space.p - 1.0))
+            return scale * float(np.max(b * _powers(1.0 / space.p, b.size)))
+        s = np.add.reduce(b ** space.q * _powers(space.q / space.p - 1.0, b.size))
         return scale * float(s ** (1.0 / space.q))
     if isinstance(space, Lorentz):
-        w = space.w.values(b.size)
-        return scale * float(np.sum((b * w) ** space.q) ** (1.0 / space.q))
+        theta = space.w.theta
+        w = space.w.values(b.size) if theta is None else _powers(-theta, b.size)
+        return scale * float(np.add.reduce((b * w) ** space.q) ** (1.0 / space.q))
     if isinstance(space, Orlicz):
         return scale * _luxemburg(space.N, b)
     raise TypeError(f"unknown space spec {space!r}")
@@ -524,7 +564,8 @@ def _em_remainder_bound(s: float, n):
 def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
     """sum_{k<=n} k^s at sorted positive int positions n, without streaming.
 
-    Positions up to M = _EM_HEAD read a term-by-term cumulative sum.  Past M the
+    Positions up to M = _EM_HEAD read a term-by-term cumulative sum, built once
+    per s from the ``_powers`` table and cached read-only.  Past M the
     tail sum_{M<k<=n} f(k), f(x) = x^s, is the Euler-Maclaurin expansion
     (DLMF 2.10.1) with B_2..B_6 terms,
 
@@ -536,7 +577,9 @@ def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
     integral takes the expm1 form near s = -1 so that nothing cancels.
     """
     pts = np.asarray(pts, dtype=np.int64)
-    head = np.cumsum(np.arange(1, _EM_HEAD + 1, dtype=float) ** s)
+    head = _power_heads.get(s)
+    if head is None:
+        head = _keep(_power_heads, s, np.cumsum(_powers(s, _EM_HEAD)))
     out = head[np.minimum(pts, _EM_HEAD) - 1]
     far = pts > _EM_HEAD
     if not far.any():

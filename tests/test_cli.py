@@ -243,6 +243,17 @@ def test_norm_ex_lattice_does_not_echo_a_cap_key(capsys):
     assert json.loads(out)["lattice"] == {"kind": "ex", "base": {"kind": "lpq", "p": 3.0, "q": 2.0}}
 
 
+@pytest.mark.parametrize("vector", ["[NaN, 1.0]", "[Infinity, 1.0]", "[1.0, -Infinity]"])
+@pytest.mark.parametrize("lattice", [
+    '{"kind":"ex","base":{"kind":"lp","p":2}}',
+    '{"kind":"un","orlicz":{"form":"power","p":2}}',
+])
+def test_norm_lattice_refuses_non_finite_vectors(lattice, vector, capsys):
+    code, out, err = _run(["norm", "--lattice", lattice, "--vector", vector], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "norm input must be finite" in err
+
+
 def test_distinct_messages_per_error_class(capsys):
     _, _, err_json = _run(["norm", "--space", "{", "--vector", "[1]"], capsys)
     _, _, err_kind = _run(["norm", "--space", '{"kind":"x"}', "--vector", "[1]"], capsys)

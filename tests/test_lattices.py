@@ -126,6 +126,28 @@ def test_ex_orlicz_norm_is_the_un_norm():
             lattice_norm(ex, np.ones(65))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ex_lp_and_un_norms_reject_non_finite_input(bad):
+    rng = np.random.default_rng(31)
+    stack = rng.uniform(0.1, 2.0, (4, 6))
+    lats = [EX(Lp(p)) for p in (1.0, 2.0, 3.0, math.inf)]
+    lats += [UN(OrliczFn.power(2.0)), UN(OrliczFn.power_log(2.0, 0.6)), EX(Orlicz(OrliczFn.power(1.5)))]
+    for lat in lats:
+        for pos in (0, 2, 5):
+            row = stack[1].copy()
+            row[pos] = bad
+            with pytest.raises(ValueError, match="norm input must be finite"):
+                lattice_norm(lat, row)
+            with pytest.raises(ValueError, match="norm input must be finite"):
+                lattice_norm(lat, np.vstack([stack, row]))
+        with pytest.raises(ValueError, match="norm input must be finite"):
+            lattice_norm(lat, [0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="norm input must be finite"):
+            lattice_norm(lat, [math.nan, bad, 1.0])
+    with pytest.raises(ValueError, match="norm input must be finite"):
+        lattice_norm(UN(OrliczFn(fn=lambda t: np.asarray(t, dtype=float) ** 2)), [1.0, bad])
+
+
 def test_unit_norms_are_fundamental_values():
     for base in (Lp(1.0), Lp(2.0), Lorentz(2.0, power_weights(0.25))):
         lat = EX(base)

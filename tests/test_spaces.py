@@ -6,6 +6,8 @@ partial-sum formulas on hand-sorted data) and frozen here.
 
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symseq import spaces
 from symseq.lattices import EX, lattice_norm
 from symseq.spaces import (
     Lorentz,
@@ -171,6 +174,109 @@ def test_zero_vector():
     for sp in NORMED_SPACES:
         assert norm(sp, np.zeros(4)) == 0.0
         assert norm(sp, []) == 0.0
+
+
+# non-finite input -------------------------------------------------------------
+
+EVERY_FAMILY = [sp for _, sp in BUILTIN_SPACES] + [
+    LpQ(3.0, math.inf),
+    Lorentz(2.0, WeightSeq(kind="array", data=(1.0, 0.8, 0.5, 0.5, 0.3, 0.2, 0.1, 0.1))),
+    Lorentz(1.0, WeightSeq(kind="generator", fn=lambda k: 1.0 / np.log1p(k))),
+    Orlicz(OrliczFn(fn=lambda t: np.asarray(t, dtype=float) ** 2)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_norm_rejects_non_finite_entries_on_every_family(bad):
+    base = np.array([0.0, 3.0, -1.0, 0.0, 2.0, 0.5, 0.0, -4.0])
+    for sp in EVERY_FAMILY:
+        for pos in (0, 3, 4, base.size - 1):  # first, a zero slot, middle, last
+            x = base.copy()
+            x[pos] = bad
+            with pytest.raises(ValueError, match="finite"):
+                norm(sp, x)
+        with pytest.raises(ValueError, match="finite"):
+            norm(sp, [bad])
+        with pytest.raises(ValueError, match="finite"):
+            norm(sp, [0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            norm(sp, [1.0, math.nan, bad, 2.0])
+
+
+# power tables -----------------------------------------------------------------
+
+GROWTH_LENGTHS = [1, 2, 3, 4, 5, 15, 16, 17, 100, 255, 256, 257, 1000, 4095, 4096, 4097,
+                  8192, 8193, 40000, spaces._TABLE_LEN, spaces._TABLE_LEN + 1]
+
+
+def _uncached_norm(space, x) -> float:
+    """The power-weight norms with k^s computed afresh, as before the tables."""
+    b, scale = spaces._descending(x)
+    k = np.arange(1, b.size + 1, dtype=float)
+    if isinstance(space, Lorentz):
+        w = np.power(k, -space.w.theta)
+        return scale * float(np.add.reduce((b * w) ** space.q) ** (1.0 / space.q))
+    if space.q == math.inf:
+        return scale * float(np.max(b * np.power(k, 1.0 / space.p)))
+    s = np.add.reduce(b**space.q * np.power(k, space.q / space.p - 1.0))
+    return scale * float(s ** (1.0 / space.q))
+
+
+TABLE_SPACES = [Lorentz(q, power_weights(theta)) for theta in (0.1, 0.25, 0.3, 0.4) for q in (1.0, 2.0)] + [
+    LpQ(3.0, 2.0), LpQ(2.0, 4.0), LpQ(2.5, 2.0), LpQ(2.0, 1.0), LpQ(3.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_cached_power_tables_match_the_uncached_formula(order, monkeypatch):
+    monkeypatch.setattr(spaces, "_power_tables", {})
+    rng = np.random.default_rng(41)
+    lengths = GROWTH_LENGTHS if order == "increasing" else GROWTH_LENGTHS[::-1]
+    for n in lengths:
+        x = rng.standard_normal(n)
+        x[rng.random(n) < 0.1] = 0.0
+        for sp in TABLE_SPACES:
+            assert norm(sp, x) == _uncached_norm(sp, x)
+
+
+def test_power_sum_head_matches_the_uncached_cumsum(monkeypatch):
+    monkeypatch.setattr(spaces, "_power_tables", {})
+    monkeypatch.setattr(spaces, "_power_heads", {})
+    pts = np.array([1, 2, 17, 4095, 4096])
+    for s in (-0.25, -0.5, -1.0 / 3.0, 1.0):
+        spaces._powers(s, 16)  # a short table first: the head must grow it
+        head = np.cumsum(np.arange(1, spaces._EM_HEAD + 1, dtype=float) ** s)
+        for _ in range(2):  # built, then read back from the cache
+            assert np.array_equal(spaces._power_partial_sums(s, pts), head[pts - 1])
+
+
+def test_cached_tables_are_read_only():
+    table = spaces._powers(-0.25, 64)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 2.0
+    spaces._power_partial_sums(-0.5, np.array([3]))
+    with pytest.raises(ValueError, match="read-only"):
+        spaces._power_heads[-0.5][0] = 2.0
+
+
+def test_import_builds_no_power_table():
+    code = (
+        "import symseq, symseq.cli, symseq.verify\n"
+        "from symseq import spaces\n"
+        "assert not spaces._power_tables and not spaces._power_heads\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def test_power_tables_keep_a_bounded_number_of_exponents(monkeypatch):
+    monkeypatch.setattr(spaces, "_power_tables", {})
+    monkeypatch.setattr(spaces, "_power_heads", {})
+    for s in np.linspace(-0.9, 0.9, 1000).tolist():
+        assert np.array_equal(spaces._powers(s, 20), np.power(np.arange(1, 21, dtype=float), s))
+        spaces._power_partial_sums(s, np.array([5, 5000]))
+        assert len(spaces._power_tables) <= spaces._TABLE_EXPONENTS
+        assert len(spaces._power_heads) <= spaces._TABLE_EXPONENTS
+    assert all(t.size <= spaces._TABLE_LEN for t in spaces._power_tables.values())
 
 
 # fundamental functions ------------------------------------------------------
