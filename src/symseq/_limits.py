@@ -6,7 +6,8 @@ by Fekete's lemma.  Raw values at n_max carry an O(1/n) bias from additive
 constants inside the log; first differences remove constants, and one guarded
 Aitken delta-squared step on the differences removes a geometric correction
 term as well.  The Fekete minimum is reported alongside as the certified side
-(up to inner sup truncation).
+(up to inner sup truncation).  ``_ratio_sups`` builds the two log ratio-sup
+sequences of a shift-type profile that feed ``estimate_rate``.
 """
 
 from __future__ import annotations
@@ -46,3 +47,20 @@ def estimate_rate(logvals) -> RateEstimate:
             if D.min() - spread <= cand <= D.max() + spread:
                 point = float(cand)
     return RateEstimate(point, fekete, at_n_max, float(D[-1]))
+
+
+def _ratio_sups(logs, n_max: int, window: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down) with up[n-1] = max_k d_n(k) and down[n-1] = -min_k d_n(k),
+    d_n(k) = logs[k+n] - logs[k], for n = 1..n_max.
+
+    k runs over every index with k + n in range, or over k < ``window`` for
+    every n when a fixed window is given.
+    """
+    logs = np.asarray(logs, dtype=float)
+    up = np.empty(n_max)
+    down = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        d = logs[n:] - logs[:-n] if window is None else logs[n : n + window] - logs[:window]
+        up[n - 1] = np.max(d)
+        down[n - 1] = -np.min(d)
+    return up, down

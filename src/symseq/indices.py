@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._limits import estimate_rate
+from ._limits import _ratio_sups, estimate_rate
 from .lattices import weight_ratio_condition
 from .spaces import (
     Lorentz,
@@ -133,12 +133,7 @@ def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
     loginv = np.log2(
         _orlicz_inverse_vec(N, 2.0 ** -np.arange(0, k_max + n_max + 1, dtype=float))
     )
-    U = np.empty(n_max)
-    L = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        d = loginv[n : n + k_max + 1] - loginv[: k_max + 1]
-        U[n - 1] = float(-np.min(d))
-        L[n - 1] = float(np.max(d))
+    L, U = _ratio_sups(loginv, n_max, window=k_max + 1)
     return U, L
 
 
@@ -187,14 +182,8 @@ def weight_ratio_indices(
             f"estimate {cond.estimate_at_n_max:.6f} >= threshold "
             f"{cond.threshold:.6f}"
         )
-    k_top = min(256, 1000 - n_max)
-    logw = np.log2(w.values_at(2.0 ** np.arange(0, k_top + 1, dtype=float)))
-    Us = np.empty(n_max)
-    Ls = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        d = logw[n:] - logw[:-n]
-        Us[n - 1] = float(np.max(d))
-        Ls[n - 1] = float(-np.min(d))
+    k = np.arange(0, cond.k_max + 1, dtype=float)
+    Us, Ls = _ratio_sups(np.log2(w.values_at(2.0**k)), n_max)
     eu = estimate_rate(Us)
     el = estimate_rate(Ls)
     alpha = _interval(1.0 / q - el.point, 1.0 / q - el.fekete, "truncated_sup")

@@ -21,7 +21,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._limits import RateEstimate, estimate_rate
+from ._limits import RateEstimate, _ratio_sups, estimate_rate
 from .spaces import (
     Lorentz,
     Lp,
@@ -131,12 +131,9 @@ def _ex_norm_lp(p: float, a: np.ndarray):
     bit-identical to the 1-D call on that row: rows free of zeros share one
     array pass, and a row holding an exact zero takes the 1-D call, which
     sums its nonzero entries alone (zeros left in would regroup the sum).
-    NaN or inf anywhere raises ValueError: max propagates NaN, so one max
-    of |a| tests every entry.
+    Takes finite a, as ``lattice_norm`` checks it.
     """
     a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
-    if a.size and not math.isfinite(a.max()):
-        raise ValueError("norm input must be finite")
     if a.ndim > 1:
         if p == math.inf or a.shape[1] == 0:
             return a.max(axis=1, initial=0.0)
@@ -165,10 +162,11 @@ def _ex_norm_sorted(base: LpQ | Lorentz, a: np.ndarray):
     (W(P_i) - W(P_{i-1})))^(1/q), or max c_i P_i^(1/p) for q = inf.  Rows
     are scaled as in ``_descending``.  A stack makes one ``_weight_sums``
     call; for power and array weights each row equals its 1-D call bit for bit.
+    Takes finite a, as ``lattice_norm`` checks it.
     """
     a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
-    if a.shape[-1] > 63 or not np.all(np.isfinite(a)):
-        raise ValueError("EX norm needs finite input on at most 63 blocks (run ends below 2^63)")
+    if a.shape[-1] > 63:
+        raise ValueError("EX norm needs at most 63 blocks (run ends below 2^63)")
     rows = a.reshape(-1, a.shape[-1])
     order = np.argsort(-rows, axis=1, kind="stable")
     scale = np.ldexp(1.0, np.frexp(rows.max(axis=1, initial=0.0))[1] - 1)
@@ -191,8 +189,12 @@ def lattice_norm(lat: LatticeSpec, a):
 
     A 2-D stack gives one norm per row: one closed-form pass for EX over
     l^p, l^{p,q} and Lorentz, one row at a time for every other lattice.
+    NaN or inf anywhere raises ValueError on every lattice: max propagates
+    NaN, so one max of |a| tests every entry.
     """
     arr = np.asarray(a, dtype=float)
+    if arr.size and not math.isfinite(np.abs(arr).max()):
+        raise ValueError("norm input must be finite")
     if isinstance(lat, EX) and isinstance(lat.base, Lp):
         return _ex_norm_lp(lat.base.p, arr)
     if isinstance(lat, EX) and isinstance(lat.base, (LpQ, Lorentz)):
@@ -256,13 +258,7 @@ def shift_exponents(lat: LatticeSpec, n_max: int = 16, k_max: int = 64) -> Shift
     """
     if n_max < 2 or k_max <= n_max:
         raise ValueError("shift_exponents needs n_max >= 2 and k_max > n_max")
-    s = unit_norms(lat, k_max)
-    logs = np.log2(s)
-    up = np.empty(n_max)
-    down = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        up[n - 1] = np.max(logs[n:] - logs[:-n])
-        down[n - 1] = np.max(logs[:-n] - logs[n:])
+    up, down = _ratio_sups(np.log2(unit_norms(lat, k_max)), n_max)
     eu: RateEstimate = estimate_rate(up)
     ed: RateEstimate = estimate_rate(down)
     return ShiftExponents(
@@ -395,8 +391,7 @@ def weight_ratio_condition(
     k_eff = min(k_max, 1000 - n_max)
     k = np.arange(0, k_eff + 1, dtype=float)
     logw = np.log2(w.values_at(2.0**k))
-    n = n_max
-    est = float(2.0 ** (np.max(logw[:-n] - logw[n:]) / n))
+    est = float(2.0 ** (_ratio_sups(logw, n_max)[1][-1] / n_max))
     thr = float(2.0 ** (1.0 / q))
     return WeightRatioCondition(
         holds=est < thr,

@@ -273,9 +273,11 @@ def _descending(x) -> tuple[np.ndarray, float]:
     exact, norms computed on b and multiplied back by scale round exactly as
     the unscaled sums would wherever those are representable.  Sorting puts
     NaN and inf in the last slot, so one test of that entry rejects any
-    non-finite input.
+    non-finite input.  Anything but a 1-D vector raises ValueError.
     """
     out = np.abs(np.asarray(x, dtype=float))  # a fresh array: sorted and scaled in place
+    if out.ndim != 1:
+        raise ValueError(f"norm input must be a 1-D vector, got shape {out.shape}")
     out.sort()
     if out.size and not math.isfinite(out[-1]):
         raise ValueError("norm input must be finite")
@@ -379,12 +381,10 @@ def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) ->
     |ln(b/v)| = ln v - ln b, so the modular is v^-p (A + B ln v) with
     S0 = sum w b^p, S1 = sum w b^p ln b <= 0, A = S0 - a S1 >= 1, B = a S0;
     ``_moment_root`` solves it without evaluating N.  Any other N is solved
-    by ``_bracketed_root`` on the modular itself.  NaN or inf in a raises
-    ValueError (max propagates NaN).
+    by ``_bracketed_root`` on the modular itself.  Takes finite a, as
+    ``norm`` and ``lattices.lattice_norm`` check it.
     """
     m = float(a.max()) if a.size else 0.0
-    if not math.isfinite(m):
-        raise ValueError("norm input must be finite")
     if m == 0.0:
         return 0.0
     b = a / m

@@ -1,15 +1,20 @@
 """End-to-end verification suite: one check per advertised guarantee.
 
 Each check exercises a documented constant, rate, or exactness claim of the
-library at its stated tolerance and returns a ``CheckResult``; the CLI
-``verify`` subcommand prints one line per check, and the acceptance tests
-wrap the same functions one-to-one.  Checks are deterministic: every random
-draw derives from a fixed master seed, shifted by the ``seed`` argument that
-``run_checks`` hands to each check that draws vectors.
+library at its stated tolerance.  Its body returns ``(passed, detail)`` and
+nothing else; the ``_check`` decorator owns the criterion id, the name, the
+clock and the optional wall-clock budget, and turns the pair into the one
+``CheckResult``.  The CLI ``verify`` subcommand prints one line per check,
+and the acceptance tests wrap the same functions one-to-one.  Checks are
+deterministic: every random draw derives from a fixed master seed, shifted
+by the ``seed`` argument that ``run_checks`` hands to each check whose
+signature takes one.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -86,7 +91,7 @@ TRIANGLE_SPACES = [(lbl, sp) for lbl, sp in BUILTIN_SPACES if lbl != "lpq_2_4_qu
 # Observed Lorentz dyadic-equivalence envelopes (trials=200, max_len=4096,
 # seed=7), pinned after the first certified run; the proven enclosure is
 # [1, 4^(1/q)].
-LORENTZ_ENVELOPE_PINS: dict[str, tuple[float, float]] | None = {
+LORENTZ_ENVELOPE_PINS: dict[str, tuple[float, float]] = {
     "q1_th0.3": (1.3545783020015816, 1.4797127349201158),
     "q2_th0.25": (1.161093878013032, 1.203431343732897),
 }
@@ -99,6 +104,29 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed: float
+
+
+def _check(crit_id: int, name: str, budget: float | None = None):
+    """Make a body returning (passed, detail) into a check returning a CheckResult.
+
+    The harness times the whole body.  A passing body that ran ``budget``
+    seconds or more fails with its runtime as the detail.
+    """
+
+    def harness(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            elapsed = time.perf_counter() - t0
+            if passed and budget is not None and elapsed >= budget:
+                passed, detail = False, f"runtime {elapsed:.1f}s exceeds {budget:g}s"
+            return CheckResult(crit_id, name, passed, detail, elapsed)
+
+        check.crit_id, check.check_name = crit_id, name
+        return check
+
+    return harness
 
 
 def _rng(seed: int, offset: int) -> np.random.Generator:
@@ -130,9 +158,9 @@ def _pad_eq(u, v) -> bool:
     return list(u) + [Fraction(0)] * (n - len(u)) == list(v) + [Fraction(0)] * (n - len(v))
 
 
-def check_symmetry_and_monotonicity(seed: int = 0) -> CheckResult:
+@_check(1, "symmetry+monotonicity")
+def check_symmetry_and_monotonicity(seed: int = 0):
     """Permutation invariance, lattice monotonicity, homogeneity: 1e-12."""
-    t0 = time.time()
     rng = _rng(seed, 1)
     worst = 0.0
     for label, sp in BUILTIN_SPACES:
@@ -142,25 +170,19 @@ def check_symmetry_and_monotonicity(seed: int = 0) -> CheckResult:
             perm = norm(sp, rng.permutation(v))
             worst = max(worst, abs(perm - base) / base)
             if abs(perm - base) > 1e-12 * base:
-                return CheckResult(1, "symmetry+monotonicity", False,
-                                   f"{label}: permutation moved the norm by {abs(perm-base)/base:.2e}",
-                                   time.time() - t0)
+                return False, f"{label}: permutation moved the norm by {abs(perm-base)/base:.2e}"
             smaller = v * rng.uniform(0.0, 1.0, v.size)
             if norm(sp, smaller) > base * (1 + 1e-12):
-                return CheckResult(1, "symmetry+monotonicity", False,
-                                   f"{label}: |u| <= |v| but ||u|| > ||v||", time.time() - t0)
+                return False, f"{label}: |u| <= |v| but ||u|| > ||v||"
             c = float(rng.uniform(0.1, 10.0))
             if abs(norm(sp, c * v) - c * base) > 1e-12 * c * base:
-                return CheckResult(1, "symmetry+monotonicity", False,
-                                   f"{label}: homogeneity off", time.time() - t0)
-    return CheckResult(1, "symmetry+monotonicity", True,
-                       f"{len(BUILTIN_SPACES)} variants x 500 vectors, worst rel dev {worst:.1e}",
-                       time.time() - t0)
+                return False, f"{label}: homogeneity off"
+    return True, f"{len(BUILTIN_SPACES)} variants x 500 vectors, worst rel dev {worst:.1e}"
 
 
-def check_operator_constants(seed: int = 0) -> CheckResult:
+@_check(2, "operator constants")
+def check_operator_constants(seed: int = 0):
     """||sigma_{1/m}|| <= 1, ||sigma_m|| <= m, ||Q|| <= 1, Q^2 = Q, D in [1,2]."""
-    t0 = time.time()
     rng = _rng(seed, 2)
     tol = 1e-12
     ratio_lo, ratio_hi = math.inf, 0.0
@@ -170,33 +192,26 @@ def check_operator_constants(seed: int = 0) -> CheckResult:
             nv = norm(sp, v)
             for m in (2, 3, 4):
                 if norm(sp, apply_array(DilateDown(m), v)) > nv * (1 + tol):
-                    return CheckResult(2, "operator constants", False,
-                                       f"{label}: block averaging expanded a norm", time.time() - t0)
+                    return False, f"{label}: block averaging expanded a norm"
                 if norm(sp, apply_array(DilateUp(m), v)) > m * nv * (1 + tol):
-                    return CheckResult(2, "operator constants", False,
-                                       f"{label}: ||sigma_{m} x|| > {m}||x||", time.time() - t0)
+                    return False, f"{label}: ||sigma_{m} x|| > {m}||x||"
             if norm(sp, apply_array(AvgProject(), v)) > nv * (1 + tol):
-                return CheckResult(2, "operator constants", False,
-                                   f"{label}: ||Qx|| > ||x||", time.time() - t0)
+                return False, f"{label}: ||Qx|| > ||x||"
             r = norm(sp, apply_array(Doubling(), v)) / nv
             ratio_lo, ratio_hi = min(ratio_lo, r), max(ratio_hi, r)
             if not (1 - 1e-9) <= r <= 2 * (1 + 1e-9):
-                return CheckResult(2, "operator constants", False,
-                                   f"{label}: ||Dx||/||x|| = {r}", time.time() - t0)
+                return False, f"{label}: ||Dx||/||x|| = {r}"
     for _ in range(200):
         x = _rand_fracs(rng, max_len=16)
         once = apply_array(AvgProject(), x)
         if not _pad_eq(apply_array(AvgProject(), once), once):
-            return CheckResult(2, "operator constants", False,
-                               "Q^2 != Q on a rational vector", time.time() - t0)
-    return CheckResult(2, "operator constants", True,
-                       f"observed ||Dx||/||x|| in [{ratio_lo:.6f}, {ratio_hi:.6f}], Q idempotent on rationals",
-                       time.time() - t0)
+            return False, "Q^2 != Q on a rational vector"
+    return True, f"observed ||Dx||/||x|| in [{ratio_lo:.6f}, {ratio_hi:.6f}], Q idempotent on rationals"
 
 
-def check_dyadic_sandwich(seed: int = 0) -> CheckResult:
+@_check(3, "dyadic sandwich")
+def check_dyadic_sandwich(seed: int = 0):
     """Dyadic resampling ratio within [1, 5] on 500 vectors per variant."""
-    t0 = time.time()
     rng = _rng(seed, 3)
     lo, hi = math.inf, 0.0
     for label, sp in TRIANGLE_SPACES:
@@ -205,15 +220,13 @@ def check_dyadic_sandwich(seed: int = 0) -> CheckResult:
             r = sandwich_ratio(sp, v)
             lo, hi = min(lo, r), max(hi, r)
             if not (1 - 1e-9) <= r <= 5 * (1 + 1e-9):
-                return CheckResult(3, "dyadic sandwich", False,
-                                   f"{label}: ratio {r} outside [1, 5]", time.time() - t0)
-    return CheckResult(3, "dyadic sandwich", True,
-                       f"observed envelope [{lo:.4f}, {hi:.4f}] within [1, 5]", time.time() - t0)
+                return False, f"{label}: ratio {r} outside [1, 5]"
+    return True, f"observed envelope [{lo:.4f}, {hi:.4f}] within [1, 5]"
 
 
-def check_intertwining_exact(seed: int = 0) -> CheckResult:
+@_check(4, "intertwining exact")
+def check_intertwining_exact(seed: int = 0):
     """(D-lam)S = S(shift-lam) and Q(D-lam) = (D-lam)Q, exact rationals."""
-    t0 = time.time()
     rng = _rng(seed, 4)
     for _ in range(1000):
         lam = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
@@ -221,35 +234,29 @@ def check_intertwining_exact(seed: int = 0) -> CheckResult:
         lhs = apply_array(DoublingMinusLambda(lam), apply_array(BlockEmbed(), a))
         rhs = apply_array(BlockEmbed(), apply_array(ShiftMinusLambda(lam), a))
         if not _pad_eq(lhs, rhs):
-            return CheckResult(4, "intertwining exact", False,
-                               f"(D-{lam})S != S(shift-{lam}) on {a}", time.time() - t0)
+            return False, f"(D-{lam})S != S(shift-{lam}) on {a}"
         x = _rand_fracs(rng, max_len=16)
         lhs = apply_array(AvgProject(), apply_array(DoublingMinusLambda(lam), x))
         rhs = apply_array(DoublingMinusLambda(lam), apply_array(AvgProject(), x))
         if not _pad_eq(lhs, rhs):
-            return CheckResult(4, "intertwining exact", False,
-                               f"Q(D-{lam}) != (D-{lam})Q on {x}", time.time() - t0)
-    return CheckResult(4, "intertwining exact", True,
-                       "both identities exact on 1000 rational vectors each", time.time() - t0)
+            return False, f"Q(D-{lam}) != (D-{lam})Q on {x}"
+    return True, "both identities exact on 1000 rational vectors each"
 
 
-def check_index_round_trips() -> CheckResult:
-    """Known index values across all families within stated tolerances, < 60 s."""
-    t0 = time.time()
-    errs = []
+@_check(5, "index round trips", budget=60)
+def check_index_round_trips():
+    """Known index values across all families within stated tolerances."""
+    worst = 0.0
     for p in (1.0, 1.5, 2.0, 3.0, 10.0):
         rep = index_report(Lp(p))
         want = 1.0 / p
         e = max(abs(rep.alpha.point - want), abs(rep.beta.point - want))
-        errs.append(("lp", p, e))
+        worst = max(worst, e)
         if e > 1e-6:
-            return CheckResult(5, "index round trips", False,
-                               f"l^{p}: index error {e:.2e} > 1e-6", time.time() - t0)
+            return False, f"l^{p}: index error {e:.2e} > 1e-6"
         # 1e-6 on the indices propagates to ~p^2 * 1e-6 on the reciprocals
         if max(abs(rep.f_interval[0] - p), abs(rep.f_interval[1] - p)) > 1e-4:
-            return CheckResult(5, "index round trips", False,
-                               f"l^{p}: exponent interval {rep.f_interval} != [{p}, {p}]",
-                               time.time() - t0)
+            return False, f"l^{p}: exponent interval {rep.f_interval} != [{p}, {p}]"
     for q, th in ((1.0, 0.3), (2.0, 0.25), (2.0, 0.4)):
         want = (1 - th * q) / q
         w = power_weights(th)
@@ -257,31 +264,21 @@ def check_index_round_trips() -> CheckResult:
         e_full = max(abs(rep.alpha.point - want), abs(rep.beta.point - want))
         a2, b2 = weight_ratio_indices(q, w)
         e_simp = max(abs(a2.point - want), abs(b2.point - want))
-        errs.append(("lorentz", (q, th), max(e_full, e_simp)))
+        worst = max(worst, e_full, e_simp)
         if e_full > 1e-3 or e_simp > 1e-3:
-            return CheckResult(5, "index round trips", False,
-                               f"lorentz q={q} theta={th}: full {e_full:.2e} / simplified {e_simp:.2e} vs 1e-3",
-                               time.time() - t0)
+            return False, f"lorentz q={q} theta={th}: full {e_full:.2e} / simplified {e_simp:.2e} vs 1e-3"
     for p in (1.5, 2.0, 3.0):
         rep = index_report(Orlicz(OrliczFn.power(p)), n_max=20)
         e = max(abs(rep.alpha.point - 1 / p), abs(rep.beta.point - 1 / p))
-        errs.append(("orlicz", p, e))
+        worst = max(worst, e)
         if e > 1e-8:
-            return CheckResult(5, "index round trips", False,
-                               f"orlicz t^{p}: error {e:.2e} > 1e-8", time.time() - t0)
-    elapsed = time.time() - t0
-    worst = max(e for _, _, e in errs)
-    if elapsed >= 60.0:
-        return CheckResult(5, "index round trips", False,
-                           f"runtime {elapsed:.1f}s exceeds 60s", elapsed)
-    return CheckResult(5, "index round trips", True,
-                       f"all families on target, worst error {worst:.1e}, within 60s budget",
-                       elapsed)
+            return False, f"orlicz t^{p}: error {e:.2e} > 1e-8"
+    return True, f"all families on target, worst error {worst:.1e}, within 60s budget"
 
 
-def check_index_ordering_chain() -> CheckResult:
+@_check(6, "index ordering chain")
+def check_index_ordering_chain():
     """lower <= mu <= nu <= upper on every report; route gaps < 5e-3."""
-    t0 = time.time()
     slack = 1e-6
     kw = dict(n_max=12, j_max=1 << 12, k_max=120)
     for label, sp in BUILTIN_SPACES:
@@ -294,31 +291,24 @@ def check_index_ordering_chain() -> CheckResult:
             and rep.beta.point <= 1.0 + slack
         )
         if not chain:
-            return CheckResult(6, "index ordering chain", False,
-                               f"{label}: chain violated: alpha={rep.alpha.point} mu={rep.mu} "
-                               f"nu={rep.nu} beta={rep.beta.point}", time.time() - t0)
+            return False, (f"{label}: chain violated: alpha={rep.alpha.point} mu={rep.mu} "
+                           f"nu={rep.nu} beta={rep.beta.point}")
         alpha_mu_gap, nu_beta_gap = rep.alpha.point - rep.mu, rep.nu - rep.beta.point
         if not (abs(alpha_mu_gap) < 5e-3 and abs(nu_beta_gap) < 5e-3):
-            return CheckResult(6, "index ordering chain", False,
-                               f"{label}: route gaps {alpha_mu_gap:.2e}/{nu_beta_gap:.2e} >= 5e-3",
-                               time.time() - t0)
-    return CheckResult(6, "index ordering chain", True,
-                       f"chain and route agreement hold on all {len(BUILTIN_SPACES)} variants",
-                       time.time() - t0)
+            return False, f"{label}: route gaps {alpha_mu_gap:.2e}/{nu_beta_gap:.2e} >= 5e-3"
+    return True, f"chain and route agreement hold on all {len(BUILTIN_SPACES)} variants"
 
 
-def check_shift_exponent_bridge(seed: int = 0) -> CheckResult:
+@_check(7, "shift exponent bridge")
+def check_shift_exponent_bridge(seed: int = 0):
     """Block-lattice shift exponents equal 2^(+-1/p); dilation chains vector-wise."""
-    t0 = time.time()
     rng = _rng(seed, 7)
     for p in (1.0, 2.0, 4.0):
         ex = shift_exponents(EX(Lp(p)))
         if abs(ex.k_plus - 2 ** (1 / p)) > 1e-6 or abs(ex.k_minus - 2 ** (-1 / p)) > 1e-6:
-            return CheckResult(7, "shift exponent bridge", False,
-                               f"p={p}: k+={ex.k_plus}, k-={ex.k_minus}", time.time() - t0)
+            return False, f"p={p}: k+={ex.k_plus}, k-={ex.k_minus}"
         if 1.0 / ex.k_minus > ex.k_plus * (1 + 1e-9):
-            return CheckResult(7, "shift exponent bridge", False,
-                               f"p={p}: 1/k- > k+", time.time() - t0)
+            return False, f"p={p}: 1/k- > k+"
     lat = {p: EX(Lp(p)) for p in (1.0, 2.0, 4.0)}
     for _ in range(200):
         p = float(rng.choice((1.0, 2.0, 4.0)))
@@ -332,189 +322,150 @@ def check_shift_exponent_bridge(seed: int = 0) -> CheckResult:
             sa = apply_array(BlockEmbed(), a)
             dil = norm(Lp(p), apply_array(DilateUp(1 << n), sa))
             if abs(up - dil) > 1e-12 * dil:
-                return CheckResult(7, "shift exponent bridge", False,
-                                   f"p={p} n={n}: ||tau_n a|| != ||sigma_(2^n) S a||", time.time() - t0)
+                return False, f"p={p} n={n}: ||tau_n a|| != ||sigma_(2^n) S a||"
             if up > 2.0 ** (n / p) * na * (1 + 1e-12):
-                return CheckResult(7, "shift exponent bridge", False,
-                                   f"p={p} n={n}: forward chain violated", time.time() - t0)
+                return False, f"p={p} n={n}: forward chain violated"
             down = lattice_norm(lat[p], a[n:])
             if down > 2.0 * 2.0 ** (-n / p) * na * (1 + 1e-12):
-                return CheckResult(7, "shift exponent bridge", False,
-                                   f"p={p} n={n}: backward chain violated", time.time() - t0)
+                return False, f"p={p} n={n}: backward chain violated"
             if dil > 2.0 ** ((n + 1) / p) * norm(Lp(p), sa) * (1 + 1e-12):
-                return CheckResult(7, "shift exponent bridge", False,
-                                   f"p={p} n={n}: dilation-vs-shift chain violated", time.time() - t0)
-    return CheckResult(7, "shift exponent bridge", True,
-                       "exponents exact and all dilation chains hold on 200 vectors",
-                       time.time() - t0)
+                return False, f"p={p} n={n}: dilation-vs-shift chain violated"
+    return True, "exponents exact and all dilation chains hold on 200 vectors"
 
 
-def check_witness_rates() -> CheckResult:
+@_check(8, "witness rates")
+def check_witness_rates():
     """Orbit witness rates: (4/n)^(1/p) at 1e-9; branching rates (2/n)^(1/p) at 1e-10."""
-    t0 = time.time()
     for p in (1.0, 2.0, 3.0):
         n = 1
         while n <= 1024:
             w = doubling_orbit_witness(Lp(p), p, n)
             want = (4.0 / n) ** (1.0 / p)
             if abs(w.residual - want) > 1e-9:
-                return CheckResult(8, "witness rates", False,
-                                   f"orbit witness p={p} n={n}: residual {w.residual} vs {want}",
-                                   time.time() - t0)
+                return False, f"orbit witness p={p} n={n}: residual {w.residual} vs {want}"
             n *= 2
     for p in (1.0, 2.0, 3.0):
         for n in range(1, 11):
             r = branching_witness(p, n)
             if abs(r.norm_value - 1.0) > 1e-10:
-                return CheckResult(8, "witness rates", False,
-                                   f"branching witness p={p} n={n}: ||u_n|| = {r.norm_value}",
-                                   time.time() - t0)
+                return False, f"branching witness p={p} n={n}: ||u_n|| = {r.norm_value}"
             want = (2.0 / n) ** (1.0 / p)
             for base, got in ((2, r.d2_residual), (3, r.d3_residual)):
                 if abs(got - want) > 1e-10:
-                    return CheckResult(8, "witness rates", False,
-                                       f"branching witness p={p} n={n}: base-{base} residual "
-                                       f"{got!r} vs expected {want!r}", time.time() - t0)
-    return CheckResult(8, "witness rates", True,
-                       "all witness rates on target", time.time() - t0)
+                    return False, (f"branching witness p={p} n={n}: base-{base} residual "
+                                   f"{got!r} vs expected {want!r}")
+    return True, "all witness rates on target"
 
 
-def check_orbit_disjointness() -> CheckResult:
-    """Exhaustive support disjointness with exact cardinalities, < 10 s."""
-    t0 = time.time()
+@_check(9, "orbit disjointness", budget=10)
+def check_orbit_disjointness():
+    """Exhaustive support disjointness with exact cardinalities."""
     rep = check_disjoint_supports(4, 4)
-    elapsed = time.time() - t0
     ok = rep.ok and all(
         rep.cardinalities[(l, m)] == 2**l * 3**m
         for l in range(1, 5)
         for m in range(1, 5)
     )
     if not ok:
-        return CheckResult(9, "orbit disjointness", False,
-                           f"collision or wrong cardinality: {rep.collision}", elapsed)
-    if elapsed >= 10.0:
-        return CheckResult(9, "orbit disjointness", False,
-                           f"runtime {elapsed:.1f}s exceeds 10s", elapsed)
-    return CheckResult(9, "orbit disjointness", True,
-                       "16 orbits pairwise disjoint, cardinalities 2^l 3^m, within 10s budget",
-                       elapsed)
+        return False, f"collision or wrong cardinality: {rep.collision}"
+    return True, "16 orbits pairwise disjoint, cardinalities 2^l 3^m, within 10s budget"
 
 
-def check_shift_machinery(seed: int = 0) -> CheckResult:
+@_check(10, "shift machinery")
+def check_shift_machinery(seed: int = 0):
     """Identities, annihilation, and solve round-trips in exact arithmetic."""
-    t0 = time.time()
     rng = _rng(seed, 10)
     for _ in range(50):
         lam = Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
         n = int(rng.integers(1, 7))
         j = int(rng.integers(1, 6))
         if not shift_identity_check(lam, n, j):
-            return CheckResult(10, "shift machinery", False,
-                               f"identity failed at lam={lam}, n={n}, j={j}", time.time() - t0)
+            return False, f"identity failed at lam={lam}, n={n}, j={j}"
     for _ in range(500):
         lam = Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
         a = _rand_fracs(rng)
         b = apply_array(ShiftMinusLambda(lam), a).tolist()
         if moment_functional(lam, b) != 0:
-            return CheckResult(10, "shift machinery", False,
-                               f"moment of (shift-{lam})a nonzero", time.time() - t0)
+            return False, f"moment of (shift-{lam})a nonzero"
         back = solve_shift_minus_lambda(lam, b)
         while a and a[-1] == 0:
             a.pop()
         if back != a:
-            return CheckResult(10, "shift machinery", False,
-                               f"solve round-trip mismatch at lam={lam}", time.time() - t0)
-    return CheckResult(10, "shift machinery", True,
-                       "50 identities, 500 annihilations and solve round-trips exact",
-                       time.time() - t0)
+            return False, f"solve round-trip mismatch at lam={lam}"
+    return True, "50 identities, 500 annihilations and solve round-trips exact"
 
 
-def check_equivalence_envelopes() -> CheckResult:
+@_check(11, "equivalence envelopes")
+def check_equivalence_envelopes():
     """Orlicz block model within [1, 4]; Lorentz envelope pinned."""
-    t0 = time.time()
     for p in (1.5, 2.0, 3.0):
         rep = dyadic_equivalence_report("orlicz", N=OrliczFn.power(p))
         if rep.ratio_min < 1 - 1e-10 or rep.ratio_max > 4 + 1e-10:
-            return CheckResult(11, "equivalence envelopes", False,
-                               f"orlicz t^{p}: observed [{rep.ratio_min}, {rep.ratio_max}] "
-                               "escapes [1, 4]", time.time() - t0)
+            return False, (f"orlicz t^{p}: observed [{rep.ratio_min}, {rep.ratio_max}] "
+                           "escapes [1, 4]")
     seen = {}
     for key, q, th in (("q1_th0.3", 1.0, 0.3), ("q2_th0.25", 2.0, 0.25)):
         rep = dyadic_equivalence_report("lorentz", q=q, w=power_weights(th))
         if not (math.isfinite(rep.ratio_min) and math.isfinite(rep.ratio_max)):
-            return CheckResult(11, "equivalence envelopes", False,
-                               f"lorentz {key}: envelope not finite", time.time() - t0)
+            return False, f"lorentz {key}: envelope not finite"
         if rep.ratio_min < 1 - 1e-10 or rep.ratio_max > 4.0 ** (1.0 / q) + 1e-10:
-            return CheckResult(11, "equivalence envelopes", False,
-                               f"lorentz {key}: observed [{rep.ratio_min}, {rep.ratio_max}] "
-                               f"escapes [1, 4^(1/{q})]", time.time() - t0)
+            return False, (f"lorentz {key}: observed [{rep.ratio_min}, {rep.ratio_max}] "
+                           f"escapes [1, 4^(1/{q})]")
         seen[key] = (rep.ratio_min, rep.ratio_max)
-        if LORENTZ_ENVELOPE_PINS is not None:
-            pin = LORENTZ_ENVELOPE_PINS[key]
-            if abs(rep.ratio_min - pin[0]) > 1e-9 or abs(rep.ratio_max - pin[1]) > 1e-9:
-                return CheckResult(11, "equivalence envelopes", False,
-                                   f"lorentz {key}: envelope drifted from pinned {pin} to "
-                                   f"({rep.ratio_min}, {rep.ratio_max})", time.time() - t0)
-    return CheckResult(11, "equivalence envelopes", True,
-                       "orlicz within [1, 4]; lorentz envelopes " + ", ".join(
-                           f"{k}=[{v[0]:.6f}, {v[1]:.6f}]" for k, v in sorted(seen.items())),
-                       time.time() - t0)
+        pin = LORENTZ_ENVELOPE_PINS[key]
+        if abs(rep.ratio_min - pin[0]) > 1e-9 or abs(rep.ratio_max - pin[1]) > 1e-9:
+            return False, (f"lorentz {key}: envelope drifted from pinned {pin} to "
+                           f"({rep.ratio_min}, {rep.ratio_max})")
+    return True, "orlicz within [1, 4]; lorentz envelopes " + ", ".join(
+        f"{k}=[{v[0]:.6f}, {v[1]:.6f}]" for k, v in sorted(seen.items()))
 
 
-def check_scan_coherence() -> CheckResult:
+@_check(12, "scan coherence")
+def check_scan_coherence():
     """Scan minimum at 2^(1/p); witness < 0.1 at 2^14 coords; 5x off-peak."""
-    t0 = time.time()
     for p in (1.0, 2.0, 3.0):
         lamstar = 2.0 ** (1.0 / p)
         grid = [lamstar + 0.05 * s for s in range(-8, 9)]
         pts = residual_scan(Lp(p), grid, dim=1 << 14)
         best = min(pts, key=lambda q: q.estimate)
         if abs(best.lam - lamstar) > 0.05 / 2:
-            return CheckResult(12, "scan coherence", False,
-                               f"p={p}: minimum at {best.lam}, not {lamstar}", time.time() - t0)
+            return False, f"p={p}: minimum at {best.lam}, not {lamstar}"
         at_star = next(q for q in pts if q.lam == lamstar)
         if at_star.estimate >= 0.1:
-            return CheckResult(12, "scan coherence", False,
-                               f"p={p}: estimate {at_star.estimate} at the matched lambda >= 0.1",
-                               time.time() - t0)
+            return False, f"p={p}: estimate {at_star.estimate} at the matched lambda >= 0.1"
         for off in (lamstar - 0.4, lamstar + 0.4):
             if off <= 0:
                 continue
             est = next(q for q in pts if abs(q.lam - off) < 1e-12).estimate
             if est <= 5 * at_star.estimate:
-                return CheckResult(12, "scan coherence", False,
-                                   f"p={p}: off-peak estimate {est} within 5x of {at_star.estimate}",
-                                   time.time() - t0)
-    return CheckResult(12, "scan coherence", True,
-                       "minima at 2^(1/p), matched estimates < 0.1, off-peak > 5x",
-                       time.time() - t0)
+                return False, f"p={p}: off-peak estimate {est} within 5x of {at_star.estimate}"
+    return True, "minima at 2^(1/p), matched estimates < 0.1, off-peak > 5x"
 
 
 ALL_CHECKS = [
-    (1, "symmetry+monotonicity", check_symmetry_and_monotonicity),
-    (2, "operator constants", check_operator_constants),
-    (3, "dyadic sandwich", check_dyadic_sandwich),
-    (4, "intertwining exact", check_intertwining_exact),
-    (5, "index round trips", check_index_round_trips),
-    (6, "index ordering chain", check_index_ordering_chain),
-    (7, "shift exponent bridge", check_shift_exponent_bridge),
-    (8, "witness rates", check_witness_rates),
-    (9, "orbit disjointness", check_orbit_disjointness),
-    (10, "shift machinery", check_shift_machinery),
-    (11, "equivalence envelopes", check_equivalence_envelopes),
-    (12, "scan coherence", check_scan_coherence),
+    (fn.crit_id, fn.check_name, fn)
+    for fn in (
+        check_symmetry_and_monotonicity,
+        check_operator_constants,
+        check_dyadic_sandwich,
+        check_intertwining_exact,
+        check_index_round_trips,
+        check_index_ordering_chain,
+        check_shift_exponent_bridge,
+        check_witness_rates,
+        check_orbit_disjointness,
+        check_shift_machinery,
+        check_equivalence_envelopes,
+        check_scan_coherence,
+    )
 ]
-
-
-# the checks that draw random vectors, keyed by criterion id
-_SEEDED = frozenset({1, 2, 3, 4, 7, 10})
 
 
 def run_checks(only: list[int] | None = None, seed: int | None = None) -> list[CheckResult]:
     """Run the selected checks; `seed` shifts every random stream they draw."""
     seed = 0 if seed is None else int(seed)
     return [
-        fn(seed) if cid in _SEEDED else fn()
+        fn(seed=seed) if "seed" in inspect.signature(fn).parameters else fn()
         for cid, _, fn in ALL_CHECKS
         if only is None or cid in only
     ]

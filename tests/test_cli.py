@@ -247,6 +247,7 @@ def test_norm_ex_lattice_does_not_echo_a_cap_key(capsys):
 @pytest.mark.parametrize("lattice", [
     '{"kind":"ex","base":{"kind":"lp","p":2}}',
     '{"kind":"un","orlicz":{"form":"power","p":2}}',
+    '{"kind":"wlq","q":2,"weights":{"form":"geometric","ratio":2}}',
 ])
 def test_norm_lattice_refuses_non_finite_vectors(lattice, vector, capsys):
     code, out, err = _run(["norm", "--lattice", lattice, "--vector", vector], capsys)

@@ -132,6 +132,8 @@ def test_ex_lp_and_un_norms_reject_non_finite_input(bad):
     stack = rng.uniform(0.1, 2.0, (4, 6))
     lats = [EX(Lp(p)) for p in (1.0, 2.0, 3.0, math.inf)]
     lats += [UN(OrliczFn.power(2.0)), UN(OrliczFn.power_log(2.0, 0.6)), EX(Orlicz(OrliczFn.power(1.5)))]
+    lats += [WeightedLq(2.0, block_weights_from_lorentz(2.0, power_weights(0.25))),
+             EX(Lorentz(2.0, power_weights(0.25))), EX(LpQ(3.0, 2.0))]
     for lat in lats:
         for pos in (0, 2, 5):
             row = stack[1].copy()

@@ -203,6 +203,14 @@ def test_norm_rejects_non_finite_entries_on_every_family(bad):
             norm(sp, [1.0, math.nan, bad, 2.0])
 
 
+@pytest.mark.parametrize("x", [3.0, [[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0]], np.ones((1, 3))],
+                         ids=["scalar", "2x2", "column", "row"])
+def test_norm_rejects_non_vector_input(x):
+    for sp in EVERY_FAMILY:
+        with pytest.raises(ValueError, match="1-D vector"):
+            norm(sp, x)
+
+
 # power tables -----------------------------------------------------------------
 
 GROWTH_LENGTHS = [1, 2, 3, 4, 5, 15, 16, 17, 100, 255, 256, 257, 1000, 4095, 4096, 4097,
