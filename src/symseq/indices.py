@@ -47,6 +47,7 @@ from .spaces import (
     OrliczFn,
     SpaceSpec,
     WeightSeq,
+    _distinct,
     _orlicz_inverse_vec,
     _weight_sums,
 )
@@ -102,7 +103,7 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     js = np.arange(1, j_small + 1, dtype=np.int64)
     grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
     grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
-    pts = np.unique(np.concatenate(grids))
+    pts = _distinct(np.concatenate(grids))
     logw = np.log2(_weight_sums(space, pts))
 
     def at(grid, n):

@@ -30,6 +30,7 @@ from .spaces import (
     OrliczFn,
     SpaceSpec,
     WeightSeq,
+    _distinct,
     _luxemburg,
     _orlicz_from_json,
     _orlicz_inverse_vec,
@@ -176,7 +177,7 @@ def _ex_norm_sorted(base: LpQ | Lorentz, a: np.ndarray):
         out = scale * np.max(c * ends ** (1.0 / base.p), axis=1, initial=0.0)
     else:
         live = c > 0.0  # zeros sort last and add nothing
-        pts = np.unique(ends[live])
+        pts = _distinct(ends[live])
         w = np.zeros(c.shape)
         w[live] = _weight_sums(base, pts)[np.searchsorted(pts, ends[live])]
         s = np.sum(c**base.q * np.diff(w, axis=1, prepend=0.0), axis=1)

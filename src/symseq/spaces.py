@@ -52,9 +52,24 @@ __all__ = [
     "space_from_json",
 ]
 
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of ``a``, the array ``np.unique`` returns.
+
+    By sort and a neighbour mask, because numpy's first ``unique`` call
+    imports ``numpy.ma`` (~13 ms), which the import of symseq and the index
+    and block-norm paths then need not pay.
+    """
+    s = np.sort(a, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 # Probe used to validate weight monotonicity cheaply: dense small indices
 # plus powers of two with neighbors up to 2**20.
-_WEIGHT_PROBE = np.unique(
+_WEIGHT_PROBE = _distinct(
     np.concatenate(
         [
             np.arange(1, 65, dtype=np.int64),

@@ -37,6 +37,7 @@ from .operators import (
     Doubling,
     DoublingMinusLambda,
     ShiftMinusLambda,
+    _Exact,
     apply_array,
 )
 from .indices import index_report, weight_ratio_indices
@@ -144,18 +145,24 @@ def _rand_vec(rng, max_len: int, signed: bool = True) -> np.ndarray:
     return v if signed else np.abs(v)
 
 
-def _rand_fracs(rng, max_len: int = 10, span: int = 20, max_den: int = 12) -> list:
+def _rand_pairs(rng, max_len: int, span: int = 20, max_den: int = 12) -> list:
+    """(numerator, denominator) pairs, each drawn in that order."""
     n = int(rng.integers(1, max_len + 1))
     return [
-        Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, max_den + 1)))
+        (int(rng.integers(-span, span + 1)), int(rng.integers(1, max_den + 1)))
         for _ in range(n)
     ]
 
 
-def _pad_eq(u, v) -> bool:
-    """Exact equality after padding the shorter vector with zeros."""
-    n = max(len(u), len(v))
-    return list(u) + [Fraction(0)] * (n - len(u)) == list(v) + [Fraction(0)] * (n - len(v))
+def _rand_fracs(rng, max_len: int = 10) -> list:
+    return [Fraction(a, d) for a, d in _rand_pairs(rng, max_len)]
+
+
+def _rand_exact(rng, max_len: int) -> _Exact:
+    """The draws of ``_rand_fracs`` as integer numerators over their lcm."""
+    pairs = _rand_pairs(rng, max_len)
+    den = math.lcm(*(d for _, d in pairs))
+    return _Exact.of_ints([a * (den // d) for a, d in pairs], den)
 
 
 @_check(1, "symmetry+monotonicity")
@@ -202,9 +209,8 @@ def check_operator_constants(seed: int = 0):
             if not (1 - 1e-9) <= r <= 2 * (1 + 1e-9):
                 return False, f"{label}: ||Dx||/||x|| = {r}"
     for _ in range(200):
-        x = _rand_fracs(rng, max_len=16)
-        once = apply_array(AvgProject(), x)
-        if not _pad_eq(apply_array(AvgProject(), once), once):
+        once = apply_array(AvgProject(), _rand_exact(rng, max_len=16))
+        if not apply_array(AvgProject(), once).pad_equal(once):
             return False, "Q^2 != Q on a rational vector"
     return True, f"observed ||Dx||/||x|| in [{ratio_lo:.6f}, {ratio_hi:.6f}], Q idempotent on rationals"
 
@@ -226,20 +232,24 @@ def check_dyadic_sandwich(seed: int = 0):
 
 @_check(4, "intertwining exact")
 def check_intertwining_exact(seed: int = 0):
-    """(D-lam)S = S(shift-lam) and Q(D-lam) = (D-lam)Q, exact rationals."""
+    """(D-lam)S = S(shift-lam) and Q(D-lam) = (D-lam)Q, exact rationals.
+
+    Vectors stay integer numerators over one denominator from draw to
+    comparison; Fractions are built only to report a failure.
+    """
     rng = _rng(seed, 4)
     for _ in range(1000):
         lam = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        a = _rand_fracs(rng, max_len=8)
+        a = _rand_exact(rng, max_len=8)
         lhs = apply_array(DoublingMinusLambda(lam), apply_array(BlockEmbed(), a))
         rhs = apply_array(BlockEmbed(), apply_array(ShiftMinusLambda(lam), a))
-        if not _pad_eq(lhs, rhs):
-            return False, f"(D-{lam})S != S(shift-{lam}) on {a}"
-        x = _rand_fracs(rng, max_len=16)
+        if not lhs.pad_equal(rhs):
+            return False, f"(D-{lam})S != S(shift-{lam}) on {a.fractions().tolist()}"
+        x = _rand_exact(rng, max_len=16)
         lhs = apply_array(AvgProject(), apply_array(DoublingMinusLambda(lam), x))
         rhs = apply_array(DoublingMinusLambda(lam), apply_array(AvgProject(), x))
-        if not _pad_eq(lhs, rhs):
-            return False, f"Q(D-{lam}) != (D-{lam})Q on {x}"
+        if not lhs.pad_equal(rhs):
+            return False, f"Q(D-{lam}) != (D-{lam})Q on {x.fractions().tolist()}"
     return True, "both identities exact on 1000 rational vectors each"
 
 

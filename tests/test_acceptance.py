@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from symseq import spectral, verify
+from symseq import operators, spectral, verify
 
 
 def _gate(check_fn):
@@ -34,6 +34,45 @@ def test_criterion_03_dyadic_sandwich():
 
 def test_criterion_04_intertwining_exact():
     _gate(verify.check_intertwining_exact)
+
+
+def _break_exact_kernel(monkeypatch, kind, fault):
+    """Route every exact ``kind`` application through ``fault``."""
+    real = operators._apply_exact
+
+    def patched(op, x):
+        out = real(op, x)
+        return fault(op, x, out) if isinstance(op, kind) else out
+
+    monkeypatch.setattr(operators, "_apply_exact", patched)
+
+
+def test_criterion_04_detects_a_broken_intertwining(monkeypatch):
+    def lambda_one_late(op, x, out):
+        # (D - lam)x = (q Dx - p x) / q: subtract the p x term one entry later
+        p, n = op.lam.numerator, x.num.size
+        num = out.num.copy()
+        num[:n] += p * x.num
+        num[1 : n + 1] -= p * x.num
+        return out._replace(num=num)
+
+    _break_exact_kernel(monkeypatch, operators.DoublingMinusLambda, lambda_one_late)
+    r = verify.check_intertwining_exact()
+    assert not r.passed
+    assert "S != S(shift-" in r.detail
+
+
+def test_criterion_04_detects_a_broken_block_scaling(monkeypatch):
+    def first_block_doubled(op, x, out):
+        # block 0 scaled by 2^B, one factor of 2 past its 2^(B-1)
+        num = out.num.copy()
+        num[0] *= 2
+        return out._replace(num=num)
+
+    _break_exact_kernel(monkeypatch, operators.AvgProject, first_block_doubled)
+    r = verify.check_intertwining_exact()
+    assert not r.passed
+    assert r.detail.startswith("Q(D-")
 
 
 def test_criterion_05_index_round_trips():

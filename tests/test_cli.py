@@ -356,3 +356,19 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["f_interval"] == [2.0, 2.0]
+
+
+def test_requests_never_load_numpy_ma():
+    # numpy's first np.unique imports numpy.ma (~13 ms); no request needs it
+    code = (
+        "import sys\n"
+        "from symseq.cli import parse_args, run\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "for argv in (['fset', '--space', '{\"kind\":\"lp\",\"p\":2}'],\n"
+        "             ['fset', '--space', '{\"kind\":\"lpq\",\"p\":3,\"q\":2}'],\n"
+        "             ['norm', '--lattice', '{\"kind\":\"ex\",\"base\":{\"kind\":\"lpq\",\"p\":3,\"q\":2}}',\n"
+        "              '--vector', '[1, 2, 3]']):\n"
+        "    assert run(parse_args(argv)) == 0\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, capture_output=True)

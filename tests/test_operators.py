@@ -28,6 +28,7 @@ from symseq.operators import (
     DoublingMinusLambda,
     Shift,
     ShiftMinusLambda,
+    _Exact,
     apply_array,
     parse_operator,
 )
@@ -188,6 +189,47 @@ def test_exact_path_starts_at_any_fraction_entry():
     assert out.tolist() == [0, Fraction(1, 6), Fraction(1, 6)]
     assert all(type(v) is Fraction for v in out)
     assert apply_array(AvgProject(), [0, 0, 1]).dtype == np.float64
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 3), frac_vectors)
+def test_integer_numerators_match_the_fraction_path(zeros, xs):
+    # plain-int zeros may lead; _Exact in gives _Exact out, never a Fraction
+    xs = [0] * zeros + xs
+    for op in ALL_OPS + [Shift(-3), DilateDown(1), AvgProjectN(0)]:
+        out = apply_array(op, _Exact.of(xs))
+        assert isinstance(out, _Exact) and out.den > 0
+        assert out.num.dtype == np.int64
+        assert max(map(abs, out.num.tolist()), default=0) <= out.peak
+        got = [Fraction(v, out.den) for v in out.num.tolist()]
+        assert got == apply_array(op, xs).tolist() == apply_list(op, xs), op
+
+
+def test_numerators_past_int64_become_python_ints_instead_of_wrapping():
+    # each input fits in int64; each result needs more than 63 bits
+    xs = [Fraction(2**62), Fraction(2**62 - 1), Fraction(3)]
+    ex = _Exact.of(xs)
+    assert ex.num.dtype == np.int64
+    assert int(np.array([2**62, 2**62 - 1, 3], dtype=np.int64).sum()) < 0  # what int64 would do
+    for op in (DilateDown(3), AvgProject(), AvgProjectN(2), ShiftMinusLambda(Fraction(-3, 2)),
+               DoublingMinusLambda(Fraction(5, 2)), DoublingInverse()):
+        out = apply_array(op, ex)
+        assert out.num.dtype == object, op
+        assert [Fraction(v, out.den) for v in out.num.tolist()] == apply_list(op, xs), op
+    assert apply_array(DilateDown(3), xs).tolist() == [Fraction(2**63 + 2, 3)]
+    # a lambda past int64 on a zero vector: no OverflowError from numpy
+    zero = apply_array(ShiftMinusLambda(Fraction(2**70, 3)), _Exact.of([Fraction(0)] * 2))
+    assert zero.num.tolist() == [0, 0, 0]
+
+
+def test_pad_equal_compares_rationals_across_denominators():
+    a = _Exact.of([Fraction(1, 2), Fraction(1, 3)])
+    b = _Exact.of([Fraction(3, 6), Fraction(2, 6), Fraction(0), 0])
+    assert a.den != b.den or a.num.size != b.num.size
+    assert a.pad_equal(b) and b.pad_equal(a)
+    assert not a.pad_equal(_Exact.of([Fraction(1, 2), Fraction(1, 3), Fraction(1, 9)]))
+    # 5 * 2^62 wraps to 2^62 in int64, which would make 2^62 equal 2^62 / 5
+    assert not _Exact.of_ints([2**62], 1).pad_equal(_Exact.of_ints([2**62], 5))
 
 
 def test_apply_on_seq_round_trips():

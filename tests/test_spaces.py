@@ -267,6 +267,20 @@ def test_cached_tables_are_read_only():
         spaces._power_heads[-0.5][0] = 2.0
 
 
+def test_distinct_is_what_np_unique_returns():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 50, 1000):
+        a = rng.integers(1, 40, size).astype(np.int64)
+        want = np.unique(a)
+        got = spaces._distinct(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    probe = np.unique(np.concatenate([
+        np.arange(1, 65), 2 ** np.arange(0, 21), 2 ** np.arange(1, 21) - 1, 2 ** np.arange(1, 21) + 1,
+    ]).astype(np.int64))
+    assert spaces._WEIGHT_PROBE.dtype == probe.dtype
+    assert np.array_equal(spaces._WEIGHT_PROBE, probe)
+
+
 def test_import_builds_no_power_table():
     code = (
         "import symseq, symseq.cli, symseq.verify\n"
