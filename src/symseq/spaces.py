@@ -284,13 +284,18 @@ def _descending(x) -> tuple[np.ndarray, float]:
     """(b, scale): |x| sorted nonincreasing, trailing zeros dropped, as b = |x| / scale.
 
     scale = 2^e with 2^e <= max|x| < 2^(e+1), so b lies in [0, 2): powers of
-    b neither overflow nor underflow, and since dividing by a power of two is
-    exact, norms computed on b and multiplied back by scale round exactly as
-    the unscaled sums would wherever those are representable.  Sorting puts
+    b cannot overflow, and since dividing by a power of two is exact, norms
+    computed on b and multiplied back by scale round exactly as the unscaled
+    sums would wherever those are representable.  An entry far below the
+    largest can underflow to 0.0 in b and then adds nothing.  Sorting puts
     NaN and inf in the last slot, so one test of that entry rejects any
     non-finite input.  Anything but a 1-D vector raises ValueError.
+
+    b is a fresh C-contiguous array with a positive stride: the division by
+    scale writes the reversed sort into it, so the power passes of the
+    callers run on numpy's contiguous (SIMD) loops, not its strided ones.
     """
-    out = np.abs(np.asarray(x, dtype=float))  # a fresh array: sorted and scaled in place
+    out = np.abs(np.asarray(x, dtype=float))  # a fresh array: sorted in place
     if out.ndim != 1:
         raise ValueError(f"norm input must be a 1-D vector, got shape {out.shape}")
     out.sort()
@@ -300,8 +305,7 @@ def _descending(x) -> tuple[np.ndarray, float]:
     if nz == 0:
         return out[:0], 1.0
     scale = math.ldexp(1.0, math.frexp(out[-1])[1] - 1)
-    out /= scale
-    return out[::-1][:nz], scale
+    return out[::-1][:nz] / scale, scale
 
 
 # Tables of k^s, k = 1..n, one per exponent s: the power weights of Lorentz
@@ -405,12 +409,12 @@ def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) ->
     b = a / m
     w = 1.0 if weights is None else weights
     if N.p is not None:
-        pos = b > 0.0  # UN vectors have zero coordinates; log needs them out
-        if weights is not None:
-            w = w[pos]
+        # UN vectors have zero coordinates, and entries of a norm's b can
+        # underflow to 0.0; log needs them out
+        pos = b > 0.0
         b = b[pos]
-        wbp = w * b**N.p
-        s0 = float(np.sum(wbp))
+        wbp = b**N.p if weights is None else w[pos] * b**N.p
+        s0 = float(np.add.reduce(wbp))
         s1 = float(np.dot(wbp, np.log(b)))
         return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
 

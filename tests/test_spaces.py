@@ -211,6 +211,63 @@ def test_norm_rejects_non_vector_input(x):
             norm(sp, x)
 
 
+# the scaled rearrangement ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 4096])
+def test_descending_is_contiguous_nonincreasing_and_drops_zeros(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.25] = 0.0
+    x[: n // 2 : 5] = 0.0
+    b, scale = spaces._descending(x)
+    # a positive-stride C-contiguous array keeps b**p on numpy's SIMD loop;
+    # numpy gives an empty array whatever stride its input had (0 here)
+    assert b.flags.c_contiguous and (b.size == 0 or b.strides == (8,))
+    assert not np.shares_memory(b, x)
+    assert np.all(np.diff(b) <= 0.0)
+    assert b.size == np.count_nonzero(x) and np.all(b > 0.0)
+    assert np.array_equal(b * scale, np.sort(np.abs(x))[::-1][: b.size])
+    for bad in (math.nan, math.inf, -math.inf):
+        for pos in (0, n // 2, n):
+            with pytest.raises(ValueError, match="finite"):
+                spaces._descending(np.insert(x, pos, bad))
+
+
+def test_entries_that_underflow_in_the_rearrangement_add_nothing():
+    # 1e-300 / 2^996 underflows to 0.0 inside b; Orlicz norms must keep it
+    # out of log, every family must add nothing for it
+    b, _ = spaces._descending([1e300, 1e-300])
+    assert b.size == 2 and b[1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label, sp in BUILTIN_SPACES:
+            assert norm(sp, [1e300, 1e-300]) == norm(sp, [1e300]), label
+            assert norm(sp, [1e-300, 0.0, 1e300]) == norm(sp, [1e300]), label
+
+
+def _fsum_norm(space, x) -> float:
+    """l^p and l^{p,q} norms by math.fsum of math.pow terms, scaled by a power of two."""
+    a = sorted((abs(v) for v in x if v != 0.0), reverse=True)
+    scale = math.ldexp(1.0, math.frexp(a[0])[1] - 1)
+    c = [v / scale for v in a]
+    if isinstance(space, Lp):
+        return scale * math.pow(math.fsum(math.pow(v, space.p) for v in c), 1.0 / space.p)
+    s = space.q / space.p - 1.0
+    terms = (math.pow(v, space.q) * math.pow(k, s) for k, v in enumerate(c, start=1))
+    return scale * math.pow(math.fsum(terms), 1.0 / space.q)
+
+
+def test_lp_and_lpq_norms_agree_with_an_fsum_reference():
+    rng = np.random.default_rng(77)
+    for sp in [Lp(1.0), Lp(1.5), Lp(2.0), Lp(3.0), Lp(6.0), LpQ(2.0, 4.0)]:
+        for n in (1, 2, 17, 256, 1000, 4096):
+            for log10_c in rng.uniform(-250.0, 250.0, 4).tolist() + [-250.0, 250.0]:
+                x = rng.standard_normal(n) * 10.0**log10_c
+                want = _fsum_norm(sp, x.tolist())
+                assert abs(norm(sp, x) - want) <= 1e-15 * want, (sp, n, log10_c)
+
+
 # power tables -----------------------------------------------------------------
 
 GROWTH_LENGTHS = [1, 2, 3, 4, 5, 15, 16, 17, 100, 255, 256, 257, 1000, 4095, 4096, 4097,
