@@ -285,7 +285,8 @@ def _format(config: RunConfig, default: str = "json") -> str:
 
 
 def _method(spec) -> str:
-    """Provenance tag of a norm: Orlicz values come from a root solve."""
+    """Provenance tag of a norm: Orlicz values, UN(N) = EX(Orlicz(N)) among
+    them, come from a root solve."""
     if isinstance(spec, EX):
         spec = spec.base
     return "root_find" if isinstance(spec, (Orlicz, UN)) else "closed_form"

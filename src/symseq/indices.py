@@ -208,8 +208,6 @@ def index_report(
     n_max: int = 16,
     j_max: int = 1 << 14,
     k_max: int = 200,
-    dim: int | None = None,
-    seed: int | None = None,
 ) -> IndexReport:
     """Full index report; all four indices come from one profile pass.
 
@@ -237,8 +235,8 @@ def index_report(
             "n_max": n_max,
             "j_max": j_max,
             "k_max": k_max,
-            "dim": dim,
-            "seed": seed,
+            "dim": None,  # schema keys: the report takes no dimension or seed
+            "seed": None,
         },
     )
 

@@ -114,120 +114,115 @@ def block_weights_from_lorentz(q: float, w: WeightSeq) -> Callable[[np.ndarray],
     return mu
 
 
-def _lp_from_logs(p: float, logs: np.ndarray) -> list:
-    """(sum_j 2^logs_j)^(1/p) for each row, scaled by the row max against overflow.
+def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
+    """||S a||_p of each row in closed form: block k adds a_k^p 2^(k-1).
 
-    The closing 2^(m/p) s^(1/p) is scalar pow, one row at a time: array pow
-    rounds an ulp away from it on some inputs.
+    The sum runs in the log domain, scaled by the row max: the block sizes
+    overflow past k ~ 1023.  A row sums its nonzero entries alone (zeros
+    would regroup the pairwise sum), and rows with equally many share one
+    array pass.  The closing 2^(m/p) s^(1/p) is scalar pow, row by row:
+    array pow rounds an ulp away from it on some inputs.
     """
-    m = np.max(logs, axis=1)
-    s = np.sum(2.0 ** (logs - m[:, None]), axis=1)
-    return [2.0 ** (mi / p) * si ** (1.0 / p) for mi, si in zip(m.tolist(), s)]
-
-
-def _ex_norm_lp(p: float, a: np.ndarray):
-    """||S a||_p in closed form along the last axis: block k adds |a_k|^p 2^(k-1).
-
-    A 1-D vector gives a float.  A 2-D stack gives one norm per row, each
-    bit-identical to the 1-D call on that row: rows free of zeros share one
-    array pass, and a row holding an exact zero takes the 1-D call, which
-    sums its nonzero entries alone (zeros left in would regroup the sum).
-    Takes finite a, as ``lattice_norm`` checks it.
-    """
-    a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
-    if a.ndim > 1:
-        if p == math.inf or a.shape[1] == 0:
-            return a.max(axis=1, initial=0.0)
-        out = np.empty(a.shape[0])
-        full = np.all(a > 0.0, axis=1)
-        out[full] = _lp_from_logs(p, p * np.log2(a[full]) + np.arange(a.shape[1], dtype=float))
-        out[~full] = [_ex_norm_lp(p, row) for row in a[~full]]
-        return out
-    if a.size == 0:
-        return 0.0
     if p == math.inf:
-        return float(a.max())
-    k = np.arange(a.size, dtype=float)
-    # log-domain sum: the 2^(k-1) block cardinalities overflow beyond k ~ 1023
-    nz = a > 0.0
-    if not np.any(nz):
-        return 0.0
-    return float(_lp_from_logs(p, (p * np.log2(a[nz]) + k[nz])[None, :])[0])
+        return rows.max(axis=1, initial=0.0)
+    live = rows > 0.0
+    counts = np.add.reduce(live, axis=1)
+    out = np.zeros(rows.shape[0])
+    for c in set(counts.tolist()) - {0}:
+        sel = counts == c
+        if c == rows.shape[1]:  # rows free of zeros need no compacting
+            v, k = rows[sel], np.arange(c)
+        else:
+            i, k = np.nonzero(live & sel[:, None])
+            v, k = rows[i, k].reshape(-1, c), k.reshape(-1, c)
+        logs = p * np.log2(v) + k
+        m = logs.max(axis=1)
+        s = np.add.reduce(2.0 ** (logs - m[:, None]), axis=1)
+        out[sel] = [2.0 ** (mi / p) * si ** (1.0 / p) for mi, si in zip(m.tolist(), s.tolist())]
+    return out
 
 
-def _ex_norm_sorted(base: LpQ | Lorentz, a: np.ndarray):
-    """||S a|| along the last axis for a Lorentz or l^{p,q} base, in closed form.
+def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray) -> np.ndarray:
+    """||S a|| of each row for a Lorentz or l^{p,q} base, in closed form.
 
-    Block k holds 2^(k-1) entries, so S a sorted runs through the sorted |a|,
-    c_1 >= c_2 >= ..., run i ending at P_i < 2^63: the norm is (sum c_i^q
+    Block k holds 2^(k-1) entries, so S a sorted runs through the sorted
+    row, c_1 >= c_2 >= ..., run i ending at P_i < 2^63: the norm is (sum c_i^q
     (W(P_i) - W(P_{i-1})))^(1/q), or max c_i P_i^(1/p) for q = inf.  Rows
-    are scaled as in ``_descending``.  A stack makes one ``_weight_sums``
-    call; for power and array weights each row equals its 1-D call bit for bit.
-    Takes finite a, as ``lattice_norm`` checks it.
+    are scaled as in ``_descending``, and all of them share one
+    ``_weight_sums`` call.
     """
-    a = np.abs(np.atleast_1d(np.asarray(a, dtype=float)))
-    if a.shape[-1] > 63:
+    if rows.shape[1] > 63:
         raise ValueError("EX norm needs at most 63 blocks (run ends below 2^63)")
-    rows = a.reshape(-1, a.shape[-1])
     order = np.argsort(-rows, axis=1, kind="stable")
     scale = np.ldexp(1.0, np.frexp(rows.max(axis=1, initial=0.0))[1] - 1)
     c = np.take_along_axis(rows, order, axis=1) / scale[:, None]
     ends = np.cumsum(np.left_shift(1, order), axis=1)
     if base.q == math.inf:
-        out = scale * np.max(c * ends ** (1.0 / base.p), axis=1, initial=0.0)
-    else:
-        live = c > 0.0  # zeros sort last and add nothing
-        pts = _distinct(ends[live])
-        w = np.zeros(c.shape)
-        w[live] = _weight_sums(base, pts)[np.searchsorted(pts, ends[live])]
-        s = np.sum(c**base.q * np.diff(w, axis=1, prepend=0.0), axis=1)
-        out = scale * s ** (1.0 / base.q)
-    return out if a.ndim > 1 else float(out[0])
+        return scale * np.max(c * ends ** (1.0 / base.p), axis=1, initial=0.0)
+    live = c > 0.0  # zeros sort last and add nothing
+    pts = _distinct(ends[live])
+    w = np.zeros(c.shape)
+    w[live] = _weight_sums(base, pts)[np.searchsorted(pts, ends[live])]
+    s = np.sum(c**base.q * np.diff(w, axis=1, prepend=0.0), axis=1)
+    return scale * s ** (1.0 / base.q)
+
+
+# 2^(k-1), k = 1..64: the dyadic block cardinalities
+_BLOCK_SIZES = 2.0 ** np.arange(64)
+
+
+def _ex_norm_orlicz(N: OrliczFn, rows: np.ndarray) -> list:
+    """||S a|| of each row for an Orlicz base: block k holds 2^(k-1) equal
+    entries, so the modular of S a weights a_k by 2^(k-1) (the UN norm)."""
+    if rows.shape[1] > 64:
+        raise ValueError("UN norm supports at most 64 coordinates")
+    w = _BLOCK_SIZES[: rows.shape[1]]
+    return [_luxemburg(N, rows[i], weights=w) for i in range(rows.shape[0])]
 
 
 def lattice_norm(lat: LatticeSpec, a):
     """Norm of the coordinate vector a in the lattice.
 
-    A 2-D stack gives one norm per row: one closed-form pass for EX over
-    l^p, l^{p,q} and Lorentz, one row at a time for every other lattice.
-    NaN or inf anywhere raises ValueError on every lattice: max propagates
-    NaN, so one max of |a| tests every entry.
+    |a| is read once, as rows along its last axis: a vector or a scalar
+    gives a float, a stack one norm per row (shape a.shape[:-1]), each
+    bit-identical to its 1-D call.  Each family takes all rows in one
+    kernel: closed forms for EX over l^p, l^{p,q} and Lorentz and for
+    WeightedLq, one Luxemburg root per row for Orlicz and UN.  NaN or inf
+    anywhere raises ValueError: max propagates NaN, so one max tests all.
     """
-    arr = np.asarray(a, dtype=float)
-    if arr.size and not math.isfinite(np.abs(arr).max()):
+    arr = np.abs(np.asarray(a, dtype=float))
+    rows = arr.reshape(1, -1) if arr.ndim < 2 else arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+    if rows.size and not math.isfinite(rows.max()):
         raise ValueError("norm input must be finite")
-    if isinstance(lat, EX) and isinstance(lat.base, Lp):
-        return _ex_norm_lp(lat.base.p, arr)
-    if isinstance(lat, EX) and isinstance(lat.base, (LpQ, Lorentz)):
-        return _ex_norm_sorted(lat.base, arr)
-    if isinstance(lat, EX) and isinstance(lat.base, Orlicz):
-        # block k holds 2^(k-1) equal entries: the modular of S a is UN's
-        return lattice_norm(UN(lat.base.N), arr)
-    if arr.ndim > 1:
-        return np.array([lattice_norm(lat, row) for row in arr])
-    if arr.size == 0:
-        return 0.0
-    if isinstance(lat, WeightedLq):
-        mu = np.asarray(lat.mu(np.arange(1.0, arr.size + 1.0)), dtype=float)
-        return float(np.sum((np.abs(arr) * mu) ** lat.q) ** (1.0 / lat.q))
-    if isinstance(lat, UN):
-        if arr.size > 64:
-            raise ValueError("UN norm supports at most 64 coordinates")
-        return _luxemburg(lat.N, np.abs(arr), weights=2.0 ** np.arange(arr.size))
-    raise TypeError(f"unknown lattice spec {lat!r}")
+    # UN(N) is EX(Orlicz(N)), so a UN stands for its own Orlicz base
+    base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
+    if isinstance(base, Lp):
+        out = _ex_norm_lp(base.p, rows)
+    elif isinstance(base, (LpQ, Lorentz)):
+        out = _ex_norm_sorted(base, rows)
+    elif isinstance(base, (Orlicz, UN)):
+        out = _ex_norm_orlicz(base.N, rows)
+    elif isinstance(lat, WeightedLq):
+        mu = np.asarray(lat.mu(np.arange(1.0, rows.shape[1] + 1.0)), dtype=float)
+        out = [s ** (1.0 / lat.q) for s in np.add.reduce((rows * mu) ** lat.q, axis=1).tolist()]
+    else:
+        raise TypeError(f"unknown lattice spec {lat!r}")
+    return float(out[0]) if arr.ndim < 2 else np.reshape(out, arr.shape[:-1])
 
 
 def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
-    """s_k = ||e_k|| for k = 1..k_max."""
+    """s_k = ||e_k|| for k = 1..k_max: phi(2^(k-1)) of an EX base, mu_k on
+    WeightedLq.  UN(N) is EX(Orlicz(N)), where one vector solve gives
+    s_k = 1 / N^{-1}(2^(1-k))."""
     if k_max < 1:
         raise ValueError("unit_norms needs k_max >= 1")
+    base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
+    if isinstance(base, (Orlicz, UN)):
+        return 1.0 / _orlicz_inverse_vec(base.N, 2.0 ** -np.arange(k_max))
     if isinstance(lat, EX):
         return np.array([fundamental_function(lat.base, 1 << k) for k in range(k_max)])
     if isinstance(lat, WeightedLq):
         return np.asarray(lat.mu(np.arange(1.0, k_max + 1.0)), dtype=float)
-    if isinstance(lat, UN):
-        k = np.arange(1, k_max + 1)
-        return 1.0 / _orlicz_inverse_vec(lat.N, 2.0 ** (1.0 - k))
     raise TypeError(f"unknown lattice spec {lat!r}")
 
 

@@ -332,7 +332,11 @@ def _geom_profile_residuals(lat: EX, lam: float, rho: np.ndarray, m: int) -> np.
     return _block_residual(lat, lam, rho[:, None] ** np.arange(m, dtype=float))[0]
 
 
-def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
+# seeded starts per scan point, beside the fixed spread ones
+_RESTARTS = 8
+
+
+def _scan_point_lp(lam: float, lat: EX, dim: int, rng) -> tuple[float, str, dict]:
     mgrid = 2 ** np.arange(0, int(math.log2(dim)) + 1)
     fam = _orbit_family_residual(lam, lat.base.p, mgrid)
     best_i = int(np.argmin(fam))
@@ -344,7 +348,7 @@ def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[f
     # tries rho -+ step for every live start in one stack, then applies the
     # per-start rules (take the lower side first, halve when neither helps)
     window = min(dim, 64)
-    rho = np.concatenate((np.linspace(0.05, 1.45, 15), rng.uniform(0.05, 1.45, restarts)))
+    rho = np.concatenate((np.linspace(0.05, 1.45, 15), rng.uniform(0.05, 1.45, _RESTARTS)))
     step = np.full(rho.size, 0.1)
     val = _geom_profile_residuals(lat, lam, rho, window)
     while (live := np.flatnonzero(step > 1e-4)).size:
@@ -364,11 +368,11 @@ def _scan_point_lp(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[f
     return best, method, params
 
 
-def _scan_point_general(lam: float, lat: EX, dim: int, restarts: int, rng) -> tuple[float, str, dict]:
+def _scan_point_general(lam: float, lat: EX, dim: int, rng) -> tuple[float, str, dict]:
     blocks = max(1, int(math.log2(max(dim, 2))))
     best, method, params = math.inf, "operator_search", {}
     for m in range(1, blocks + 1):
-        rhos = np.concatenate((np.array([1.0 / lam]), np.linspace(0.1, 1.2, 12), rng.uniform(0.05, 1.4, restarts)))
+        rhos = np.concatenate((np.array([1.0 / lam]), np.linspace(0.1, 1.2, 12), rng.uniform(0.05, 1.4, _RESTARTS)))
         for rho, r in zip(rhos.tolist(), _geom_profile_residuals(lat, lam, rhos, m).tolist()):
             if r < best:
                 best, params = r, {"m": m, "rho": rho}
@@ -379,7 +383,6 @@ def residual_scan(
     space: SpaceSpec,
     lambda_grid,
     dim: int = 1 << 14,
-    restarts: int = 8,
     seed: int = 7,
 ) -> list[ScanPoint]:
     """Upper estimates of inf_{||x||=1} ||(D - lambda)x|| over a lambda grid.
@@ -393,7 +396,7 @@ def residual_scan(
     other spaces m <= log2(dim), so ``dim`` bounds the support 2^m - 1.  A
     ``dim`` of 2^63 or more (past int64 block positions) is refused at once.
 
-    The l^p descent runs every start (15 spread, ``restarts`` seeded) in
+    The l^p descent runs every start (15 spread, 8 seeded) in
     lockstep: each round evaluates the candidates rho -+ step of all live
     starts as one stack of profiles, then applies each start's accept and
     halve rules to its own row.  Both candidates of a round come from the
@@ -414,9 +417,9 @@ def residual_scan(
         # depend on grid order or partitioning, so scans parallelize cleanly
         rng = np.random.default_rng([seed, int(np.float64(lam).view(np.uint64))])
         if isinstance(space, Lp) and space.p != math.inf:
-            est, method, params = _scan_point_lp(lam, lat, dim, restarts, rng)
+            est, method, params = _scan_point_lp(lam, lat, dim, rng)
         else:
-            est, method, params = _scan_point_general(lam, lat, dim, restarts, rng)
+            est, method, params = _scan_point_general(lam, lat, dim, rng)
         out.append(ScanPoint(lam=lam, estimate=est, method=method, params=params, dim=dim, seed=seed))
     return out
 

@@ -29,6 +29,7 @@ from symseq.spaces import (
     WeightSeq,
     fundamental_function,
     norm,
+    orlicz_inverse,
     power_weights,
 )
 from symseq.operators import BlockEmbed, apply_array
@@ -148,6 +149,73 @@ def test_ex_lp_and_un_norms_reject_non_finite_input(bad):
             lattice_norm(lat, [math.nan, bad, 1.0])
     with pytest.raises(ValueError, match="norm input must be finite"):
         lattice_norm(UN(OrliczFn(fn=lambda t: np.asarray(t, dtype=float) ** 2)), [1.0, bad])
+
+
+# One row contract for every lattice: N(t) = (t^2 + t^3) / 2 is a custom
+# Orlicz function, solved on its modular rather than by the moment form.
+_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0, label="custom")
+_ROW_NS = {
+    "power": OrliczFn.power(1.5),
+    "power_log": OrliczFn.power_log(2.0, 0.6),
+    "custom": _CUSTOM_N,
+}
+_ARRAY_W = WeightSeq(kind="array", data=tuple(1.0 / np.sqrt(np.arange(1.0, 5000.0))))
+ROW_LATTICES = {
+    **{f"ex_l{p}": EX(Lp(p)) for p in (1.0, 2.0, 3.0, math.inf)},
+    "ex_l3_2": EX(LpQ(3.0, 2.0)),
+    "ex_l3_inf": EX(LpQ(3.0, math.inf)),
+    "ex_lorentz_power": EX(Lorentz(2.0, power_weights(0.25))),
+    "ex_lorentz_array": EX(Lorentz(1.5, _ARRAY_W)),
+    **{f"ex_orlicz_{k}": EX(Orlicz(N)) for k, N in _ROW_NS.items()},
+    **{f"un_{k}": UN(N) for k, N in _ROW_NS.items()},
+    "wlq_geometric": lattice_from_json({"kind": "wlq", "q": 2.0, "weights": {"form": "geometric", "ratio": 1.3}}),
+    "wlq_array": lattice_from_json(
+        {"kind": "wlq", "q": 1.5, "weights": {"form": "array", "values": [1.0 + k / 4 for k in range(16)]}}
+    ),
+    "wlq_lorentz_blocks": lattice_from_json(
+        {"kind": "wlq", "q": 2.0, "weights": {"form": "lorentz_blocks", "weights": {"form": "power", "theta": 0.25}}}
+    ),
+}
+
+
+@pytest.mark.parametrize("lat", ROW_LATTICES.values(), ids=ROW_LATTICES.keys())
+def test_every_row_of_a_stack_is_its_one_row_norm(lat):
+    rng = np.random.default_rng(37)
+    stack = rng.standard_normal((7, 12)) * 10.0 ** rng.integers(-100, 101, (7, 1))
+    stack[1, 4] = 0.0
+    stack[2] = 0.0
+    stack[3, ::2] = 0.0
+    stack[4, [0, 11]] = 0.0
+    stack[5, :11] = 0.0
+    got = lattice_norm(lat, stack)
+    assert got.shape == (7,) and got[2] == 0.0
+    one = np.array([lattice_norm(lat, row) for row in stack])
+    assert got.tobytes() == one.tobytes()
+    assert lattice_norm(lat, stack.reshape(7, 1, 12)).tobytes() == got.tobytes()
+    for row in stack:
+        assert type(lattice_norm(lat, row)) is float
+    value = lattice_norm(lat, -2.5)
+    assert type(value) is float and value == lattice_norm(lat, [2.5])
+    assert lattice_norm(lat, np.zeros(0)) == 0.0
+    assert lattice_norm(lat, np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert lattice_norm(lat, np.zeros((0, 12))).shape == (0,)
+
+
+@pytest.mark.parametrize("N", _ROW_NS.values(), ids=_ROW_NS.keys())
+def test_un_and_ex_orlicz_unit_norms_are_one_inverse_solve(N):
+    un = unit_norms(UN(N), 64)
+    ex = unit_norms(EX(Orlicz(N)), 64)
+    want = np.array([1.0 / orlicz_inverse(N, 2.0 ** -k) for k in range(64)])
+    assert un.tobytes() == ex.tobytes() == want.tobytes()
+
+
+def test_a_space_is_not_a_lattice():
+    # UN stands for its own Orlicz base; a bare space stands for nothing
+    for space in (Lp(2.0), Orlicz(OrliczFn.power(2.0)), Lorentz(2.0, power_weights(0.25))):
+        with pytest.raises(TypeError, match="unknown lattice spec"):
+            lattice_norm(space, [1.0, 2.0])
+        with pytest.raises(TypeError, match="unknown lattice spec"):
+            unit_norms(space, 4)
 
 
 def test_unit_norms_are_fundamental_values():

@@ -117,3 +117,19 @@ def test_partial_sum_kernels_stay_in_spaces():
         called = {n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
                   for n in ast.walk(tree) if isinstance(n, ast.Call)}
         assert not (defined | called) & _SUM_KERNELS, path.name
+
+
+def _self_calls(path, name: str) -> list[int]:
+    """Lines where the top-level function ``name`` calls itself by name."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name) and n.func.id == name]
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+# One row contract: every lattice hands all rows to one kernel per family,
+# so neither entry point walks the rows or a UN / EX(Orlicz) detour itself.
+@pytest.mark.parametrize("name", ["lattice_norm", "unit_norms"])
+def test_lattice_entry_points_do_not_recurse(name):
+    assert _self_calls(SRC / "lattices.py", name) == []

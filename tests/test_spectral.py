@@ -431,15 +431,17 @@ def test_row_wise_lp_block_norms_are_the_one_row_norms():
     long_rows = np.abs(rng.standard_normal((3, 1100))) * 2.0**-200
     long_rows[1, 1050] = 0.0
     for p in (1.0, 1.25, 2.0, 3.0, 6.0, math.inf):
+        lat = EX(Lp(p))
         for stack in (rows, long_rows):
-            got = lattices._ex_norm_lp(p, stack)
-            one = np.array([lattices._ex_norm_lp(p, r) for r in stack])
+            got = lattice_norm(lat, stack)
+            one = np.array([lattice_norm(lat, r) for r in stack])
             ref = np.array([reference_ex_norm_lp(p, r) for r in stack])
             assert got.tobytes() == one.tobytes() == ref.tobytes(), p
-            assert lattice_norm(EX(Lp(p)), stack).tobytes() == got.tobytes()
+            assert lattices._ex_norm_lp(p, np.abs(stack)).tobytes() == got.tobytes()
+    assert lattice_norm(EX(Lp(2.0)), np.zeros((2, 0))).tolist() == [0.0, 0.0]
     assert lattices._ex_norm_lp(2.0, np.zeros((2, 0))).tolist() == [0.0, 0.0]
-    assert lattices._ex_norm_lp(2.0, np.zeros(0)) == 0.0
-    assert type(lattices._ex_norm_lp(2.0, rows[0])) is float
+    assert lattice_norm(EX(Lp(2.0)), np.zeros(0)) == 0.0
+    assert type(lattice_norm(EX(Lp(2.0)), rows[0])) is float
     assert lattice_norm(EX(Lp(2.0)), -3.0) == 3.0
 
 
@@ -448,9 +450,9 @@ def test_lp_scan_point_batches_its_block_norms(monkeypatch):
     calls = []
     real = lattices._ex_norm_lp
 
-    def counting(p, a):
-        calls.append(np.shape(a))
-        return real(p, a)
+    def counting(p, rows):
+        calls.append(np.shape(rows))
+        return real(p, rows)
 
     monkeypatch.setattr(lattices, "_ex_norm_lp", counting)
     residual_scan(Lp(2.0), [1.3], dim=1 << 14)
