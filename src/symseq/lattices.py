@@ -203,8 +203,12 @@ def lattice_norm(lat: LatticeSpec, a):
     elif isinstance(base, (Orlicz, UN)):
         out = _ex_norm_orlicz(base.N, rows)
     elif isinstance(lat, WeightedLq):
-        mu = np.asarray(lat.mu(np.arange(1.0, rows.shape[1] + 1.0)), dtype=float)
-        out = [s ** (1.0 / lat.q) for s in np.add.reduce((rows * mu) ** lat.q, axis=1).tolist()]
+        # each row of mu |a| is scaled as in _descending before the power,
+        # so no term over- or underflows where the norm is representable
+        v = rows * np.asarray(lat.mu(np.arange(1.0, rows.shape[1] + 1.0)), dtype=float)
+        scale = np.ldexp(1.0, np.frexp(v.max(axis=1, initial=0.0))[1] - 1)
+        s = np.add.reduce((v / scale[:, None]) ** lat.q, axis=1)
+        out = [c * t ** (1.0 / lat.q) for c, t in zip(scale.tolist(), s.tolist())]
     else:
         raise TypeError(f"unknown lattice spec {lat!r}")
     return float(out[0]) if arr.ndim < 2 else np.reshape(out, arr.shape[:-1])

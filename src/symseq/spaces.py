@@ -10,8 +10,12 @@ Four families are supported, all rearrangement invariant:
 * ``Orlicz(N)``        -- the Luxemburg norm inf{u > 0 : sum N(|x_k|/u) <= 1}
                           for a normalized convex Orlicz function N.
 
-Here x* denotes the decreasing rearrangement.  Every norm evaluates the
-rearrangement first, so permutation invariance is exact by construction.
+Here x* denotes the decreasing rearrangement.  Only the l^{p,q} and Lorentz
+norms weight x*_k by its position, so only they sort, and they are exactly
+permutation invariant.  The l^p sum and the Orlicz modular read |x| in input
+order, so a permutation moves them by rounding in the pairwise sums alone:
+the tests bound it by 1e-15 relative, and by 4 _ROOT_TOL for an Orlicz
+function solved by bracketing.  The l^inf norm is a max and does not move.
 
 The built-in Orlicz functions ``OrliczFn.power`` and ``OrliczFn.power_log``
 have the moment form N(t) = t^p (1 + a |ln t|) and carry p and a.  For them
@@ -280,6 +284,23 @@ class Orlicz:
 SpaceSpec = Union[Lp, LpQ, Lorentz, Orlicz]
 
 
+def _magnitudes(x) -> tuple[np.ndarray, float]:
+    """(|x|, max |x|): the input read once, in its own order, for the families
+    whose norm does not depend on it (l^p and Orlicz).
+
+    |x| is a fresh array.  np.maximum.reduce propagates NaN and inf, so one
+    test of the max rejects any non-finite input; an empty x has max 0.0.
+    Anything but a 1-D vector raises ValueError.
+    """
+    a = np.abs(np.asarray(x, dtype=float))
+    if a.ndim != 1:
+        raise ValueError(f"norm input must be a 1-D vector, got shape {a.shape}")
+    m = float(np.maximum.reduce(a, initial=0.0))
+    if not math.isfinite(m):
+        raise ValueError("norm input must be finite")
+    return a, m
+
+
 def _descending(x) -> tuple[np.ndarray, float]:
     """(b, scale): |x| sorted nonincreasing, trailing zeros dropped, as b = |x| / scale.
 
@@ -386,34 +407,43 @@ def _bracketed_root(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) -> float:
+def _luxemburg(
+    N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None, m: float | None = None
+) -> float:
     """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for nonnegative a, weights w_k >= 1.
 
-    The weights default to 1 (the Orlicz norm); ``UN`` passes 2^(k-1).  With
-    m = max(a) and b = a/m the norm is m v for v in [1, sum w_k b_k]: v < 1
+    The weights default to 1 (the Orlicz norm); ``UN`` passes 2^(k-1).  m is
+    max(a), taken here unless the caller has it (``norm`` does).  With
+    b = a/m, divided once, the norm is m v for v in [1, sum w_k b_k]: v < 1
     gives N(1/v) > 1 at the largest coordinate, and v = sum w_k b_k is
     admissible because convexity gives N(t) <= t on [0, 1].  The returned v
     is admissible (the modular at it is at most 1 up to rounding) and within
-    a few _ROOT_TOL of the least admissible v.
+    a few _ROOT_TOL of the least admissible v.  The sums run over a in the
+    order given, so no rearrangement is needed.
 
     When N carries its moment form t^p (1 + a |ln t|), b <= 1 <= v gives
     |ln(b/v)| = ln v - ln b, so the modular is v^-p (A + B ln v) with
     S0 = sum w b^p, S1 = sum w b^p ln b <= 0, A = S0 - a S1 >= 1, B = a S0;
-    ``_moment_root`` solves it without evaluating N.  Any other N is solved
-    by ``_bracketed_root`` on the modular itself.  Takes finite a, as
-    ``norm`` and ``lattices.lattice_norm`` check it.
+    ``_moment_root`` solves it without evaluating N.  Zeros of b (zero
+    coordinates, or entries that underflow in a/m) are compacted out of the
+    log only when there are any, so a zero-free b and the same b with zeros
+    give bit-identical sums.  Any other N is solved by ``_bracketed_root``
+    on the modular itself.  Takes finite a, as ``norm`` and
+    ``lattices.lattice_norm`` check it.
     """
-    m = float(a.max()) if a.size else 0.0
+    if m is None:
+        m = float(np.maximum.reduce(a, initial=0.0))
     if m == 0.0:
         return 0.0
     b = a / m
     w = 1.0 if weights is None else weights
     if N.p is not None:
-        # UN vectors have zero coordinates, and entries of a norm's b can
-        # underflow to 0.0; log needs them out
-        pos = b > 0.0
-        b = b[pos]
-        wbp = b**N.p if weights is None else w[pos] * b**N.p
+        if np.count_nonzero(b) < b.size:
+            pos = b > 0.0
+            b = b[pos]
+            if weights is not None:
+                w = w[pos]
+        wbp = b**N.p if weights is None else w * b**N.p
         s0 = float(np.add.reduce(wbp))
         s1 = float(np.dot(wbp, np.log(b)))
         return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
@@ -453,30 +483,38 @@ def _moment_root(p: float, A: float, B: float) -> float:
 def norm(space: SpaceSpec, x) -> float:
     """Norm of x in the given space (quasi-norm for LpQ with q > p).
 
-    Every family evaluates the scaled rearrangement b = |x|* / scale of
-    ``_descending`` and multiplies back, so wide-magnitude inputs stay finite.
-    Power weights (Lorentz with ``theta``, l^{p,q}) come from the cached
-    k^s tables of ``_powers``.
+    l^{p,q} and Lorentz norms weight x*_k by its position, so they evaluate
+    the scaled rearrangement b = |x|* / scale of ``_descending`` and
+    multiply back; their power weights (Lorentz with ``theta``, l^{p,q})
+    come from the cached k^s tables of ``_powers``.  l^p and Orlicz norms
+    do not depend on the order of x: they read |x| in input order through
+    ``_magnitudes``, with one max pass and no sort.  l^p sums
+    (|x| / scale)^p for the same power of two scale, and l^inf is the max;
+    Orlicz hands the max to ``_luxemburg``.  Either way wide-magnitude
+    inputs stay finite.
     """
-    b, scale = _descending(x)
-    if b.size == 0:
-        return 0.0
-    if isinstance(space, Lp):
-        if space.p == math.inf:
-            return scale * float(b[0])
-        return scale * float(np.add.reduce(b ** space.p) ** (1.0 / space.p))
-    if isinstance(space, LpQ):
-        if space.q == math.inf:
-            return scale * float(np.max(b * _powers(1.0 / space.p, b.size)))
-        s = np.add.reduce(b ** space.q * _powers(space.q / space.p - 1.0, b.size))
-        return scale * float(s ** (1.0 / space.q))
-    if isinstance(space, Lorentz):
+    if isinstance(space, (LpQ, Lorentz)):
+        b, scale = _descending(x)
+        if b.size == 0:
+            return 0.0
+        if isinstance(space, LpQ):
+            if space.q == math.inf:
+                return scale * float(np.max(b * _powers(1.0 / space.p, b.size)))
+            s = np.add.reduce(b ** space.q * _powers(space.q / space.p - 1.0, b.size))
+            return scale * float(s ** (1.0 / space.q))
         theta = space.w.theta
         w = space.w.values(b.size) if theta is None else _powers(-theta, b.size)
         return scale * float(np.add.reduce((b * w) ** space.q) ** (1.0 / space.q))
+    a, m = _magnitudes(x)
     if isinstance(space, Orlicz):
-        return scale * _luxemburg(space.N, b)
-    raise TypeError(f"unknown space spec {space!r}")
+        return _luxemburg(space.N, a, m=m)
+    if not isinstance(space, Lp):
+        raise TypeError(f"unknown space spec {space!r}")
+    if m == 0.0 or space.p == math.inf:
+        return m
+    scale = math.ldexp(1.0, math.frexp(m)[1] - 1)
+    a /= scale
+    return scale * float(np.add.reduce(a**space.p) ** (1.0 / space.p))
 
 
 def orlicz_inverse(N: OrliczFn, s: float) -> float:

@@ -1,6 +1,8 @@
 """Dyadic-block lattices: closed-form norms, shift exponents, equivalences."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,6 +246,36 @@ def test_weighted_lq_norm_definition():
     lat = WeightedLq(q=2.0, mu=lambda k: np.asarray(k, dtype=float))
     # ||a|| = (sum |a_k mu_k|^q)^(1/q)
     assert lattice_norm(lat, [1.0, 1.0]) == pytest.approx(math.sqrt(5.0))
+
+
+def _exact_wlq2(mu, a) -> float:
+    """(sum (mu_k a_k)^2)^(1/2) from the exact rational sum, one rounding before sqrt."""
+    s = sum((Fraction(float(m)) * Fraction(float(v))) ** 2 for m, v in zip(mu, a))
+    k = (s.numerator.bit_length() - s.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(s / Fraction(4) ** k), k)
+
+
+def test_weighted_lq_rows_are_scaled_before_the_power():
+    # neither (1e200)^2 nor (1e-200)^2 is a float; the norms are
+    geo = lattice_from_json({"kind": "wlq", "q": 2.0, "weights": {"form": "geometric", "ratio": 1.3}})
+    lats = [geo, lattice_from_json({"kind": "wlq", "q": 1.5, "weights": {"form": "geometric", "ratio": 1.1}}),
+            WeightedLq(2.0, block_weights_from_lorentz(2.0, power_weights(0.25)))]
+    rng = np.random.default_rng(43)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lattice_norm(geo, [1e200, 1.0]) == 1e200
+        assert lattice_norm(geo, [1e-200]) == 1e-200
+        for n in (1, 2, 7, 30):
+            x = rng.standard_normal(n)
+            mu = geo.mu(np.arange(1.0, n + 1.0))
+            for e in (-250, 0, 250):
+                want = _exact_wlq2(mu, x * 10.0**e)
+                assert abs(lattice_norm(geo, x * 10.0**e) - want) <= 1e-15 * want
+            # scaling by a power of two is exact, so the norm scales exactly
+            for lat in lats:
+                one = lattice_norm(lat, x)
+                for k in (-900, -300, 300, 900):
+                    assert lattice_norm(lat, x * 2.0**k) == one * 2.0**k, (lat, k)
 
 
 def test_un_norm_power_is_weighted_lp():

@@ -246,6 +246,79 @@ def test_entries_that_underflow_in_the_rearrangement_add_nothing():
             assert norm(sp, [1e-300, 0.0, 1e300]) == norm(sp, [1e300]), label
 
 
+# order-free norms -----------------------------------------------------------------
+
+# l^p and Orlicz norms do not depend on the order of x, so they read |x| as
+# given; N(t) = (t^2 + t^3) / 2 has no moment form and takes the bracketed root
+_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0, label="custom")
+ORDER_FREE = {
+    **{f"lp_{p}": Lp(p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)},
+    "orlicz_t1.5": Orlicz(OrliczFn.power(1.5)),
+    "orlicz_t3": Orlicz(OrliczFn.power(3.0)),
+    "orlicz_t2_log": Orlicz(OrliczFn.power_log(2.0, 0.6)),
+    "orlicz_custom": Orlicz(_CUSTOM_N),
+}
+
+
+def test_lp_and_orlicz_norms_never_sort(monkeypatch):
+    rng = np.random.default_rng(23)
+    vecs = [rng.standard_normal(n) * 10.0**e for n, e in ((1, 0), (16, 200), (300, -200), (4096, 0))]
+    vecs[2][::7] = 0.0
+    want = {label: [norm(sp, x) for x in vecs] for label, sp in ORDER_FREE.items()}
+
+    def no_sort(x):
+        raise AssertionError("_descending was called")
+
+    monkeypatch.setattr(spaces, "_descending", no_sort)
+    for label, sp in ORDER_FREE.items():
+        assert [norm(sp, x) for x in vecs] == want[label], label
+        assert norm(sp, np.zeros(3)) == norm(sp, []) == 0.0
+    # the position-weighted families read x*
+    for sp in (LpQ(3.0, 2.0), LpQ(3.0, math.inf), Lorentz(2.0, power_weights(0.25))):
+        with pytest.raises(AssertionError, match="_descending"):
+            norm(sp, vecs[1])
+
+
+@pytest.mark.parametrize("N", [OrliczFn.power(1.5), OrliczFn.power_log(2.0, 0.6)], ids=["power", "power_log"])
+def test_luxemburg_compaction_path_is_bit_identical_to_the_zero_free_path(N):
+    rng = np.random.default_rng(29)
+    a = rng.uniform(0.1, 3.0, 40)
+    w = 2.0 ** np.arange(40)
+    at = [0, 5, 5, 17, 40]
+    with_zeros = np.insert(a, at, 0.0)
+    assert spaces._luxemburg(N, with_zeros) == spaces._luxemburg(N, a)
+    # the weights at zero coordinates are dropped with them
+    w_zeros = np.insert(w, at, 7.0)
+    assert spaces._luxemburg(N, with_zeros, weights=w_zeros) == spaces._luxemburg(N, a, weights=w)
+    # 1e-300 / 1e300 underflows to 0.0 in b = a / max a
+    for tiny in ([1e300, 1e-300], [1e-300, 1e300, 0.0], [1e300, 5e-324, 1e-300]):
+        assert spaces._luxemburg(N, np.array(tiny)) == spaces._luxemburg(N, np.array([1e300]))
+    # a caller that has the max passes it
+    assert spaces._luxemburg(N, with_zeros, m=float(a.max())) == spaces._luxemburg(N, a)
+
+
+# Rounding bound for a reordered input: the pairwise sums of the l^p and
+# moment-form kernels move by rounding alone (<= 6.8e-16 relative measured
+# over 13 sweeps like this one); the bracketed root of a custom N may land
+# anywhere in its final bracket, 2 _ROOT_TOL wide, so two orders may differ
+# by twice that.  l^inf is a max and does not move at all.
+ORDER_RTOL = {"lp_inf": 0.0, "orlicz_custom": 4.0 * spaces._ROOT_TOL}
+
+
+@pytest.mark.parametrize("label", ORDER_FREE)
+def test_reordered_input_moves_order_free_norms_within_the_stated_bound(label):
+    sp, tol = ORDER_FREE[label], ORDER_RTOL.get(label, 1e-15)
+    rng = np.random.default_rng(31)
+    for n in (2, 17, 1000, 4096, 20000):
+        for log10_c in (-200.0, 0.0, 200.0):
+            x = rng.standard_normal(n) * 10.0**log10_c
+            x[rng.random(n) < 0.05] = 0.0
+            want = norm(sp, x)
+            for _ in range(3):
+                y = rng.permutation(x) * rng.choice([-1.0, 1.0], size=n)
+                assert abs(norm(sp, y) - want) <= tol * want, (n, log10_c)
+
+
 def _fsum_norm(space, x) -> float:
     """l^p and l^{p,q} norms by math.fsum of math.pow terms, scaled by a power of two."""
     a = sorted((abs(v) for v in x if v != 0.0), reverse=True)
