@@ -30,7 +30,7 @@ from .lattices import EX, UN, lattice_from_json, lattice_norm, lattice_to_json
 from .operators import apply_array, parse_operator
 from .spaces import Orlicz, norm, space_from_json, space_to_json
 from .spectral import branching_witness, doubling_orbit_witness, residual_scan
-from .verify import run_checks
+from .verify import ALL_CHECKS, run_checks
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 7
@@ -228,7 +228,9 @@ def _load_vector(config: RunConfig) -> list[float]:
     if config.vector is None:
         raise CliError(EXIT_BAD_PARAMETER, "norm needs --vector")
     obj = _structured(config.vector, "--vector")
-    if not isinstance(obj, list) or not all(isinstance(v, (int, float)) for v in obj):
+    # bool is an int subclass, but JSON true is not a number
+    if not isinstance(obj, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
         raise CliError(EXIT_BAD_PARAMETER, "--vector must be a JSON array of numbers")
     return [float(v) for v in obj]
 
@@ -489,14 +491,16 @@ def _parse_suite(raw: str | None) -> list[int] | None:
                        f'--suite must be "all" or comma-separated ids: {e}') from e
     if not ids:
         raise CliError(EXIT_BAD_PARAMETER, "--suite selected no checks")
+    unknown = sorted(set(ids) - {cid for cid, _, _ in ALL_CHECKS})
+    if unknown:
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"--suite names no check with id {', '.join(map(str, unknown))}")
     return ids
 
 
 def _cmd_verify(config: RunConfig) -> int:
     only = _parse_suite(config.suite)
     results = run_checks(only=only, seed=config.seed)
-    if not results:
-        raise CliError(EXIT_BAD_PARAMETER, "--suite selected no checks")
     fmt = _format(config, default="table")
     if fmt == "json":
         _emit(config, _render_json({

@@ -2,16 +2,17 @@
 
 Operators act lazily on dense coefficient vectors; nothing is ever stored as
 a matrix, so applying any of them to vectors with 2^20 entries stays cheap.
-One entry point, ``apply_array``, applies every operator.  Float input runs
-in float64.  Exact input runs on integer numerators over one positive
-common denominator (``_Exact``): the index operators (``DilateUp``,
-``Shift``, ``Doubling``, ``BlockEmbed``) move and repeat numerators exactly
-as they move floats, through the same code, and the dividing and lambda
-operators scale the denominator instead of dividing entries.  Input with a
-``fractions.Fraction`` entry converts to that form at entry and back to
-Fractions at exit; the identity checks pass ``_Exact`` vectors and build no
-Fraction.  Numerators are int64 while a bound on them fits, Python ints
-past it, so none wraps.
+One entry point, ``apply_array``, applies every operator through one
+kernel, on numerators over one positive common denominator (``_Exact``).
+Float input is float64 numerators over 1; exact input is integer
+numerators.  The index operators (``DilateUp``, ``Shift``, ``Doubling``,
+``BlockEmbed``) move and repeat numerators; the dividing and lambda
+operators scale the denominator instead of dividing entries, so float
+output is divided once, on the way out.  Input with a
+``fractions.Fraction`` entry converts to integer numerators at entry and
+back to Fractions at exit; the identity checks pass ``_Exact`` vectors and
+build no Fraction.  Integer numerators are int64 while a bound on them
+fits, Python ints past it, so none wraps.
 
 Conventions (1-based index k):
 
@@ -138,10 +139,12 @@ class _Exact(NamedTuple):
 
     ``den`` is a Python int and ``peak`` a Python int bound on ``|num|``.
     ``num`` is an int64 array while ``peak`` fits in int64, else an object
-    array of Python ints.  Nothing reduces the fractions: dividing operators
-    scale ``den`` instead of dividing entries, every step multiplies
-    ``peak`` by the most it can grow an entry, and ``_grow`` moves ``num``
-    to Python ints before that bound could pass int64, so nothing wraps.
+    array of Python ints.  Nothing reduces the fractions: dividing
+    operators scale ``den`` instead of dividing entries, every step
+    multiplies ``peak`` by the most it can grow an entry, and ``_grow``
+    moves ``num`` to Python ints before that bound could pass int64, so
+    nothing wraps.  The kernel also carries float64 numerators over
+    ``den = 1``; their ``peak`` is never read.
     """
 
     num: np.ndarray
@@ -185,9 +188,10 @@ def _grow(num: np.ndarray, peak: int, factor: int) -> tuple[np.ndarray, int]:
 
     Past int64 the numerators become Python ints.  The bound is at least
     ``factor``, which numpy must also fit in int64 to multiply by it.
+    Float numerators never change type.
     """
     bound = max(peak, 1) * factor
-    if bound > _INT64_MAX and num.dtype != object:
+    if bound > _INT64_MAX and num.dtype == np.int64:
         num = num.astype(object)
     return num, bound
 
@@ -211,24 +215,9 @@ def _exact_scalar(v) -> Fraction | None:
     return Fraction(v) if isinstance(v, (int, Fraction)) else None
 
 
-def _move(op: OperatorSpec, x: np.ndarray) -> np.ndarray | None:
-    """Apply an index operator, which only moves and repeats entries.
-
-    Returns None for the operators that divide or take lambda.
-    """
-    if isinstance(op, DilateUp):
-        return np.repeat(x, op.m)
-    if isinstance(op, Shift):
-        if op.n >= 0:
-            return np.concatenate([np.zeros(op.n, dtype=x.dtype), x])
-        return x[-op.n :]
-    if isinstance(op, Doubling):
-        return np.concatenate([np.zeros(1, dtype=x.dtype), np.repeat(x, 2)])
-    if isinstance(op, BlockEmbed):
-        if x.size > 24:
-            raise ValueError("BlockEmbed input longer than 24 blocks (2^24 cap)")
-        return np.repeat(x, 1 << np.arange(x.size))
-    return None
+def _doubled(x: np.ndarray) -> np.ndarray:
+    """``D x``: a zero, then each entry twice."""
+    return np.concatenate([np.zeros(1, dtype=x.dtype), np.repeat(x, 2)])
 
 
 def _block_sums(x: np.ndarray, m: int) -> np.ndarray:
@@ -236,100 +225,89 @@ def _block_sums(x: np.ndarray, m: int) -> np.ndarray:
     return _pad(x, (-x.size) % m).reshape(-1, m).sum(axis=1)
 
 
-def _apply_float(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
-    moved = _move(op, x)
-    if moved is not None:
-        return moved
-    n = x.size
-    if isinstance(op, DilateDown):
-        return _block_sums(x, op.m) / op.m
-    if isinstance(op, DoublingInverse):
-        return _apply_float(DilateDown(2), x[1:])
-    if isinstance(op, AvgProject):
-        blocks = n.bit_length()  # dyadic blocks covering the first n positions
-        total = (1 << blocks) - 1
-        xp = _pad(x, total - n)
-        out = np.empty(total)
-        for k in range(blocks):
-            size = 1 << k
-            start = size - 1
-            out[start : start + size] = xp[start : start + size].sum() / size
-        return out
-    if isinstance(op, AvgProjectN):
-        size = 1 << op.n
-        return np.repeat(_block_sums(x, size) / size, size)
-    if isinstance(op, ShiftMinusLambda):
-        # along the last axis, so a stack of rows shifts row by row
-        lam = float(op.lam)
-        zero = np.zeros(x.shape[:-1] + (1,))
-        return np.concatenate([zero, x], axis=-1) - lam * np.concatenate([x, zero], axis=-1)
-    if isinstance(op, DoublingMinusLambda):
-        dbl = _move(Doubling(), x)
-        dbl[:n] -= float(op.lam) * x
-        return dbl
-    raise TypeError(f"unknown operator {op!r}")
+def _apply(op: OperatorSpec, x: _Exact) -> _Exact:
+    """The one kernel: numerators move, divisors go to ``den``.
 
-
-def _apply_exact(op: OperatorSpec, x: _Exact) -> _Exact:
-    """The exact kernel: numerators move like floats, divisors go to ``den``."""
+    Numerators are integers over ``den`` (exact input) or floats over
+    ``den = 1`` (float input); every operator runs one body for both.
+    """
     num, den, peak = x
-    moved = _move(op, num)
-    if moved is not None:
-        return _Exact(moved, den, peak)
-    n = num.size
-    if isinstance(op, DilateDown):
+    if isinstance(op, DoublingInverse):  # D^-1 = sigma_1/2 tau_-1
+        op, num = DilateDown(2), num[1:]
+    if isinstance(op, DilateUp):
+        num = np.repeat(num, op.m)
+    elif isinstance(op, Shift):
+        num = np.concatenate([np.zeros(op.n, dtype=num.dtype), num]) if op.n >= 0 else num[-op.n :]
+    elif isinstance(op, Doubling):
+        num = _doubled(num)
+    elif isinstance(op, BlockEmbed):
+        if num.size > 24:
+            raise ValueError("BlockEmbed input longer than 24 blocks (2^24 cap)")
+        num = np.repeat(num, 1 << np.arange(num.size))
+    elif isinstance(op, DilateDown):
         num, peak = _grow(num, peak, op.m)
-        return _Exact(_block_sums(num, op.m), den * op.m, peak)
-    if isinstance(op, DoublingInverse):
-        return _apply_exact(DilateDown(2), _Exact(num[1:], den, peak))
-    if isinstance(op, AvgProject):
-        # block k (2^k entries) sums to s_k; its mean s_k / 2^k is
-        # s_k 2^(B-1-k) over den 2^(B-1)
-        blocks = n.bit_length()
-        if blocks == 0:
-            return x
-        sizes = 1 << np.arange(blocks)
-        num, peak = _grow(num, peak, 1 << (blocks - 1))
-        num = _pad(num, (1 << blocks) - 1 - n)
-        sums = np.add.reduceat(num, sizes - 1)
-        scales = sizes[::-1].astype(num.dtype)
-        return _Exact(np.repeat(sums * scales, sizes), den << (blocks - 1), peak)
-    if isinstance(op, AvgProjectN):
+        num, den = _block_sums(num, op.m), den * op.m
+    elif isinstance(op, AvgProjectN):
         size = 1 << op.n
         num, peak = _grow(num, peak, size)
-        return _Exact(np.repeat(_block_sums(num, size), size), den << op.n, peak)
-    if isinstance(op, (ShiftMinusLambda, DoublingMinusLambda)):
-        # lam = p/q: (lead - lam x) = (q lead - p x) / q, lead = tau_1 x or D x
-        lam = Fraction(op.lam)
-        p, q = lam.numerator, lam.denominator
+        num, den = np.repeat(_block_sums(num, size), size), den * size
+    elif isinstance(op, AvgProject):
+        blocks = num.size.bit_length()  # dyadic blocks covering the entries
+        if blocks == 0:
+            return x
+        top = 1 << (blocks - 1)
+        num, peak = _grow(num, peak, top)
+        num = _pad(num, 2 * top - 1 - num.size)
+        floats = num.dtype == float
+        out = np.empty_like(num)
+        for k in range(blocks):
+            # block k (2^k entries, one pairwise .sum()) has mean s_k / 2^k:
+            # on integers s_k 2^(B-1-k) over den 2^(B-1); on floats, where
+            # that scaling can overflow, the quotient itself
+            block = slice((1 << k) - 1, (2 << k) - 1)
+            out[block] = num[block].sum() / (1 << k) if floats else num[block].sum() * (top >> k)
+        num = out
+        if not floats:
+            den *= top
+    elif isinstance(op, (ShiftMinusLambda, DoublingMinusLambda)):
+        # lam = p/q: (lead - lam x) = (q lead - p x) / q, lead = tau_1 x or D x;
+        # a float lambda on exact input counts at its exact binary value
+        p, q = (float(op.lam), 1) if num.dtype == float else Fraction(op.lam).as_integer_ratio()
         num, peak = _grow(num, peak, abs(p) + q)
+        lead = num * q if q != 1 else num
         if isinstance(op, ShiftMinusLambda):
             # along the last axis, so a stack of rows shifts row by row
             zero = np.zeros(num.shape[:-1] + (1,), dtype=num.dtype)
-            out = np.concatenate([zero, num], axis=-1) * q
-            out[..., :-1] -= p * num
+            num = np.concatenate([zero, lead], axis=-1) - p * np.concatenate([num, zero], axis=-1)
         else:
-            out = _move(Doubling(), num) * q
-            out[:n] -= p * num
-        return _Exact(out, den * q, peak)
-    raise TypeError(f"unknown operator {op!r}")
+            out = _doubled(lead)
+            out[: num.size] -= p * num
+            num = out
+        den *= q
+    else:
+        raise TypeError(f"unknown operator {op!r}")
+    return _Exact(num, den, peak)
 
 
 def apply_array(op: OperatorSpec, x) -> np.ndarray | _Exact:
     """Apply an operator to a vector (vectorized).
 
-    Float input runs in float64.  If any entry is a ``Fraction`` the input
-    goes to one common denominator, runs on integer numerators, and comes
-    back as an object array in which every entry is a reduced Fraction,
-    padding included; a float lambda counts at its exact binary value.  An
-    ``_Exact`` input skips both conversions and returns an ``_Exact``.
+    Every input runs through one kernel as numerators over a common
+    denominator.  Float input is float64 numerators over 1; it comes back
+    as float64, divided once at the end when the operator divides.  If any
+    entry is a ``Fraction`` the input goes to one common denominator, runs
+    on integer numerators, and comes back as an object array in which every
+    entry is a reduced Fraction, padding included; a float lambda counts at
+    its exact binary value.  An ``_Exact`` input skips both conversions and
+    returns an ``_Exact``.
     """
     if isinstance(x, _Exact):
-        return _apply_exact(op, x)
+        return _apply(op, x)
     x = _vector(x)
     if isinstance(x, _Exact):
-        return _apply_exact(op, x).fractions()
-    return _apply_float(op, x)
+        return _apply(op, x).fractions()
+    num, den, _ = _apply(op, _Exact(x, 1, 0))
+    return num / den if den != 1 else num
 
 
 _OP_GRAMMAR = (
@@ -338,31 +316,32 @@ _OP_GRAMMAR = (
 )
 
 
+# name -> (operator class, argument type); None takes no argument
+_OPERATORS = {
+    "sigma_up": (DilateUp, int),
+    "sigma_down": (DilateDown, int),
+    "tau": (Shift, int),
+    "doubling": (Doubling, None),
+    "doubling_inv": (DoublingInverse, None),
+    "S": (BlockEmbed, None),
+    "Q": (AvgProject, None),
+    "R": (AvgProjectN, int),
+    "T": (ShiftMinusLambda, float),
+    "Dl": (DoublingMinusLambda, float),
+}
+
+
 def parse_operator(text: str) -> OperatorSpec:
     """Parse the CLI operator grammar (see _OP_GRAMMAR)."""
     name, _, arg = text.partition(":")
+    if name not in _OPERATORS:
+        raise ValueError(f"unknown operator {text!r}; grammar: {_OP_GRAMMAR}")
+    cls, kind = _OPERATORS[name]
     try:
-        if name == "sigma_up":
-            return DilateUp(int(arg))
-        if name == "sigma_down":
-            return DilateDown(int(arg))
-        if name == "tau":
-            return Shift(int(arg))
-        if name == "doubling":
-            return Doubling()
-        if name == "doubling_inv":
-            return DoublingInverse()
-        if name == "S":
-            return BlockEmbed()
-        if name == "Q":
-            return AvgProject()
-        if name == "R":
-            return AvgProjectN(int(arg))
-        if name == "T":
-            return ShiftMinusLambda(float(arg))
-        if name == "Dl":
-            return DoublingMinusLambda(float(arg))
+        if kind is None:
+            if arg:
+                raise ValueError(f"{name} takes no argument")
+            return cls()
+        return cls(kind(arg))
     except ValueError as exc:
         raise ValueError(f"bad operator argument in {text!r}: {exc}") from exc
-    raise ValueError(f"unknown operator {text!r}; grammar: {_OP_GRAMMAR}")
-

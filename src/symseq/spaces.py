@@ -99,7 +99,6 @@ class WeightSeq:
     kind: str  # "generator" | "array"
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     data: tuple[float, ...] | None = None
-    label: str = ""
     theta: float | None = None
 
     def __post_init__(self):
@@ -158,7 +157,6 @@ def power_weights(theta: float) -> WeightSeq:
     return WeightSeq(
         kind="generator",
         fn=lambda k, theta=theta: np.power(k, -theta),
-        label=f"power:{theta}",
         theta=float(theta),
     )
 
@@ -181,7 +179,6 @@ class OrliczFn:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
     p: float | None = None
     a: float = 0.0
 
@@ -217,9 +214,7 @@ class OrliczFn:
         """N(t) = t^p, p >= 1."""
         if p < 1.0:
             raise ValueError("power Orlicz profile needs p >= 1")
-        return OrliczFn(
-            fn=lambda t, p=p: np.power(t, p), label=f"power:{p}", p=float(p)
-        )
+        return OrliczFn(fn=lambda t, p=p: np.power(t, p), p=float(p))
 
     @staticmethod
     def power_log(p: float, a: float) -> "OrliczFn":
@@ -237,7 +232,7 @@ class OrliczFn:
             out[pos] = tp**p * (1.0 + a * np.abs(np.log(tp)))
             return out
 
-        return OrliczFn(fn=f, label=f"power_log:{p}:{a}", p=float(p), a=float(a))
+        return OrliczFn(fn=f, p=float(p), a=float(a))
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,13 @@ def test_criterion_04_intertwining_exact():
 
 def _break_exact_kernel(monkeypatch, kind, fault):
     """Route every exact ``kind`` application through ``fault``."""
-    real = operators._apply_exact
+    real = operators._apply
 
     def patched(op, x):
         out = real(op, x)
         return fault(op, x, out) if isinstance(op, kind) else out
 
-    monkeypatch.setattr(operators, "_apply_exact", patched)
+    monkeypatch.setattr(operators, "_apply", patched)
 
 
 def test_criterion_04_detects_a_broken_intertwining(monkeypatch):

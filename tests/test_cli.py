@@ -52,6 +52,12 @@ def test_verify_single_check_passes(capsys):
     assert "PASS" in out and "1/1 checks passed" in out
 
 
+def test_verify_refuses_ids_no_check_has(capsys):
+    code, out, err = _run(["verify", "--suite", "9,99,0"], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "no check with id 0, 99" in err
+
+
 def test_verify_failing_check_exits_nonzero(capsys, monkeypatch):
     def failing():
         return verify.CheckResult(8, "witness rates", False, "forced failure", 0.0)
@@ -79,6 +85,22 @@ def test_norm_with_operator(capsys):
          "--operator", "sigma_up:3"], capsys
     )
     assert json.loads(out)["value"] == 9.0
+
+
+@pytest.mark.parametrize("operator", ["doubling:7", "Q:junk"])
+def test_norm_refuses_an_argument_to_an_operator_that_takes_none(operator, capsys):
+    code, out, err = _run(
+        ["norm", "--space", '{"kind":"lp","p":1}', "--vector", "[1, 2]",
+         "--operator", operator], capsys
+    )
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert f"bad operator argument in {operator!r}" in err
+
+
+def test_norm_refuses_json_booleans_in_the_vector(capsys):
+    code, out, err = _run(["norm", "--p", "2", "--vector", "[true, 3]"], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "--vector must be a JSON array of numbers" in err
 
 
 def test_norm_lattice(capsys):

@@ -295,7 +295,7 @@ def test_custom_generator_weights_still_stream(monkeypatch):
         return partial_sums_at(term, points)
 
     monkeypatch.setattr(spaces, "partial_sums_at", counting)
-    w = WeightSeq(kind="generator", fn=lambda k: 1.0 / (1.0 + np.log(k)), label="log")
+    w = WeightSeq(kind="generator", fn=lambda k: 1.0 / (1.0 + np.log(k)))
     rep = index_report(Lorentz(2.0, w), n_max=8, j_max=1 << 8)
     assert calls == [1 << 16]
     # the values an exactly rounded (math.fsum) profile gives; the earlier

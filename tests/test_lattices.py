@@ -155,7 +155,7 @@ def test_ex_lp_and_un_norms_reject_non_finite_input(bad):
 
 # One row contract for every lattice: N(t) = (t^2 + t^3) / 2 is a custom
 # Orlicz function, solved on its modular rather than by the moment form.
-_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0, label="custom")
+_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0)
 _ROW_NS = {
     "power": OrliczFn.power(1.5),
     "power_log": OrliczFn.power_log(2.0, 0.6),

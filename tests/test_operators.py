@@ -6,7 +6,9 @@ random decreasing vectors) and frozen here; the values under test are read
 off the index kernel's partial-sum profile.
 
 ``apply_list`` below is the earlier pure-Python operator kernel, kept
-verbatim as the exact reference for ``apply_array``.
+verbatim as the exact reference for ``apply_array``.  ``_apply_float`` is
+the earlier float64 kernel with its helpers, kept verbatim as the
+bit-for-bit reference for float input.
 """
 
 import math
@@ -105,6 +107,73 @@ def apply_list(op, xs: list) -> list:
         lam = op.lam
         padded = list(xs) + [zero] * (len(dbl) - n)
         return [d - lam * x for d, x in zip(dbl, padded)]
+    raise TypeError(f"unknown operator {op!r}")
+
+
+# reference: the float kernel the numerator kernel replaced -------------------
+
+
+def _pad(x: np.ndarray, extra: int) -> np.ndarray:
+    """``x`` followed by ``extra`` zeros of its own dtype."""
+    return np.concatenate([x, np.zeros(extra, dtype=x.dtype)])
+
+
+def _move(op, x: np.ndarray) -> np.ndarray | None:
+    """Apply an index operator, which only moves and repeats entries.
+
+    Returns None for the operators that divide or take lambda.
+    """
+    if isinstance(op, DilateUp):
+        return np.repeat(x, op.m)
+    if isinstance(op, Shift):
+        if op.n >= 0:
+            return np.concatenate([np.zeros(op.n, dtype=x.dtype), x])
+        return x[-op.n :]
+    if isinstance(op, Doubling):
+        return np.concatenate([np.zeros(1, dtype=x.dtype), np.repeat(x, 2)])
+    if isinstance(op, BlockEmbed):
+        if x.size > 24:
+            raise ValueError("BlockEmbed input longer than 24 blocks (2^24 cap)")
+        return np.repeat(x, 1 << np.arange(x.size))
+    return None
+
+
+def _block_sums(x: np.ndarray, m: int) -> np.ndarray:
+    """Sums over consecutive blocks of length m, the last one zero-padded."""
+    return _pad(x, (-x.size) % m).reshape(-1, m).sum(axis=1)
+
+
+def _apply_float(op, x: np.ndarray) -> np.ndarray:
+    moved = _move(op, x)
+    if moved is not None:
+        return moved
+    n = x.size
+    if isinstance(op, DilateDown):
+        return _block_sums(x, op.m) / op.m
+    if isinstance(op, DoublingInverse):
+        return _apply_float(DilateDown(2), x[1:])
+    if isinstance(op, AvgProject):
+        blocks = n.bit_length()  # dyadic blocks covering the first n positions
+        total = (1 << blocks) - 1
+        xp = _pad(x, total - n)
+        out = np.empty(total)
+        for k in range(blocks):
+            size = 1 << k
+            start = size - 1
+            out[start : start + size] = xp[start : start + size].sum() / size
+        return out
+    if isinstance(op, AvgProjectN):
+        size = 1 << op.n
+        return np.repeat(_block_sums(x, size) / size, size)
+    if isinstance(op, ShiftMinusLambda):
+        # along the last axis, so a stack of rows shifts row by row
+        lam = float(op.lam)
+        zero = np.zeros(x.shape[:-1] + (1,))
+        return np.concatenate([zero, x], axis=-1) - lam * np.concatenate([x, zero], axis=-1)
+    if isinstance(op, DoublingMinusLambda):
+        dbl = _move(Doubling(), x)
+        dbl[:n] -= float(op.lam) * x
+        return dbl
     raise TypeError(f"unknown operator {op!r}")
 
 
@@ -220,6 +289,47 @@ def test_numerators_past_int64_become_python_ints_instead_of_wrapping():
     # a lambda past int64 on a zero vector: no OverflowError from numpy
     zero = apply_array(ShiftMinusLambda(Fraction(2**70, 3)), _Exact.of([Fraction(0)] * 2))
     assert zero.num.tolist() == [0, 0, 0]
+
+
+def _float_inputs(rng):
+    """Random, wide-magnitude, zero-holding and empty float vectors."""
+    for n in (0, 1, 2, 3, 7, 16, 24, 100, 777, 3000):
+        for scale in (1.0, 1e300, 1e-300, 1e305, 1e-320):
+            x = rng.standard_normal(n) * scale
+            yield x
+            x = x.copy()
+            x[rng.random(n) < 0.3] = 0.0
+            x[rng.random(n) < 0.2] = -0.0
+            yield x
+
+
+def test_float_input_matches_the_float_kernel_bit_for_bit():
+    # float numerators over den 1: same bytes, dtype and shape as _apply_float
+    rng = np.random.default_rng(20)
+    ops = [DilateUp(1), DilateUp(3), DilateDown(1), DilateDown(2), DilateDown(7), Shift(0),
+           Shift(2), Shift(-1), Shift(-5), Doubling(), DoublingInverse(), BlockEmbed(),
+           AvgProject(), AvgProjectN(0), AvgProjectN(1), AvgProjectN(3)]
+    compared = 0
+    for x in _float_inputs(rng):
+        lam = float(rng.uniform(0.1, 4.0))
+        frac = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        lam_ops = [cls(v) for cls in (ShiftMinusLambda, DoublingMinusLambda)
+                   for v in (lam, -lam, frac)]
+        for op in ops + lam_ops:
+            if isinstance(op, BlockEmbed) and x.size > 24:
+                continue
+            got, want = apply_array(op, x.copy()), _apply_float(op, x.copy())
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (op, x.size)
+            assert got.tobytes() == want.tobytes(), (op, x.size)
+            compared += 1
+    for rows in ((1, 1), (3, 5), (4, 300), (2, 0)):
+        stack = rng.standard_normal(rows) * 1e300
+        for lam in (1.5, -0.75, Fraction(7, 3)):
+            got = apply_array(ShiftMinusLambda(lam), stack)
+            want = _apply_float(ShiftMinusLambda(lam), stack)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (lam, rows)
+            compared += 1
+    assert compared > 2000
 
 
 def test_pad_equal_compares_rationals_across_denominators():
@@ -358,3 +468,11 @@ def test_parse_operator_grammar(text, expected):
 def test_parse_operator_rejects(text):
     with pytest.raises(ValueError):
         parse_operator(text)
+
+
+@pytest.mark.parametrize("text", ["doubling:7", "doubling_inv:1", "S:2", "Q:junk"])
+def test_parse_operator_rejects_an_argument_where_none_is_taken(text):
+    with pytest.raises(ValueError, match="bad operator argument in"):
+        parse_operator(text)
+    # an empty argument is no argument
+    assert parse_operator(text.partition(":")[0] + ":") == parse_operator(text.partition(":")[0])

@@ -133,3 +133,24 @@ def _self_calls(path, name: str) -> list[int]:
 @pytest.mark.parametrize("name", ["lattice_norm", "unit_norms"])
 def test_lattice_entry_points_do_not_recurse(name):
     assert _self_calls(SRC / "lattices.py", name) == []
+
+
+def _dispatchers(path, cls: str) -> list[str]:
+    """Functions in ``path`` that call ``isinstance(..., cls)``, tuples included."""
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for call in ast.walk(fn):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "isinstance" and len(call.args) == 2
+                    and cls in {n.id for n in ast.walk(call.args[1]) if isinstance(n, ast.Name)}):
+                found.append(fn.name)
+                break
+    return found
+
+
+# One operator kernel: exact and float vectors share every operator body,
+# so exactly one function decides what a dividing operator does.
+def test_one_function_dispatches_on_operator_classes():
+    assert len(_dispatchers(SRC / "operators.py", "DilateDown")) == 1

@@ -250,7 +250,7 @@ def test_entries_that_underflow_in_the_rearrangement_add_nothing():
 
 # l^p and Orlicz norms do not depend on the order of x, so they read |x| as
 # given; N(t) = (t^2 + t^3) / 2 has no moment form and takes the bracketed root
-_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0, label="custom")
+_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0)
 ORDER_FREE = {
     **{f"lp_{p}": Lp(p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)},
     "orlicz_t1.5": Orlicz(OrliczFn.power(1.5)),
