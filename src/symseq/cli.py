@@ -27,7 +27,21 @@ import numpy as np
 
 from .indices import index_report, report_to_json
 from .lattices import EX, UN, lattice_from_json, lattice_norm, lattice_to_json
-from .operators import apply_array, parse_operator
+from .operators import (
+    AvgProject,
+    AvgProjectN,
+    BlockEmbed,
+    DilateDown,
+    DilateUp,
+    Doubling,
+    DoublingInverse,
+    DoublingMinusLambda,
+    OperatorSpec,
+    Shift,
+    ShiftMinusLambda,
+    apply_array,
+    parse_operator,
+)
 from .spaces import Orlicz, norm, space_from_json, space_to_json
 from .spectral import branching_witness, doubling_orbit_witness, residual_scan
 from .verify import ALL_CHECKS, run_checks
@@ -40,6 +54,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_JSON = 2
 EXIT_UNKNOWN_KIND = 3
 EXIT_BAD_PARAMETER = 4
+
+# the most entries an --operator image may hold: S's own 24-block cap
+_MAX_IMAGE = 1 << 24
 
 
 class CliError(Exception):
@@ -298,6 +315,33 @@ def _method(spec) -> str:
 # subcommands
 
 
+def _image_length(op: OperatorSpec, n: int) -> int:
+    """Entries of ``op`` applied to an n-entry vector, as ``apply_array``
+    makes them, without making them.  Exact up to 2^64 entries; a block
+    exponent past 64 (``S`` on more than 64 entries, ``R:n`` with n > 64)
+    counts as 64, which still leaves the length past 2^64."""
+    if isinstance(op, DoublingInverse):
+        op, n = DilateDown(2), max(n - 1, 0)
+    if isinstance(op, DilateUp):
+        return n * op.m
+    if isinstance(op, DilateDown):
+        return -(-n // op.m)
+    if isinstance(op, Shift):
+        return max(n + op.n, 0)
+    if isinstance(op, (Doubling, DoublingMinusLambda)):
+        return 2 * n + 1
+    if isinstance(op, BlockEmbed):
+        return (1 << min(n, 64)) - 1
+    if isinstance(op, AvgProject):
+        return (1 << n.bit_length()) - 1
+    if isinstance(op, AvgProjectN):
+        size = 1 << min(op.n, 64)
+        return -(-n // size) * size
+    if isinstance(op, ShiftMinusLambda):
+        return n + 1
+    raise TypeError(f"unknown operator {op!r}")
+
+
 def _cmd_norm(config: RunConfig) -> int:
     if (config.space is None and config.p is None) == (config.lattice is None):
         raise CliError(EXIT_BAD_PARAMETER, "norm needs exactly one of --space / --lattice")
@@ -316,7 +360,12 @@ def _cmd_norm(config: RunConfig) -> int:
         space, space_json = _load_space(config)
         x = np.asarray(vec, dtype=float)
         if config.operator is not None:
-            x = apply_array(parse_operator(config.operator), x)
+            op = parse_operator(config.operator)
+            if _image_length(op, x.size) > _MAX_IMAGE:
+                raise CliError(EXIT_BAD_PARAMETER,
+                               f"operator {config.operator!r} on {x.size} entries would make "
+                               f"an image past the 2^24-entry cap")
+            x = apply_array(op, x)
         value = norm(space, x)
         method = _method(space)
     payload = {

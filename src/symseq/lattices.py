@@ -31,10 +31,11 @@ from .spaces import (
     SpaceSpec,
     WeightSeq,
     _distinct,
-    _luxemburg,
+    _luxemburg_rows,
     _orlicz_from_json,
     _orlicz_inverse_vec,
     _orlicz_to_json,
+    _positive_groups,
     _weight_sums,
     _weights_from_json,
     fundamental_function,
@@ -120,41 +121,34 @@ def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
     The sum runs in the log domain, scaled by the row max: the block sizes
     overflow past k ~ 1023.  A row sums its nonzero entries alone (zeros
     would regroup the pairwise sum), and rows with equally many share one
-    array pass.  The closing 2^(m/p) s^(1/p) is scalar pow, row by row:
-    array pow rounds an ulp away from it on some inputs.
+    array pass (``_positive_groups``).  The closing 2^(m/p) s^(1/p) is
+    scalar pow, row by row: array pow rounds an ulp away from it on some
+    inputs.
     """
     if p == math.inf:
         return rows.max(axis=1, initial=0.0)
-    live = rows > 0.0
-    counts = np.add.reduce(live, axis=1)
     out = np.zeros(rows.shape[0])
-    for c in set(counts.tolist()) - {0}:
-        sel = counts == c
-        if c == rows.shape[1]:  # rows free of zeros need no compacting
-            v, k = rows[sel], np.arange(c)
-        else:
-            i, k = np.nonzero(live & sel[:, None])
-            v, k = rows[i, k].reshape(-1, c), k.reshape(-1, c)
-        logs = p * np.log2(v) + k
+    for sel, v, k in _positive_groups(rows):
+        logs = p * np.log2(v) + (np.arange(v.shape[1]) if k is None else k)
         m = logs.max(axis=1)
         s = np.add.reduce(2.0 ** (logs - m[:, None]), axis=1)
         out[sel] = [2.0 ** (mi / p) * si ** (1.0 / p) for mi, si in zip(m.tolist(), s.tolist())]
     return out
 
 
-def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray) -> np.ndarray:
+def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """||S a|| of each row for a Lorentz or l^{p,q} base, in closed form.
 
     Block k holds 2^(k-1) entries, so S a sorted runs through the sorted
     row, c_1 >= c_2 >= ..., run i ending at P_i < 2^63: the norm is (sum c_i^q
     (W(P_i) - W(P_{i-1})))^(1/q), or max c_i P_i^(1/p) for q = inf.  Rows
-    are scaled as in ``_descending``, and all of them share one
-    ``_weight_sums`` call.
+    are scaled by their maxima m as in ``_descending``, and all of them
+    share one ``_weight_sums`` call.
     """
     if rows.shape[1] > 63:
         raise ValueError("EX norm needs at most 63 blocks (run ends below 2^63)")
     order = np.argsort(-rows, axis=1, kind="stable")
-    scale = np.ldexp(1.0, np.frexp(rows.max(axis=1, initial=0.0))[1] - 1)
+    scale = np.ldexp(1.0, np.frexp(m)[1] - 1)
     c = np.take_along_axis(rows, order, axis=1) / scale[:, None]
     ends = np.cumsum(np.left_shift(1, order), axis=1)
     if base.q == math.inf:
@@ -171,37 +165,39 @@ def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray) -> np.ndarray:
 _BLOCK_SIZES = 2.0 ** np.arange(64)
 
 
-def _ex_norm_orlicz(N: OrliczFn, rows: np.ndarray) -> list:
+def _ex_norm_orlicz(N: OrliczFn, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
     """||S a|| of each row for an Orlicz base: block k holds 2^(k-1) equal
-    entries, so the modular of S a weights a_k by 2^(k-1) (the UN norm)."""
+    entries, so the modular of S a weights a_k by 2^(k-1) (the UN norm).
+    All rows share one moments pass (``_luxemburg_rows``)."""
     if rows.shape[1] > 64:
         raise ValueError("UN norm supports at most 64 coordinates")
-    w = _BLOCK_SIZES[: rows.shape[1]]
-    return [_luxemburg(N, rows[i], weights=w) for i in range(rows.shape[0])]
+    return _luxemburg_rows(N, rows, m, _BLOCK_SIZES[: rows.shape[1]])
 
 
 def lattice_norm(lat: LatticeSpec, a):
     """Norm of the coordinate vector a in the lattice.
 
-    |a| is read once, as rows along its last axis: a vector or a scalar
-    gives a float, a stack one norm per row (shape a.shape[:-1]), each
-    bit-identical to its 1-D call.  Each family takes all rows in one
-    kernel: closed forms for EX over l^p, l^{p,q} and Lorentz and for
-    WeightedLq, one Luxemburg root per row for Orlicz and UN.  NaN or inf
-    anywhere raises ValueError: max propagates NaN, so one max tests all.
+    |a| is read once, as C-contiguous rows along its last axis: a vector or
+    a scalar gives a float, a stack one norm per row (shape a.shape[:-1]),
+    each bit-identical to its 1-D call.  The row maxima m are taken once.
+    Each family takes all rows in one kernel: closed forms for EX over l^p,
+    l^{p,q} and Lorentz and for WeightedLq, one moments pass and a scalar
+    root per row for Orlicz and UN.  NaN or inf anywhere raises ValueError:
+    max propagates NaN, so one max of m tests all.
     """
-    arr = np.abs(np.asarray(a, dtype=float))
+    arr = np.abs(np.asarray(a, dtype=float, order="C"))
     rows = arr.reshape(1, -1) if arr.ndim < 2 else arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
-    if rows.size and not math.isfinite(rows.max()):
+    m = np.maximum.reduce(rows, axis=1, initial=0.0)
+    if m.size and not math.isfinite(m.max()):
         raise ValueError("norm input must be finite")
     # UN(N) is EX(Orlicz(N)), so a UN stands for its own Orlicz base
     base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
     if isinstance(base, Lp):
         out = _ex_norm_lp(base.p, rows)
     elif isinstance(base, (LpQ, Lorentz)):
-        out = _ex_norm_sorted(base, rows)
+        out = _ex_norm_sorted(base, rows, m)
     elif isinstance(base, (Orlicz, UN)):
-        out = _ex_norm_orlicz(base.N, rows)
+        out = _ex_norm_orlicz(base.N, rows, m)
     elif isinstance(lat, WeightedLq):
         # each row of mu |a| is scaled as in _descending before the power,
         # so no term over- or underflows where the norm is representable
@@ -349,19 +345,25 @@ def dyadic_equivalence_report(
     else:
         raise ValueError(f"unknown equivalence kind {kind!r}")
 
-    lo, hi = math.inf, 0.0
-    for _ in range(trials):
-        size = int(rng.integers(2, max_len + 1))
-        x = random_decreasing(rng, size)
-        rhs = lattice_norm(lat, _dyadic_samples(x))
-        lhs = norm(space, x)
-        r = rhs / lhs
-        lo, hi = min(lo, r), max(hi, r)
+    # every trial is drawn first, in the RNG order of one draw per trial;
+    # the dyadic samples of equal length then share one lattice_norm call,
+    # whose rows equal their one-row calls bit for bit
+    lhs, samples = [], {}
+    for t in range(trials):
+        x = random_decreasing(rng, int(rng.integers(2, max_len + 1)))
+        lhs.append(norm(space, x))
+        d = _dyadic_samples(x)
+        samples.setdefault(d.size, []).append((t, d))
+    rhs = [0.0] * trials
+    for group in samples.values():
+        for (t, _), value in zip(group, lattice_norm(lat, np.stack([d for _, d in group])).tolist()):
+            rhs[t] = value
+    ratios = [r / l for r, l in zip(rhs, lhs)]
     return EquivalenceReport(
         kind=kind,
         trials=trials,
-        ratio_min=float(lo),
-        ratio_max=float(hi),
+        ratio_min=float(min(ratios, default=math.inf)),
+        ratio_max=float(max(ratios, default=0.0)),
         bound_lo=bound_lo,
         bound_hi=bound_hi,
         max_len=max_len,

@@ -342,6 +342,9 @@ def parse_operator(text: str) -> OperatorSpec:
             if arg:
                 raise ValueError(f"{name} takes no argument")
             return cls()
-        return cls(kind(arg))
+        value = kind(arg)
+        if kind is float and not math.isfinite(value):
+            raise ValueError("lambda must be finite")
+        return cls(value)
     except ValueError as exc:
         raise ValueError(f"bad operator argument in {text!r}: {exc}") from exc

@@ -3,16 +3,19 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from symseq import spectral, verify
+from symseq import operators, spectral, verify
 from symseq.cli import (
     EXIT_BAD_JSON,
     EXIT_BAD_PARAMETER,
     EXIT_UNKNOWN_KIND,
     EXIT_VERIFY_FAILED,
     CliError,
+    _image_length,
     parse_args,
     run,
 )
@@ -95,6 +98,46 @@ def test_norm_refuses_an_argument_to_an_operator_that_takes_none(operator, capsy
     )
     assert code == EXIT_BAD_PARAMETER and out == ""
     assert f"bad operator argument in {operator!r}" in err
+
+
+@pytest.mark.parametrize("operator", ["R:30", "sigma_up:100000000", "tau:100000000"])
+def test_norm_refuses_an_operator_image_past_the_cap_before_making_it(operator, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = _run(
+            ["norm", "--space", '{"kind":"lp","p":2}', "--vector", "[1, 2]", "--operator", operator], capsys
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert f"operator {operator!r} on 2 entries" in err and "2^24-entry cap" in err
+    assert peak < 1 << 20
+
+
+def test_norm_refuses_a_non_finite_lambda_without_a_warning():
+    for operator in ("T:inf", "T:nan", "Dl:-inf"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symseq.cli", "norm", "--space", '{"kind":"lp","p":2}',
+             "--vector", "[1, 2]", "--operator", operator],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_BAD_PARAMETER and proc.stdout == ""
+        assert f"bad operator argument in {operator!r}" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sigma_up:3", "sigma_down:3", "tau:4", "tau:-3", "doubling", "doubling_inv", "S", "Q", "R:0", "R:3", "T:1.5", "Dl:0.5"],
+)
+def test_image_length_is_the_applied_length(text):
+    op = operators.parse_operator(text)
+    for n in range(20):
+        assert _image_length(op, n) == operators.apply_array(op, np.ones(n)).size, n
+    # block exponents past 64 count as 64 and stay past 2^64 entries
+    assert _image_length(operators.BlockEmbed(), 10**6) == 2**64 - 1
+    assert _image_length(operators.AvgProjectN(10**8), 1) == 2**64
 
 
 def test_norm_refuses_json_booleans_in_the_vector(capsys):
@@ -392,5 +435,22 @@ def test_requests_never_load_numpy_ma():
         "              '--vector', '[1, 2, 3]']):\n"
         "    assert run(parse_args(argv)) == 0\n"
         "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, capture_output=True)
+
+
+def test_requests_never_load_numpy_random():
+    # importing numpy.random costs 12-15 ms; only scans and verify draw vectors
+    code = (
+        "import sys\n"
+        "from symseq.cli import parse_args, run\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "orl = '{\"kind\":\"orlicz\",\"orlicz\":{\"form\":\"power\",\"p\":1.5}}'\n"
+        "for argv in (['index', '--space', orl], ['fset', '--space', orl],\n"
+        "             ['norm', '--space', orl, '--vector', '[1, 2, 3]'],\n"
+        "             ['witness', '--kind', 'vn', '--space', orl, '--p', '1.5', '--n', '8'],\n"
+        "             ['witness', '--kind', 'un', '--p', '2', '--n', '3']):\n"
+        "    assert run(parse_args(argv)) == 0\n"
+        "    assert 'numpy.random' not in sys.modules, argv\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120, capture_output=True)

@@ -476,3 +476,10 @@ def test_parse_operator_rejects_an_argument_where_none_is_taken(text):
         parse_operator(text)
     # an empty argument is no argument
     assert parse_operator(text.partition(":")[0] + ":") == parse_operator(text.partition(":")[0])
+
+
+@pytest.mark.parametrize("text", ["T:inf", "T:nan", "Dl:-inf", "Dl:1e999"])
+def test_parse_operator_rejects_a_non_finite_lambda(text):
+    with pytest.raises(ValueError, match="bad operator argument in .*lambda must be finite"):
+        parse_operator(text)
+
