@@ -31,11 +31,10 @@ from .spaces import (
     SpaceSpec,
     WeightSeq,
     _distinct,
-    _luxemburg_rows,
+    _luxemburg,
     _orlicz_from_json,
     _orlicz_inverse_vec,
     _orlicz_to_json,
-    _positive_groups,
     _weight_sums,
     _weights_from_json,
     fundamental_function,
@@ -121,15 +120,22 @@ def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
     The sum runs in the log domain, scaled by the row max: the block sizes
     overflow past k ~ 1023.  A row sums its nonzero entries alone (zeros
     would regroup the pairwise sum), and rows with equally many share one
-    array pass (``_positive_groups``).  The closing 2^(m/p) s^(1/p) is
-    scalar pow, row by row: array pow rounds an ulp away from it on some
-    inputs.
+    array pass.  The closing 2^(m/p) s^(1/p) is scalar pow, row by row:
+    array pow rounds an ulp away from it on some inputs.
     """
     if p == math.inf:
         return rows.max(axis=1, initial=0.0)
+    live = rows > 0.0
+    counts = np.add.reduce(live, axis=1)
     out = np.zeros(rows.shape[0])
-    for sel, v, k in _positive_groups(rows):
-        logs = p * np.log2(v) + (np.arange(v.shape[1]) if k is None else k)
+    for c in set(counts.tolist()) - {0}:
+        sel = counts == c
+        if c == rows.shape[1]:  # rows free of zeros need no compacting
+            v, k = rows[sel], np.arange(c)
+        else:
+            i, k = np.nonzero(live & sel[:, None])
+            v, k = rows[i, k].reshape(-1, c), k.reshape(-1, c)
+        logs = p * np.log2(v) + k
         m = logs.max(axis=1)
         s = np.add.reduce(2.0 ** (logs - m[:, None]), axis=1)
         out[sel] = [2.0 ** (mi / p) * si ** (1.0 / p) for mi, si in zip(m.tolist(), s.tolist())]
@@ -165,13 +171,14 @@ def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray, m: np.ndarray) -> np.
 _BLOCK_SIZES = 2.0 ** np.arange(64)
 
 
-def _ex_norm_orlicz(N: OrliczFn, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _ex_norm_orlicz(N: OrliczFn, rows: np.ndarray, m: np.ndarray) -> list:
     """||S a|| of each row for an Orlicz base: block k holds 2^(k-1) equal
     entries, so the modular of S a weights a_k by 2^(k-1) (the UN norm).
-    All rows share one moments pass (``_luxemburg_rows``)."""
+    One Luxemburg solve per row, handed its max from m."""
     if rows.shape[1] > 64:
         raise ValueError("UN norm supports at most 64 coordinates")
-    return _luxemburg_rows(N, rows, m, _BLOCK_SIZES[: rows.shape[1]])
+    w = _BLOCK_SIZES[: rows.shape[1]]
+    return [_luxemburg(N, rows[i], w, mi) for i, mi in enumerate(m.tolist())]
 
 
 def lattice_norm(lat: LatticeSpec, a):
@@ -181,14 +188,14 @@ def lattice_norm(lat: LatticeSpec, a):
     a scalar gives a float, a stack one norm per row (shape a.shape[:-1]),
     each bit-identical to its 1-D call.  The row maxima m are taken once.
     Each family takes all rows in one kernel: closed forms for EX over l^p,
-    l^{p,q} and Lorentz and for WeightedLq, one moments pass and a scalar
-    root per row for Orlicz and UN.  NaN or inf anywhere raises ValueError:
-    max propagates NaN, so one max of m tests all.
+    l^{p,q} and Lorentz and for WeightedLq, one Luxemburg root per row for
+    Orlicz and UN.  NaN or inf anywhere raises ValueError: max propagates
+    NaN, so one max of m tests all.
     """
     arr = np.abs(np.asarray(a, dtype=float, order="C"))
     rows = arr.reshape(1, -1) if arr.ndim < 2 else arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
     m = np.maximum.reduce(rows, axis=1, initial=0.0)
-    if m.size and not math.isfinite(m.max()):
+    if m.size and not math.isfinite(np.maximum.reduce(m)):
         raise ValueError("norm input must be finite")
     # UN(N) is EX(Orlicz(N)), so a UN stands for its own Orlicz base
     base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
@@ -345,25 +352,19 @@ def dyadic_equivalence_report(
     else:
         raise ValueError(f"unknown equivalence kind {kind!r}")
 
-    # every trial is drawn first, in the RNG order of one draw per trial;
-    # the dyadic samples of equal length then share one lattice_norm call,
-    # whose rows equal their one-row calls bit for bit
-    lhs, samples = [], {}
-    for t in range(trials):
-        x = random_decreasing(rng, int(rng.integers(2, max_len + 1)))
-        lhs.append(norm(space, x))
-        d = _dyadic_samples(x)
-        samples.setdefault(d.size, []).append((t, d))
-    rhs = [0.0] * trials
-    for group in samples.values():
-        for (t, _), value in zip(group, lattice_norm(lat, np.stack([d for _, d in group])).tolist()):
-            rhs[t] = value
-    ratios = [r / l for r, l in zip(rhs, lhs)]
+    lo, hi = math.inf, 0.0
+    for _ in range(trials):
+        size = int(rng.integers(2, max_len + 1))
+        x = random_decreasing(rng, size)
+        rhs = lattice_norm(lat, _dyadic_samples(x))
+        lhs = norm(space, x)
+        r = rhs / lhs
+        lo, hi = min(lo, r), max(hi, r)
     return EquivalenceReport(
         kind=kind,
         trials=trials,
-        ratio_min=float(min(ratios, default=math.inf)),
-        ratio_max=float(max(ratios, default=0.0)),
+        ratio_min=float(lo),
+        ratio_max=float(hi),
         bound_lo=bound_lo,
         bound_hi=bound_hi,
         max_len=max_len,

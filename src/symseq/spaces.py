@@ -21,9 +21,7 @@ The built-in Orlicz functions ``OrliczFn.power`` and ``OrliczFn.power_log``
 have the moment form N(t) = t^p (1 + a |ln t|) and carry p and a.  For them
 the Luxemburg modular collapses to a scalar function of two moments of the
 vector, so a norm is one vector pass and a scalar Newton solve and never
-evaluates N; a stack of rows (``UN`` and ``EX(Orlicz)`` block norms) shares
-one moments pass.  A custom callable has no such form and is solved by
-bracketing.
+evaluates N.  A custom callable has no such form and is solved by bracketing.
 
 Partial sums W(n) of w_k^q (k^(q/p-1) for l^{p,q}) give phi(n) = W(n)^(1/q),
 the index profiles and the Lorentz and l^{p,q} block-lattice norms; their one
@@ -404,39 +402,15 @@ def _bracketed_root(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _positive_groups(b: np.ndarray) -> list:
-    """The rows of a nonnegative stack b grouped by their count c > 0 of
-    positive entries, as (sel, v, k): sel selects the rows, v (rows, c)
-    holds their positive entries in row order, contiguous, and k their
-    columns, or None when v is b[sel] itself.  A stack free of zeros is one
-    group (sel a full slice) and pays no gather; rows with no positive
-    entry are in no group.
-    """
-    if np.count_nonzero(b) == b.size:
-        return [(slice(None), b, None)] if b.size else []
-    live = b > 0.0
-    counts = np.add.reduce(live, axis=1)
-    groups = []
-    for c in set(counts.tolist()) - {0}:
-        sel = counts == c
-        if c == b.shape[1]:
-            groups.append((sel, b[sel], None))
-        else:
-            i, k = np.nonzero(live & sel[:, None])
-            groups.append((sel, b[i, k].reshape(-1, c), k.reshape(-1, c)))
-    return groups
-
-
 def _luxemburg(
     N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None, m: float | None = None
 ) -> float:
-    """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for one nonnegative finite
-    row a, weights w_k >= 1.
+    """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for nonnegative a, weights w_k >= 1.
 
     The weights default to 1 (the Orlicz norm); ``UN`` passes 2^(k-1).  m is
     max(a), taken here unless the caller has it (``norm`` and
-    ``_luxemburg_rows`` do).  With b = a/m, divided once, the norm is m v
-    for v in [1, sum w_k b_k]: v < 1 gives N(1/v) > 1 at the largest
+    ``lattices.lattice_norm`` do).  With b = a/m, divided once, the norm is
+    m v for v in [1, sum w_k b_k]: v < 1 gives N(1/v) > 1 at the largest
     coordinate, and v = sum w_k b_k is admissible because convexity gives
     N(t) <= t on [0, 1].  The returned v is admissible (the modular at it
     is at most 1 up to rounding) and within a few _ROOT_TOL of the least
@@ -451,94 +425,32 @@ def _luxemburg(
     taken.  Zeros of b (zero coordinates, or entries that underflow in a/m)
     are compacted out of the sums only when there are any, so a zero-free b
     and the same b with zeros give bit-identical sums.  Any other N is
-    solved by ``_bracketed_root`` on the modular itself (``_modular_roots``).
-    This is the one-row form of ``_luxemburg_rows``, on numpy's 1-D calls,
-    which cost less than their stacked forms; both round every row alike.
+    solved by ``_bracketed_root`` on the modular itself.  Takes finite a, as
+    ``norm`` and ``lattices.lattice_norm`` check it.
     """
     if m is None:
         m = float(np.maximum.reduce(a, initial=0.0))
     if m == 0.0:
         return 0.0
     b = a / m
-    if N.p is None:
-        return m * float(_modular_roots(N, b[None], weights)[0])
-    w = weights
-    if np.count_nonzero(b) < b.size:
-        pos = b > 0.0
-        b = b[pos]
-        if w is not None:
-            w = w[pos]
-    wbp = b**N.p if w is None else w * b**N.p
-    s0 = float(np.add.reduce(wbp))
-    if N.a == 0.0:
-        return m * _moment_root(N.p, s0, 0.0)
-    s1 = float(np.dot(wbp, np.log(b)))
-    return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
-
-
-def _luxemburg_rows(
-    N: OrliczFn, rows: np.ndarray, m: np.ndarray, weights: np.ndarray | None = None
-) -> list:
-    """``_luxemburg`` of each row of a nonnegative finite (R, n) stack, m its
-    row maxima, in one moments pass.
-
-    Each row a is divided once by its max, b = a/m.  Rows are grouped by
-    their count of positive entries (``_positive_groups``; a zero-free
-    stack is one group and pays no gather), and ``_moment_roots`` takes the
-    moments of a whole group at once.  Any other N runs every row through
-    one ``_bracketed_root`` call, whose steps stop row by row.  A one-row
-    stack is the 1-D call.  Every row gets the float operations it gets
-    alone, so a stack and its one-row calls agree bit for bit.  The norms
-    m v are Python products, which overflow to inf silently.
-    """
-    if m.size == 1:
-        return [_luxemburg(N, rows[0], weights, float(m[0]))]
-    if np.count_nonzero(m) < m.size:  # zero rows have norm 0
-        out = np.zeros(m.size)
-        live = m > 0.0
-        out[live] = _luxemburg_rows(N, rows[live], m[live], weights)
-        return out.tolist()
-    b = rows / m[:, None]
-    if N.p is None:
-        v = _modular_roots(N, b, weights).tolist()
-    elif np.count_nonzero(b) == b.size:
-        v = _moment_roots(N, b, weights)
-    else:
-        out = np.zeros(m.size)
-        for sel, g, k in _positive_groups(b):
-            out[sel] = _moment_roots(N, g, weights if k is None or weights is None else weights[k])
-        v = out.tolist()
-    return [mi * vi for mi, vi in zip(m.tolist(), v)]
-
-
-def _moment_roots(N: OrliczFn, b: np.ndarray, w: np.ndarray | None) -> list:
-    """The least admissible v of each row of a positive (rows, c) stack b
-    for a moment-form N (see ``_luxemburg``).
-
-    S0 is one reduction along the rows and S1, taken only when a != 0, one
-    ``np.vecdot``, which rounds each row as the 1-D ``np.dot`` does.  The
-    root stays a scalar solve per row (``_moment_root``): numpy's array exp
-    and pow round differently from ``math`` on some inputs.
-    """
-    p, a = N.p, N.a
-    wbp = b**p if w is None else w * b**p
-    s0 = np.add.reduce(wbp, 1).tolist()
-    if a == 0.0:
-        return [_moment_root(p, x0, 0.0) for x0 in s0]
-    s1 = np.vecdot(wbp, np.log(b)).tolist()
-    return [_moment_root(p, x0 - a * x1, a * x0) for x0, x1 in zip(s0, s1)]
-
-
-def _modular_roots(N: OrliczFn, b: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """The least v with sum_k w_k N(b_k / v) <= 1 for each row of a
-    nonnegative (R, n) stack b of row max 1, by one bracketed solve on
-    [1, sum w_k b_k] (see ``_luxemburg``), for an N without moment form."""
     w = 1.0 if weights is None else weights
+    if N.p is not None:
+        if np.count_nonzero(b) < b.size:
+            pos = b > 0.0
+            b = b[pos]
+            if weights is not None:
+                w = w[pos]
+        wbp = b**N.p if weights is None else w * b**N.p
+        s0 = float(np.add.reduce(wbp))
+        if N.a == 0.0:
+            return m * _moment_root(N.p, s0, 0.0)
+        s1 = float(np.dot(wbp, np.log(b)))
+        return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
 
     def residual(v: np.ndarray) -> np.ndarray:
         return -np.log(np.sum(w * N(b / v[:, None]), axis=1))
 
-    return _bracketed_root(residual, np.ones(b.shape[0]), np.sum(w * b, axis=1))
+    return m * float(_bracketed_root(residual, np.ones(1), np.array([np.sum(w * b)]))[0])
 
 
 def _moment_root(p: float, A: float, B: float) -> float:

@@ -15,7 +15,7 @@ from symseq.cli import (
     EXIT_UNKNOWN_KIND,
     EXIT_VERIFY_FAILED,
     CliError,
-    _image_length,
+    _image_too_long,
     parse_args,
     run,
 )
@@ -127,17 +127,28 @@ def test_norm_refuses_a_non_finite_lambda_without_a_warning():
         assert "RuntimeWarning" not in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["sigma_up:3", "sigma_down:3", "tau:4", "tau:-3", "doubling", "doubling_inv", "S", "Q", "R:0", "R:3", "T:1.5", "Dl:0.5"],
-)
-def test_image_length_is_the_applied_length(text):
-    op = operators.parse_operator(text)
-    for n in range(20):
-        assert _image_length(op, n) == operators.apply_array(op, np.ones(n)).size, n
-    # block exponents past 64 count as 64 and stay past 2^64 entries
-    assert _image_length(operators.BlockEmbed(), 10**6) == 2**64 - 1
-    assert _image_length(operators.AvgProjectN(10**8), 1) == 2**64
+def test_image_cap_bounds_the_operators_that_grow_by_their_argument():
+    # sigma_up:m makes n m entries, tau:k n + k, R:k n rounded up to 2^k;
+    # exactly 2^24 entries pass, one more does not
+    cap = 1 << 24
+    for op, n in [
+        (operators.DilateUp(cap // 2), 2),
+        (operators.Shift(cap - 2), 2),
+        (operators.AvgProjectN(24), 1),
+        (operators.AvgProjectN(23), cap),
+        (operators.AvgProjectN(10**8), 0),
+        (operators.Shift(-(10**8)), 2),
+        (operators.Doubling(), cap),
+    ]:
+        assert not _image_too_long(op, n), (op, n)
+    for op, n in [
+        (operators.DilateUp(cap // 2 + 1), 2),
+        (operators.Shift(cap - 1), 2),
+        (operators.AvgProjectN(24), cap + 1),
+        (operators.AvgProjectN(25), 1),
+        (operators.AvgProjectN(10**8), 1),
+    ]:
+        assert _image_too_long(op, n), (op, n)
 
 
 def test_norm_refuses_json_booleans_in_the_vector(capsys):
