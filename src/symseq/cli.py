@@ -1,13 +1,22 @@
 """Command-line front end: norms, index reports, residual scans, witnesses.
 
 One binary, six subcommands (norm, index, fset, scan, witness, verify), all
-funnelled through a RunConfig so that a JSON config file can reproduce any
-invocation.  On a conflict between a flag and the config file the file wins
-and the override is announced on stderr; silent merges hide mistakes.
+funnelled through a RunConfig so that a JSON config file, whose values pass
+their flags' types and choices, can reproduce any invocation.  On a conflict
+between a flag and the config file the file wins and the override is
+announced on stderr; silent merges hide mistakes.
+
+One output path: each subcommand returns its result as data (a JSON payload,
+a CSV header, CSV rows and an exit code); ``run`` alone renders it and writes
+it once, to stdout or ``--out``.  A command that fails writes nothing there.
+Inputs that size an allocation are refused before it is made: an operator
+image past 2^24 entries, a grid past 4,096 points, an index window outside
+``index_report``'s rule, a ``witness --kind un`` past n = 256.
 
 Determinism contract: identical config + seed produce byte-identical output.
-JSON is emitted with sorted keys, CSV rows carry a schema_version column,
-floats render through repr, and nothing time- or host-dependent is written.
+JSON is emitted with sorted keys and never holds NaN or infinity, every CSV
+row carries a schema_version column, floats render through repr, and nothing
+time- or host-dependent is written.
 
 Exit codes: 0 success, 1 failed verification, 2 malformed JSON, 3 unknown
 space/lattice kind, 4 parameter violation.
@@ -43,6 +52,12 @@ EXIT_BAD_PARAMETER = 4
 
 # the most entries an --operator image may hold: S's own 24-block cap
 _MAX_IMAGE = 1 << 24
+# the most lambda points one scan takes
+_MAX_GRID = 4096
+
+# each subcommand's output formats; the first is its default
+_FORMATS = dict.fromkeys(("norm", "index", "fset", "scan", "witness"), ("json", "csv"))
+_FORMATS["verify"] = ("table", "json", "csv")
 
 
 class CliError(Exception):
@@ -81,13 +96,6 @@ class RunConfig:
 # argument parsing and config-file merge
 
 
-def _add_io_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    sp.add_argument("--config", help="JSON config file; wins over flags on conflict")
-    sp.add_argument("--out", help="write output to this path instead of stdout")
-    sp.add_argument("--format", choices=formats, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-
 def _add_space_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--space", help='space as JSON, e.g. \'{"kind":"lp","p":2}\'')
     sp.add_argument("--p", type=float, default=None,
@@ -110,37 +118,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--operator", default=None,
                         help="apply first: sigma_up:m | sigma_down:m | tau:n | "
                              "doubling | doubling_inv | S | Q | R:n | T:lambda | Dl:lambda")
-    _add_io_flags(p_norm, ("json", "csv"))
 
-    p_index = sub.add_parser("index", help="dilation and fundamental indices with intervals")
-    _add_space_flags(p_index)
-    for flag in ("--n-max", "--j-max", "--k-max"):
-        p_index.add_argument(flag, type=int, default=None)
-    _add_io_flags(p_index, ("json", "csv"))
-
-    p_fset = sub.add_parser("fset", help="the interval [1/beta, 1/alpha]")
-    _add_space_flags(p_fset)
-    for flag in ("--n-max", "--j-max", "--k-max"):
-        p_fset.add_argument(flag, type=int, default=None)
-    _add_io_flags(p_fset, ("json", "csv"))
+    for name, text in (("index", "dilation and fundamental indices with intervals"),
+                       ("fset", "the interval [1/beta, 1/alpha]")):
+        sp = sub.add_parser(name, help=text)
+        _add_space_flags(sp)
+        for flag in ("--n-max", "--j-max", "--k-max"):
+            sp.add_argument(flag, type=int, default=None)
 
     p_scan = sub.add_parser("scan", help="residual estimates over a lambda grid")
     _add_space_flags(p_scan)
     p_scan.add_argument("--grid", help="start:stop:steps (inclusive endpoints)")
     p_scan.add_argument("--dim", type=int, default=None)
-    _add_io_flags(p_scan, ("json", "csv"))
 
     p_wit = sub.add_parser("witness", help="approximate-eigenvector witnesses")
     p_wit.add_argument("--kind", choices=("vn", "un"), default=None,
                        help="vn: doubling orbit; un: two-branch construction")
     _add_space_flags(p_wit)
     p_wit.add_argument("--n", type=int, default=None)
-    _add_io_flags(p_wit, ("json", "csv"))
 
     p_ver = sub.add_parser("verify", help="run the end-to-end check suite")
     p_ver.add_argument("--suite", default=None,
                        help='"all" or comma-separated check ids, e.g. 1,4,12')
-    _add_io_flags(p_ver, ("table", "json", "csv"))
+    for name, sp in sub.choices.items():  # each subcommand's io flags come last
+        sp.add_argument("--config", help="JSON config file; wins over flags on conflict")
+        sp.add_argument("--out", help="write output to this path instead of stdout")
+        sp.add_argument("--format", choices=_FORMATS[name], default=None)
+        sp.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -154,7 +158,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
                 text = fh.read()
         except OSError as e:
             raise CliError(EXIT_BAD_PARAMETER, f"cannot read config file: {e}") from e
-        cfg = _decode_json(text, f"config file {config_path}")
+        cfg = _structured(text, f"config file {config_path}")
         if not isinstance(cfg, dict):
             raise CliError(EXIT_BAD_PARAMETER, "config file must hold a JSON object")
         for key, val in cfg.items():
@@ -162,26 +166,59 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
             if name == "command" or name not in values:
                 print(f"warning: ignoring unknown config key {key!r}", file=sys.stderr)
                 continue
+            flag = "--" + name.replace("_", "-")
+            if not _config_value_ok(values["command"], name, val):
+                raise CliError(EXIT_BAD_PARAMETER,
+                               f"config key {key!r}: {val!r} is not a value {flag} takes")
             if values[name] is not None and values[name] != val:
-                print(
-                    f"warning: config file overrides --{name.replace('_', '-')}"
-                    f"={values[name]!r} with {val!r}",
-                    file=sys.stderr,
-                )
+                print(f"warning: config file overrides {flag}={values[name]!r} with {val!r}",
+                      file=sys.stderr)
             values[name] = val
     return RunConfig(**values)
 
 
-def _decode_json(text: str, what: str):
+def _is_number(v) -> bool:
+    # bool is an int subclass, but JSON true is not a number
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _config_value_ok(command: str, name: str, val) -> bool:
+    """Whether a config value passes its flag's type and choices (None unsets
+    it); space, lattice, vector and grid take JSON, which their loaders check."""
+    if val is None or name in ("space", "lattice", "vector", "grid"):
+        return True
+    if name in ("p", "q"):
+        return _is_number(val) or val in ("inf", "infinity")
+    if name in ("n", "dim", "n_max", "j_max", "k_max", "seed"):
+        return isinstance(val, int) and not isinstance(val, bool)
+    choices = {"kind": ("vn", "un"), "format": _FORMATS[command]}.get(name)
+    return val in choices if choices else isinstance(val, str)  # operator, suite, out
+
+
+def _structured(raw, what: str):
+    """Decode JSON text (from a flag or a config file); a decoded object (a
+    config value) passes through."""
+    if not isinstance(raw, str):
+        return raw
     try:
-        return json.loads(text)
+        return json.loads(raw)
     except json.JSONDecodeError as e:
         raise CliError(EXIT_BAD_JSON, f"malformed JSON in {what}: {e}") from e
 
 
-def _structured(raw, what: str):
-    """Accept either JSON text (from a flag) or a decoded object (from config)."""
-    return _decode_json(raw, what) if isinstance(raw, str) else raw
+def _load_spec(raw, what: str, from_json, to_json):
+    """A space or lattice from a --space / --lattice value, and its JSON echo."""
+    obj = _structured(raw, f"--{what}")
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_BAD_PARAMETER, f"--{what} must be a JSON object")
+    try:
+        spec = from_json(obj)
+    except KeyError as e:
+        msg = e.args[0] if e.args else ""
+        if isinstance(msg, str) and msg.startswith("unknown"):
+            raise CliError(EXIT_UNKNOWN_KIND, msg) from e
+        raise CliError(EXIT_BAD_PARAMETER, f"{what} object is missing key {msg!r}") from e
+    return spec, to_json(spec)
 
 
 def _load_space(config: RunConfig):
@@ -190,50 +227,22 @@ def _load_space(config: RunConfig):
         if config.p is None:
             raise CliError(EXIT_BAD_PARAMETER,
                            "this command needs --space (or the --p shorthand)")
-        obj = ({"kind": "lpq", "p": config.p, "q": config.q}
+        raw = ({"kind": "lpq", "p": config.p, "q": config.q}
                if config.q is not None else {"kind": "lp", "p": config.p})
-    else:
-        # --p is the witness exponent; elsewhere it, like --q, is shorthand
-        # for a space and would be dropped beside --space
-        if config.q is not None or (config.p is not None and config.command != "witness"):
-            flag = "--q" if config.q is not None else "--p"
-            raise CliError(EXIT_BAD_PARAMETER,
-                           f"{flag} is a space shorthand; give it or --space, not both")
-        obj = _structured(raw, "--space")
-    if not isinstance(obj, dict):
-        raise CliError(EXIT_BAD_PARAMETER, "--space must be a JSON object")
-    try:
-        space = space_from_json(obj)
-    except KeyError as e:
-        _reraise_key_error(e, "space")
-    return space, space_to_json(space)
-
-
-def _load_lattice(config: RunConfig):
-    obj = _structured(config.lattice, "--lattice")
-    if not isinstance(obj, dict):
-        raise CliError(EXIT_BAD_PARAMETER, "--lattice must be a JSON object")
-    try:
-        lat = lattice_from_json(obj)
-    except KeyError as e:
-        _reraise_key_error(e, "lattice")
-    return lat, lattice_to_json(lat)
-
-
-def _reraise_key_error(e: KeyError, what: str):
-    msg = e.args[0] if e.args else ""
-    if isinstance(msg, str) and msg.startswith("unknown"):
-        raise CliError(EXIT_UNKNOWN_KIND, msg) from e
-    raise CliError(EXIT_BAD_PARAMETER, f"{what} object is missing key {msg!r}") from e
+    # --p is the witness exponent; elsewhere it, like --q, is shorthand
+    # for a space and would be dropped beside --space
+    elif config.q is not None or (config.p is not None and config.command != "witness"):
+        flag = "--q" if config.q is not None else "--p"
+        raise CliError(EXIT_BAD_PARAMETER,
+                       f"{flag} is a space shorthand; give it or --space, not both")
+    return _load_spec(raw, "space", space_from_json, space_to_json)
 
 
 def _load_vector(config: RunConfig) -> list[float]:
     if config.vector is None:
         raise CliError(EXIT_BAD_PARAMETER, "norm needs --vector")
     obj = _structured(config.vector, "--vector")
-    # bool is an int subclass, but JSON true is not a number
-    if not isinstance(obj, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+    if not isinstance(obj, list) or not all(_is_number(v) for v in obj):
         raise CliError(EXIT_BAD_PARAMETER, "--vector must be a JSON array of numbers")
     return [float(v) for v in obj]
 
@@ -242,6 +251,8 @@ def _parse_grid(raw) -> list[float]:
     if raw is None:
         raise CliError(EXIT_BAD_PARAMETER, "scan needs --grid start:stop:steps")
     if isinstance(raw, (list, tuple)):
+        if len(raw) > _MAX_GRID or not all(_is_number(g) for g in raw):
+            raise CliError(EXIT_BAD_PARAMETER, f"a grid list holds at most {_MAX_GRID} numbers")
         return [float(g) for g in raw]
     parts = str(raw).split(":")
     if len(parts) != 3:
@@ -252,41 +263,19 @@ def _parse_grid(raw) -> list[float]:
         raise CliError(EXIT_BAD_PARAMETER, f"--grid must look like start:stop:steps: {e}") from e
     if steps < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--grid needs at least one step")
+    if steps > _MAX_GRID:
+        raise CliError(EXIT_BAD_PARAMETER, f"a grid takes at most {_MAX_GRID} points")
     if steps == 1:
         return [start]
     return [float(g) for g in np.linspace(start, stop, steps)]
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# subcommands: each returns (JSON payload, CSV header, CSV rows, exit code)
 
 
 def _num(x: float):
     return "inf" if x == math.inf else float(x)
-
-
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _render_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _format(config: RunConfig, default: str = "json") -> str:
-    return config.format if config.format is not None else default
 
 
 def _method(spec) -> str:
@@ -295,10 +284,6 @@ def _method(spec) -> str:
     if isinstance(spec, EX):
         spec = spec.base
     return "root_find" if isinstance(spec, (Orlicz, UN)) else "closed_form"
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def _image_too_long(op: OperatorSpec, n: int) -> bool:
@@ -321,7 +306,7 @@ def _image_too_long(op: OperatorSpec, n: int) -> bool:
     return length > _MAX_IMAGE
 
 
-def _cmd_norm(config: RunConfig) -> int:
+def _cmd_norm(config: RunConfig):
     if (config.space is None and config.p is None) == (config.lattice is None):
         raise CliError(EXIT_BAD_PARAMETER, "norm needs exactly one of --space / --lattice")
     vec = _load_vector(config)
@@ -332,7 +317,8 @@ def _cmd_norm(config: RunConfig) -> int:
                            "--operator acts on ambient sequences, not lattice coefficients")
         if config.q is not None:
             raise CliError(EXIT_BAD_PARAMETER, "--q is a space shorthand; --lattice takes none")
-        lat, lattice_json = _load_lattice(config)
+        lat, lattice_json = _load_spec(config.lattice, "lattice",
+                                       lattice_from_json, lattice_to_json)
         value = lattice_norm(lat, vec)
         method = _method(lat)
     else:
@@ -347,166 +333,79 @@ def _cmd_norm(config: RunConfig) -> int:
             x = apply_array(op, x)
         value = norm(space, x)
         method = _method(space)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "norm",
-        "space": space_json,
-        "lattice": lattice_json,
-        "operator": config.operator,
-        "input_len": len(vec),
-        "value": _num(float(value)),
-        "method": method,
-    }
-    if _format(config) == "csv":
-        _emit(config, _render_csv(
-            ["schema_version", "command", "value", "method"],
-            [[SCHEMA_VERSION, "norm", float(value), method]],
-        ))
-    else:
-        _emit(config, _render_json(payload))
-    return EXIT_OK
+    payload = {"space": space_json, "lattice": lattice_json, "operator": config.operator,
+               "input_len": len(vec), "value": _num(float(value)), "method": method}
+    return payload, ["command", "value", "method"], [["norm", float(value), method]], EXIT_OK
 
 
-def _index_kwargs(config: RunConfig) -> dict:
-    kw = {}
-    for name in ("n_max", "j_max", "k_max"):
-        val = getattr(config, name)
-        if val is not None:
-            kw[name] = int(val)
-    return kw
-
-
-def _cmd_index(config: RunConfig) -> int:
+def _index(config: RunConfig):
+    """The space's JSON and its index report, which index and fset print."""
     space, space_json = _load_space(config)
-    report = index_report(space, **_index_kwargs(config))
-    if _format(config) == "csv":
-        method = report.method
-        rows = [
-            [SCHEMA_VERSION, "alpha", report.alpha.lo, report.alpha.hi,
-             report.alpha.point, method["alpha"]],
-            [SCHEMA_VERSION, "beta", report.beta.lo, report.beta.hi,
-             report.beta.point, method["beta"]],
-            [SCHEMA_VERSION, "mu", report.mu, report.mu, report.mu, method["mu"]],
-            [SCHEMA_VERSION, "nu", report.nu, report.nu, report.nu, method["nu"]],
-        ]
-        _emit(config, _render_csv(
-            ["schema_version", "index", "lo", "hi", "point", "method"], rows))
-    else:
-        payload = {"schema_version": SCHEMA_VERSION, "command": "index",
-                   "space": space_json}
-        payload.update(report_to_json(report))
-        _emit(config, _render_json(payload))
-    return EXIT_OK
+    window = {name: getattr(config, name) for name in ("n_max", "j_max", "k_max")
+              if getattr(config, name) is not None}
+    return space_json, index_report(space, **window)
 
 
-def _cmd_fset(config: RunConfig) -> int:
+def _cmd_index(config: RunConfig):
+    space_json, report = _index(config)
+    a, b, method = report.alpha, report.beta, report.method
+    rows = [
+        ["alpha", a.lo, a.hi, a.point, method["alpha"]],
+        ["beta", b.lo, b.hi, b.point, method["beta"]],
+        ["mu", report.mu, report.mu, report.mu, method["mu"]],
+        ["nu", report.nu, report.nu, report.nu, method["nu"]],
+    ]
+    payload = {"space": space_json, **report_to_json(report)}
+    return payload, ["index", "lo", "hi", "point", "method"], rows, EXIT_OK
+
+
+def _cmd_fset(config: RunConfig):
+    space_json, report = _index(config)
+    lo, hi = (_num(f) for f in report.f_interval)
+    method = report.method["alpha"]
+    payload = {"space": space_json, "f_interval": [lo, hi], "alpha": report.alpha.point,
+               "beta": report.beta.point, "method": method, "params": dict(report.params)}
+    return payload, ["f_lo", "f_hi", "method"], [[lo, hi, method]], EXIT_OK
+
+
+def _cmd_scan(config: RunConfig):
     space, space_json = _load_space(config)
-    report = index_report(space, **_index_kwargs(config))
-    lo, hi = report.f_interval
-    if _format(config) == "csv":
-        _emit(config, _render_csv(
-            ["schema_version", "f_lo", "f_hi", "method"],
-            [[SCHEMA_VERSION, _num(lo), _num(hi), report.method["alpha"]]],
-        ))
-    else:
-        _emit(config, _render_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "fset",
-            "space": space_json,
-            "f_interval": [_num(lo), _num(hi)],
-            "alpha": report.alpha.point,
-            "beta": report.beta.point,
-            "method": report.method["alpha"],
-            "params": dict(report.params),
-        }))
-    return EXIT_OK
+    seed = config.seed if config.seed is not None else DEFAULT_SEED
+    points = residual_scan(space, _parse_grid(config.grid), seed=seed,
+                           **({} if config.dim is None else {"dim": config.dim}))
+    payload = {"space": space_json, "dim": points[0].dim, "seed": points[0].seed, "points": [
+        {"lambda": pt.lam, "residual_estimate": float(pt.estimate), "method": pt.method,
+         "params": dict(pt.params)} for pt in points]}
+    rows = [[pt.lam, pt.estimate, pt.method, pt.dim, pt.seed] for pt in points]
+    return payload, ["lambda", "residual_estimate", "method", "dim", "seed"], rows, EXIT_OK
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    space, space_json = _load_space(config)
-    lams = _parse_grid(config.grid)
-    kw = {"seed": config.seed if config.seed is not None else DEFAULT_SEED}
-    if config.dim is not None:
-        kw["dim"] = int(config.dim)
-    points = residual_scan(space, lams, **kw)
-    if _format(config) == "csv":
-        rows = [[SCHEMA_VERSION, pt.lam, pt.estimate, pt.method, pt.dim, pt.seed]
-                for pt in points]
-        _emit(config, _render_csv(
-            ["schema_version", "lambda", "residual_estimate", "method", "dim", "seed"],
-            rows))
-    else:
-        _emit(config, _render_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "scan",
-            "space": space_json,
-            "dim": points[0].dim,
-            "seed": points[0].seed,
-            "points": [
-                {"lambda": pt.lam, "residual_estimate": float(pt.estimate),
-                 "method": pt.method, "params": dict(pt.params)}
-                for pt in points
-            ],
-        }))
-    return EXIT_OK
-
-
-def _cmd_witness(config: RunConfig) -> int:
+def _cmd_witness(config: RunConfig):
     if config.kind not in ("vn", "un"):
         raise CliError(EXIT_BAD_PARAMETER, "witness needs --kind vn or --kind un")
     if config.p is None:
         raise CliError(EXIT_BAD_PARAMETER, "witness needs --p")
     if config.n is None or config.n < 1:
         raise CliError(EXIT_BAD_PARAMETER, "witness needs --n >= 1")
-    p, n = float(config.p), int(config.n)
-    method = "closed_form"
+    p, n = float(config.p), config.n
     if config.kind == "vn":
         space = _load_space(config)[0]
         method = _method(space)
         rep = doubling_orbit_witness(space, p, n)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "witness",
-            "kind": "vn",
-            "p": p,
-            "n": n,
-            "lambda": rep.lam,
-            "norm_value": rep.norm_value,
-            "residual": rep.residual,
-            "predicted": rep.predicted,
-            "support": rep.support,
-            "method": method,
-        }
-        fields_out = ["lambda", "norm_value", "residual", "predicted", "support"]
+        names = ("lambda", "norm_value", "residual", "predicted", "support")
+        values = (rep.lam, rep.norm_value, rep.residual, rep.predicted, rep.support)
     else:
         if config.space is not None or config.q is not None:
             raise CliError(EXIT_BAD_PARAMETER,
                            "witness --kind un lives on l^p; it takes no --space or --q")
+        method = "closed_form"
         rep = branching_witness(p, n)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "witness",
-            "kind": "un",
-            "p": p,
-            "n": n,
-            "norm_value": rep.norm_value,
-            "d2_residual": rep.d2_residual,
-            "d3_residual": rep.d3_residual,
-            "d2_predicted": rep.d2_predicted,
-            "d3_predicted": rep.d3_predicted,
-            "support": rep.support,
-            "method": method,
-        }
-        fields_out = ["norm_value", "d2_residual", "d2_predicted",
-                      "d3_residual", "d3_predicted", "support"]
-    if _format(config) == "csv":
-        rows = [[SCHEMA_VERSION, config.kind, p, n, name, payload[name], method]
-                for name in fields_out]
-        _emit(config, _render_csv(
-            ["schema_version", "kind", "p", "n", "field", "value", "method"], rows))
-    else:
-        _emit(config, _render_json(payload))
-    return EXIT_OK
+        names = ("norm_value", "d2_residual", "d2_predicted", "d3_residual", "d3_predicted", "support")
+        values = (rep.norm_value, rep.d2_residual, rep.d2_predicted,
+                  rep.d3_residual, rep.d3_predicted, rep.support)
+    payload = {"kind": config.kind, "p": p, "n": n, "method": method, **dict(zip(names, values))}
+    rows = [[config.kind, p, n, name, value, method] for name, value in zip(names, values)]
+    return payload, ["kind", "p", "n", "field", "value", "method"], rows, EXIT_OK
 
 
 def _parse_suite(raw: str | None) -> list[int] | None:
@@ -526,36 +425,34 @@ def _parse_suite(raw: str | None) -> list[int] | None:
     return ids
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    only = _parse_suite(config.suite)
-    results = run_checks(only=only, seed=config.seed)
-    fmt = _format(config, default="table")
+def _cmd_verify(config: RunConfig):
+    results = run_checks(only=_parse_suite(config.suite), seed=config.seed)
+    passed = all(r.passed for r in results)
+    payload = {"seed": config.seed, "passed": passed, "results": [
+        {"id": r.crit_id, "name": r.name, "passed": r.passed, "detail": r.detail}
+        for r in results]}
+    rows = [[r.crit_id, r.name, "pass" if r.passed else "fail", r.detail] for r in results]
+    code = EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return payload, ["id", "name", "status", "detail"], rows, code
+
+
+def _render(fmt: str, command: str, payload: dict, header: list, rows: list) -> str:
+    """The one renderer.  JSON gains schema_version and command, CSV a
+    leading schema_version column; verify's table is read off its rows."""
     if fmt == "json":
-        _emit(config, _render_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "seed": config.seed,
-            "passed": all(r.passed for r in results),
-            "results": [
-                {"id": r.crit_id, "name": r.name, "passed": r.passed,
-                 "detail": r.detail}
-                for r in results
-            ],
-        }))
-    elif fmt == "csv":
-        rows = [[SCHEMA_VERSION, r.crit_id, r.name,
-                 "pass" if r.passed else "fail", r.detail] for r in results]
-        _emit(config, _render_csv(
-            ["schema_version", "id", "name", "status", "detail"], rows))
-    else:
-        lines = [
-            f"[{r.crit_id:2d}] {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
-            for r in results
-        ]
-        n_pass = sum(r.passed for r in results)
-        lines.append(f"{n_pass}/{len(results)} checks passed")
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+        body = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
+        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if fmt == "table":
+        lines = [f"[{cid:2d}] {status.upper()} {name}: {detail}"
+                 for cid, name, status, detail in rows]
+        n_pass = sum(status == "pass" for _, _, status, _ in rows)
+        lines.append(f"{n_pass}/{len(rows)} checks passed")
+        return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["schema_version", *header])
+    writer.writerows([SCHEMA_VERSION, *row] for row in rows)
+    return buf.getvalue()
 
 
 _COMMANDS = {
@@ -569,15 +466,24 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
+    """Execute one subcommand, then render and write its result; returns the
+    exit code.  Nothing else writes output, so a failed command writes none."""
     try:
-        return _COMMANDS[config.command](config)
+        payload, header, rows, code = _COMMANDS[config.command](config)
+        text = _render(config.format or _FORMATS[config.command][0], config.command,
+                       payload, header, rows)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except ValueError as e:
         print(f"error: parameter violation: {e}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
+    if config.out:
+        with open(config.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv: list[str] | None = None) -> None:

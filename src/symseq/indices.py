@@ -84,6 +84,13 @@ def _interval(point: float, certified: float, method: str) -> Interval:
     return Interval(lo=min(p, c), hi=max(p, c), point=p, method=method)
 
 
+def _subgrid(n_max: int, j_max: int) -> tuple[int, int]:
+    """The beta-side subgrid j <= j_small of ``_lorentz_profiles`` and the
+    n_ext it runs to."""
+    j_small = min(64, j_max)
+    return j_small, n_max + max(0, int(round(math.log2(j_max / j_small))))
+
+
 def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     """U(n), L(n) = +-(1/q) log2 of the truncated partial-sum ratio sups.
 
@@ -97,8 +104,7 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     late (the dense grid beats the subgrid sup at n_max) fall back to the
     dense profile.
     """
-    j_small = min(64, j_max)
-    n_ext = n_max + max(0, int(round(math.log2(j_max / j_small))))
+    j_small, n_ext = _subgrid(n_max, j_max)
     j = np.arange(1, j_max + 1, dtype=np.int64)
     js = np.arange(1, j_small + 1, dtype=np.int64)
     grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
@@ -127,15 +133,37 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
 
 def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
     """U(n), L(n) from ratios of N^{-1} on the dyadic argument grid."""
-    if k_max + n_max > 996:
-        raise ValueError(
-            "inverse arguments 2^-(k_max+n_max) underflow below 1e-300"
-        )
     loginv = np.log2(
         _orlicz_inverse_vec(N, 2.0 ** -np.arange(0, k_max + n_max + 1, dtype=float))
     )
     L, U = _ratio_sups(loginv, n_max, window=k_max + 1)
     return U, L
+
+
+def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
+    """The one window rule of ``index_report``, checked before any grid.
+
+    n_max >= 1, 1 <= j_max <= 2^20 and k_max >= 0; n_max + k_max <= 996, so
+    the Orlicz inverse arguments 2^-(k_max+n_max) stay above 1e-300; and for
+    Lorentz and l^{p,q} every summed point j 2^n, the beta subgrid's
+    included, stays below 2^63.
+    """
+    if n_max < 1:
+        raise ValueError("index_report needs n_max >= 1")
+    if not 1 <= j_max <= 1 << 20:
+        raise ValueError("index_report needs 1 <= j_max <= 2^20")
+    if k_max < 0:
+        raise ValueError("index_report needs k_max >= 0")
+    if n_max + k_max > 996:
+        raise ValueError(
+            "index_report needs n_max + k_max <= 996: inverse arguments "
+            "2^-(k_max+n_max) underflow below 1e-300"
+        )
+    if isinstance(space, (LpQ, Lorentz)):
+        j_small, n_ext = _subgrid(n_max, j_max)
+        if max(j_max << n_max, j_small << n_ext) >= 1 << 63:
+            raise ValueError("index_report needs every summed point j 2^n below 2^63: "
+                             "lower n_max or j_max")
 
 
 def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
@@ -215,6 +243,7 @@ def index_report(
     Orlicz families the fundamental-function ratio sups are the dilation
     ratio sups term by term, so mu and nu are the alpha and beta points.
     """
+    _check_window(space, n_max, j_max, k_max)
     U, L, method = _profiles(space, n_max, j_max, k_max)
     eu = estimate_rate(U)
     el = estimate_rate(L)

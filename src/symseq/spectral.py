@@ -222,10 +222,12 @@ def branching_witness(p: float, n: int, materialize: bool | None = None) -> Bran
     int64 numerators over one denominator, and D2, D3 are applied as
     written; beyond that the orbit-coefficient representation is used
     (identical numbers, by disjointness).  Tests hold the coefficient route
-    to the materialized one.
+    to the materialized one.  n is capped at 256: the smallest atom mass
+    |c|^p = n^-2 2^-n 3^-n leaves the normal floats near n = 388, and the
+    coefficient arrays and the support sum grow as n^2.
     """
-    if n < 1:
-        raise ValueError("branching_witness needs n >= 1")
+    if not 1 <= n <= 256:
+        raise ValueError("branching_witness needs 1 <= n <= 256")
     if not 1 <= p < math.inf:
         raise ValueError("branching_witness needs 1 <= p < inf")
     if materialize is None:

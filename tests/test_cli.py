@@ -1,6 +1,9 @@
 """Command-line contract: schemas, determinism, exit codes, config merge."""
 
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from symseq import operators, spectral, verify
+from symseq import cli, operators, spectral, verify
 from symseq.cli import (
     EXIT_BAD_JSON,
     EXIT_BAD_PARAMETER,
@@ -16,6 +19,7 @@ from symseq.cli import (
     EXIT_VERIFY_FAILED,
     CliError,
     _image_too_long,
+    main,
     parse_args,
     run,
 )
@@ -465,3 +469,144 @@ def test_requests_never_load_numpy_random():
         "    assert 'numpy.random' not in sys.modules, argv\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120, capture_output=True)
+
+
+# one output path ------------------------------------------------------------------
+
+
+def _main(argv, capsys):
+    """Exit code, stdout and stderr of ``main``, argparse errors included."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+LP2 = '{"kind":"lp","p":2}'
+LORENTZ = '{"kind":"lorentz","q":2,"weights":{"form":"power","theta":0.25}}'
+EVERY_COMMAND = [
+    ["norm", "--p", "2", "--vector", "[3, 4]"],
+    ["norm", "--lattice", '{"kind":"un","orlicz":{"form":"power","p":2}}', "--vector", "[1, 2]"],
+    ["index", "--space", LP2],
+    ["fset", "--space", ORLICZ_15],
+    ["scan", "--space", LP2, "--grid", "1.0:1.2:2", "--dim", "16"],
+    ["witness", "--kind", "vn", "--p", "2", "--n", "3"],
+    ["witness", "--kind", "un", "--p", "2", "--n", "3"],
+    ["verify", "--suite", "9"],
+]
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (argv, fmt) for argv in EVERY_COMMAND
+    for fmt in (None, "json", "csv") + (("table",) if argv[0] == "verify" else ())
+])
+def test_every_format_carries_the_schema(argv, fmt, capsys):
+    code, out, _ = _run(argv + (["--format", fmt] if fmt else []), capsys)
+    assert code == 0
+    fmt = fmt or ("table" if argv[0] == "verify" else "json")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["schema_version"] == 1 and payload["command"] == argv[0]
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[0] == "schema_version" and rows
+        assert all(row[0] == "1" and len(row) == len(header) for row in rows)
+    else:
+        lines = out.splitlines()
+        assert lines[0].startswith("[ 9] PASS ") and lines[-1] == "1/1 checks passed"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["norm", "--space", "{", "--vector", "[1]"], EXIT_BAD_JSON),
+    (["index", "--space", '{"kind":'], EXIT_BAD_JSON),
+    (["scan", "--p", "2", "--grid", "1:2:2", "--format", "table"], 2),
+    (["witness", "--kind", "wn", "--p", "2", "--n", "3"], 2),
+    (["verify", "--suite"], 2),
+    (["norm", "--lattice", '{"kind":"zeta"}', "--vector", "[1]"], EXIT_UNKNOWN_KIND),
+    (["fset", "--space", '{"kind":"zeta"}'], EXIT_UNKNOWN_KIND),
+    (["scan", "--space", '{"kind":"zeta"}', "--grid", "1:2:2"], EXIT_UNKNOWN_KIND),
+    (["witness", "--kind", "vn", "--p", "2", "--n", "3", "--space", '{"kind":"zeta"}'],
+     EXIT_UNKNOWN_KIND),
+    (["norm", "--p", "2", "--vector", "[1, 2]", "--operator", "R:30"], EXIT_BAD_PARAMETER),
+    (["index", "--space", LORENTZ, "--n-max", "60"], EXIT_BAD_PARAMETER),
+    (["fset", "--p", "2", "--n-max", "0"], EXIT_BAD_PARAMETER),
+    (["scan", "--p", "2", "--grid", "1:2:4097"], EXIT_BAD_PARAMETER),
+    (["witness", "--kind", "un", "--p", "1", "--n", "257"], EXIT_BAD_PARAMETER),
+    (["verify", "--suite", "9,99"], EXIT_BAD_PARAMETER),
+])
+def test_a_failed_command_writes_no_output(argv, want, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code, out, err = _main(argv + ["--out", str(target)], capsys)
+    assert code == want and err
+    assert out == "" and not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--space", LORENTZ, "--n-max", "60"], "every summed point j 2^n below 2^63"),
+    (["index", "--space", LORENTZ, "--j-max", "0"], "1 <= j_max <= 2^20"),
+    (["fset", "--space", LORENTZ, "--n-max", "1", "--j-max", str((1 << 20) + 1)],
+     "1 <= j_max <= 2^20"),
+    (["index", "--space", ORLICZ_15, "--k-max", "-1"], "k_max >= 0"),
+    (["fset", "--space", ORLICZ_15, "--n-max", "900", "--k-max", "97"], "n_max + k_max <= 996"),
+    (["scan", "--p", "2", "--grid", "1:2:5000", "--dim", "1"], "at most 4096"),
+    (["witness", "--kind", "un", "--p", "1", "--n", "600"], "n <= 256"),
+])
+def test_size_producing_inputs_are_refused_before_allocating(argv, message, capsys):
+    # each case is past its cap by enough to show in the peak, but would
+    # allocate only megabytes if a check went missing
+    tracemalloc.start()
+    try:
+        code, out, err = _run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert message in err
+    assert peak < 1 << 20
+
+
+def test_a_nan_result_exits_4_instead_of_writing_invalid_json(monkeypatch, capsys):
+    def nan_witness(p, n):
+        return spectral.BranchingReport(p, n, math.nan, 1.0, 1.0, 1.0, 1.0, 9, False)
+
+    monkeypatch.setattr(cli, "branching_witness", nan_witness)
+    argv = ["witness", "--kind", "un", "--p", "2", "--n", "3"]
+    code, out, err = _run(argv, capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "not JSON compliant" in err
+    # CSV has no such limit: it prints nan as Python does
+    code, out, _ = _run(argv + ["--format", "csv"], capsys)
+    assert code == 0 and "norm_value,nan," in out
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    (["scan", "--p", "2", "--grid", "1:1.2:2"], {"format": "xml"}, "config key 'format': 'xml'"),
+    (["fset", "--p", "2"], {"format": "table"}, "config key 'format': 'table'"),
+    (["scan", "--p", "2", "--grid", "1:1.2:2"], {"dim": 1.5}, "config key 'dim': 1.5"),
+    (["fset", "--p", "2"], {"n-max": True}, "config key 'n-max': True is not a value --n-max takes"),
+    (["witness", "--p", "2", "--n", "3"], {"kind": "xx"}, "config key 'kind'"),
+    (["witness", "--kind", "un", "--n", "3"], {"p": True}, "config key 'p'"),
+    (["verify"], {"suite": 9}, "config key 'suite'"),
+    (["verify", "--suite", "9"], {"seed": "7"}, "config key 'seed'"),
+    (["norm", "--p", "2", "--vector", "[1]"], {"out": 5}, "config key 'out'"),
+    (["scan", "--p", "2"], {"grid": [1.0] * 4097}, "a grid list holds at most 4096 numbers"),
+    (["scan", "--p", "2"], {"grid": [1.0, True]}, "a grid list holds at most 4096 numbers"),
+])
+def test_config_values_pass_their_flags_checks(command, cfg, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _main(command + ["--config", str(path)], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert message in err
+
+
+def test_config_values_of_the_flags_type_are_taken(tmp_path, capsys):
+    for command, cfg in [
+        (["fset"], {"p": "inf", "n_max": 8, "format": "csv"}),
+        (["verify"], {"suite": "9", "seed": 3, "format": "table"}),
+        (["scan", "--p", "2"], {"grid": [1.0, 1.5], "dim": 16, "q": None}),
+    ]:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = _main(command + ["--config", str(path)], capsys)
+        assert code == 0 and out

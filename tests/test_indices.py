@@ -6,6 +6,7 @@ toward 1/2 as the profile window grows, which the drift assertions track.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from symseq import spaces
 from symseq._limits import estimate_rate
 from symseq.indices import (
     Interval,
+    _check_window,
     index_report,
     report_to_json,
     weight_ratio_indices,
@@ -182,6 +184,46 @@ def test_power_log_window_growth_tightens():
 
 
 # report serialization ---------------------------------------------------------
+
+
+LORENTZ = Lorentz(2.0, power_weights(0.25))
+ORLICZ = Orlicz(OrliczFn.power(1.5))
+
+
+@pytest.mark.parametrize("space, window", [
+    (Lp(2.0), dict(n_max=0)),
+    (LORENTZ, dict(j_max=0)),
+    (LORENTZ, dict(j_max=(1 << 20) + 1)),
+    (ORLICZ, dict(k_max=-1)),
+    (Lp(2.0), dict(n_max=990, k_max=7)),
+    (ORLICZ, dict(n_max=797)),
+    (LORENTZ, dict(n_max=60)),
+    (LpQ(3.0, 2.0), dict(n_max=62, j_max=2)),
+    # 95 2^56 < 2^63, but the beta subgrid rounds 95 up to 128 = 64 2^1
+    (LORENTZ, dict(n_max=56, j_max=95)),
+])
+def test_index_window_rule_refuses_before_any_grid(space, window):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="index_report needs"):
+            index_report(space, **window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_index_window_rule_admits_its_edges():
+    # checked without building the grids: the largest point is 2^62 each time
+    for space, n_max, j_max, k_max in [
+        (LORENTZ, 42, 1 << 20, 0),
+        (LpQ(3.0, 2.0), 62, 1, 0),
+        (LORENTZ, 55, 95, 0),
+        (ORLICZ, 796, 1, 200),
+        (Lp(2.0), 1, 1 << 20, 995),
+    ]:
+        _check_window(space, n_max, j_max, k_max)
+    assert index_report(Lp(2.0), n_max=996, k_max=0).alpha.point == 0.5
 
 
 def test_report_to_json_shape():

@@ -154,3 +154,33 @@ def _dispatchers(path, cls: str) -> list[str]:
 # so exactly one function decides what a dividing operator does.
 def test_one_function_dispatches_on_operator_classes():
     assert len(_dispatchers(SRC / "operators.py", "DilateDown")) == 1
+
+
+def _output_writers(path) -> list[str]:
+    """Top-level functions in ``path`` that write stdout or open a file to write:
+    ``sys.stdout``, a ``print`` with no ``file=``, or an ``open`` in a mode
+    with w, a, x or + (a mode that is not a literal counts as writing)."""
+    found = []
+    for fn in ast.parse(path.read_text()).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            stdout = (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                      and isinstance(node.value, ast.Name) and node.value.id == "sys")
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            bare_print = call and node.func.id == "print" and not any(
+                kw.arg == "file" for kw in node.keywords)
+            mode = None
+            if call and node.func.id == "open":
+                args = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = "r" if not args else args[0].value if isinstance(args[0], ast.Constant) else "w"
+            if stdout or bare_print or (mode is not None and set(mode) & set("wax+")):
+                found.append(fn.name)
+                break
+    return found
+
+
+# One output path: every subcommand returns its result as data, and
+# cli.run alone renders it and writes it to stdout or --out.
+def test_only_run_writes_command_output():
+    assert _output_writers(SRC / "cli.py") == ["run"]

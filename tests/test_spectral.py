@@ -289,6 +289,18 @@ def test_un_orbit_and_materialized_paths_agree():
             assert fast.d3_residual == pytest.approx(slow.d3_residual, rel=1e-11)
 
 
+def test_un_holds_its_closed_form_up_to_the_cap():
+    # every atom mass n^-2 2^-j 3^-k is still a normal float at n = 256
+    for p in (1.0, 2.0, 3.0):
+        rep = branching_witness(p, 256)
+        want = (2.0 / 256) ** (1.0 / p)
+        assert rep.norm_value == pytest.approx(1.0, rel=1e-12)
+        assert rep.d2_residual == pytest.approx(want, rel=1e-12)
+        assert rep.d3_residual == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="n <= 256"):
+        branching_witness(1.0, 257)
+
+
 def test_un_support_counts_orbit_atoms():
     rep = branching_witness(2.0, 3)
     # disjoint (j, k) atoms over the full square 1..n x 1..n
