@@ -19,7 +19,8 @@ row carries a schema_version column, floats render through repr, and nothing
 time- or host-dependent is written.
 
 Exit codes: 0 success, 1 failed verification, 2 malformed JSON, 3 unknown
-space/lattice kind, 4 parameter violation.
+space/lattice kind, 4 parameter violation (argparse usage errors and an
+unwritable ``--out`` among them).
 """
 
 from __future__ import annotations
@@ -103,8 +104,17 @@ def _add_space_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--q", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which is EXIT_BAD_JSON here: a bad
+    flag is a parameter violation.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_PARAMETER, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symseq",
         description="norms, dilation indices, residual scans and witnesses "
                     "for symmetric sequence spaces",
@@ -370,13 +380,14 @@ def _cmd_fset(config: RunConfig):
 
 def _cmd_scan(config: RunConfig):
     space, space_json = _load_space(config)
+    # the scan is seed-free; its output echoes the seed for schema 1
     seed = config.seed if config.seed is not None else DEFAULT_SEED
-    points = residual_scan(space, _parse_grid(config.grid), seed=seed,
+    points = residual_scan(space, _parse_grid(config.grid),
                            **({} if config.dim is None else {"dim": config.dim}))
-    payload = {"space": space_json, "dim": points[0].dim, "seed": points[0].seed, "points": [
+    payload = {"space": space_json, "dim": points[0].dim, "seed": seed, "points": [
         {"lambda": pt.lam, "residual_estimate": float(pt.estimate), "method": pt.method,
          "params": dict(pt.params)} for pt in points]}
-    rows = [[pt.lam, pt.estimate, pt.method, pt.dim, pt.seed] for pt in points]
+    rows = [[pt.lam, pt.estimate, pt.method, pt.dim, seed] for pt in points]
     return payload, ["lambda", "residual_estimate", "method", "dim", "seed"], rows, EXIT_OK
 
 
@@ -479,8 +490,12 @@ def run(config: RunConfig) -> int:
         print(f"error: parameter violation: {e}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write --out: {e}", file=sys.stderr)
+            return EXIT_BAD_PARAMETER
     else:
         sys.stdout.write(text)
     return code

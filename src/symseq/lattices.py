@@ -220,10 +220,15 @@ def lattice_norm(lat: LatticeSpec, a):
 def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
     """s_k = ||e_k|| for k = 1..k_max: phi(2^(k-1)) of an EX base, mu_k on
     WeightedLq.  UN(N) is EX(Orlicz(N)), where one vector solve gives
-    s_k = 1 / N^{-1}(2^(1-k))."""
+    s_k = 1 / N^{-1}(2^(1-k)).  A Lorentz or finite-q l^{p,q} base takes
+    k_max <= 63, the 63-block cap of ``_ex_norm_sorted``: phi(2^(k-1)) is a
+    weight partial sum, whose positions stay below 2^63."""
     if k_max < 1:
         raise ValueError("unit_norms needs k_max >= 1")
     base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
+    if isinstance(base, (LpQ, Lorentz)) and base.q != math.inf and k_max > 63:
+        raise ValueError(f"unit_norms on a Lorentz or l^{{p,q}} base needs k_max <= 63, "
+                         f"got {k_max}: the 63-block cap of _ex_norm_sorted (positions below 2^63)")
     if isinstance(base, (Orlicz, UN)):
         return 1.0 / _orlicz_inverse_vec(base.N, 2.0 ** -np.arange(k_max))
     if isinstance(lat, EX):
@@ -257,7 +262,9 @@ def shift_exponents(lat: LatticeSpec, n_max: int = 16, k_max: int = 64) -> Shift
 
     On a weighted lattice with unit norms s_k the shift norms are unit-norm
     ratio sups: ||tau_n|| = sup_{k>n} s_k/s_{k-n} and
-    ||tau_-n|| = sup_k s_k/s_{k+n}.
+    ||tau_-n|| = sup_k s_k/s_{k+n}.  EX over a Lorentz or finite-q l^{p,q}
+    base needs k_max <= 63, the 63-block cap of ``_ex_norm_sorted``, which
+    ``unit_norms`` enforces; the default 64 serves the other lattices.
     """
     if n_max < 2 or k_max <= n_max:
         raise ValueError("shift_exponents needs n_max >= 2 and k_max > n_max")

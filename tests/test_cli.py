@@ -104,7 +104,9 @@ def test_norm_refuses_an_argument_to_an_operator_that_takes_none(operator, capsy
     assert f"bad operator argument in {operator!r}" in err
 
 
-@pytest.mark.parametrize("operator", ["R:30", "sigma_up:100000000", "tau:100000000"])
+# the smallest refused arguments on 2 entries: a missing cap would
+# allocate at most 256 MiB, not gigabytes
+@pytest.mark.parametrize("operator", ["R:25", "sigma_up:8388609", "tau:16777215"])
 def test_norm_refuses_an_operator_image_past_the_cap_before_making_it(operator, capsys):
     tracemalloc.start()
     try:
@@ -384,6 +386,28 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["f_interval"] == [2.0, 2.0]
 
 
+def test_an_unwritable_out_exits_4_without_a_traceback(tmp_path, capsys):
+    target = tmp_path / "absent" / "x.json"
+    code, out, err = _main(["fset", "--p", "2", "--out", str(target)], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "cannot write --out" in err and str(target) in err
+    assert "Traceback" not in err and not target.exists()
+
+
+def test_help_still_exits_0(capsys):
+    # usage errors exit 4 (test_a_failed_command_writes_no_output); help is no error
+    code, out, _ = _main(["scan", "--help"], capsys)
+    assert code == 0 and "--grid" in out
+
+
+def test_scan_points_do_not_depend_on_the_seed(capsys):
+    for space in (LORENTZ, ORLICZ_15):
+        argv = ["scan", "--space", space, "--grid", "0.9:1.7:5"]
+        outs = [json.loads(_run(argv + ["--seed", s], capsys)[1]) for s in ("1", "9")]
+        assert [o["seed"] for o in outs] == [1, 9]
+        assert outs[0]["points"] == outs[1]["points"]
+
+
 def test_infinite_fset_renders_inf(capsys):
     _, out, _ = _run(["fset", "--space", '{"kind":"lp","p":"inf"}'], capsys)
     assert json.loads(out)["f_interval"] == ["inf", "inf"]
@@ -519,15 +543,15 @@ def test_every_format_carries_the_schema(argv, fmt, capsys):
 @pytest.mark.parametrize("argv, want", [
     (["norm", "--space", "{", "--vector", "[1]"], EXIT_BAD_JSON),
     (["index", "--space", '{"kind":'], EXIT_BAD_JSON),
-    (["scan", "--p", "2", "--grid", "1:2:2", "--format", "table"], 2),
-    (["witness", "--kind", "wn", "--p", "2", "--n", "3"], 2),
-    (["verify", "--suite"], 2),
+    (["scan", "--p", "2", "--grid", "1:2:2", "--format", "table"], EXIT_BAD_PARAMETER),
+    (["witness", "--kind", "wn", "--p", "2", "--n", "3"], EXIT_BAD_PARAMETER),
+    (["verify", "--suite"], EXIT_BAD_PARAMETER),
     (["norm", "--lattice", '{"kind":"zeta"}', "--vector", "[1]"], EXIT_UNKNOWN_KIND),
     (["fset", "--space", '{"kind":"zeta"}'], EXIT_UNKNOWN_KIND),
     (["scan", "--space", '{"kind":"zeta"}', "--grid", "1:2:2"], EXIT_UNKNOWN_KIND),
     (["witness", "--kind", "vn", "--p", "2", "--n", "3", "--space", '{"kind":"zeta"}'],
      EXIT_UNKNOWN_KIND),
-    (["norm", "--p", "2", "--vector", "[1, 2]", "--operator", "R:30"], EXIT_BAD_PARAMETER),
+    (["norm", "--p", "2", "--vector", "[1, 2]", "--operator", "R:25"], EXIT_BAD_PARAMETER),
     (["index", "--space", LORENTZ, "--n-max", "60"], EXIT_BAD_PARAMETER),
     (["fset", "--p", "2", "--n-max", "0"], EXIT_BAD_PARAMETER),
     (["scan", "--p", "2", "--grid", "1:2:4097"], EXIT_BAD_PARAMETER),

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symseq import spaces
+from symseq import lattices, spaces
 from symseq.lattices import (
     EX,
     UN,
@@ -110,6 +110,21 @@ def test_ex_sorted_norm_refuses_block_positions_past_2_63():
         # unit norms reach phi(2^63) at the default k_max = 64
         with pytest.raises(ValueError, match="2\\^63"):
             shift_exponents(EX(base))
+
+
+def test_unit_norms_refuse_k_max_past_63_before_evaluating(monkeypatch):
+    for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
+        assert np.isfinite(shift_exponents(EX(base), k_max=63).k_plus)
+        assert unit_norms(EX(base), 63).size == 63
+
+    def no_phi(space, n):
+        raise AssertionError("a unit norm was evaluated past the cap")
+
+    monkeypatch.setattr(lattices, "fundamental_function", no_phi)
+    for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
+        for call in (lambda: unit_norms(EX(base), 64), lambda: shift_exponents(EX(base))):
+            with pytest.raises(ValueError, match="k_max <= 63, got 64: the 63-block cap of _ex_norm_sorted"):
+                call()
 
 
 def test_ex_orlicz_norm_is_the_un_norm():
