@@ -12,6 +12,9 @@ that import nothing from one another:
     verify     one end-to-end check per advertised guarantee
     cli        the `symseq` command-line front end
 
+``lattices`` and ``indices`` sit side by side: each reads only ``spaces``
+and the private limit estimator ``_limits``.
+
 Everything a caller normally needs re-exports from here.
 """
 
@@ -29,7 +32,6 @@ from .lattices import (
     LatticeSpec,
     ShiftExponents,
     WeightedLq,
-    WeightRatioCondition,
     block_weights_from_lorentz,
     dyadic_equivalence_report,
     lattice_from_json,
@@ -38,7 +40,6 @@ from .lattices import (
     sandwich_ratio,
     shift_exponents,
     unit_norms,
-    weight_ratio_condition,
 )
 from .operators import (
     AvgProject,
@@ -119,7 +120,6 @@ __all__ = [
     "ShiftMinusLambda",
     "SpaceSpec",
     "UN",
-    "WeightRatioCondition",
     "WeightSeq",
     "WeightedLq",
     "WitnessReport",
@@ -149,6 +149,5 @@ __all__ = [
     "space_from_json",
     "space_to_json",
     "unit_norms",
-    "weight_ratio_condition",
     "weight_ratio_indices",
 ]

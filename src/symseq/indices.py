@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._limits import _ratio_sups, estimate_rate
-from .lattices import weight_ratio_condition
 from .spaces import (
     Lorentz,
     Lp,
@@ -46,7 +45,6 @@ from .spaces import (
     Orlicz,
     OrliczFn,
     SpaceSpec,
-    WeightSeq,
     _distinct,
     _orlicz_inverse_vec,
     _weight_sums,
@@ -188,31 +186,31 @@ def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
     raise TypeError(f"unknown space spec {space!r}")
 
 
-def weight_ratio_indices(
-    q: float, w: WeightSeq, n_max: int = 16
-) -> tuple[Interval, Interval]:
+def weight_ratio_indices(space: Lorentz, n_max: int = 16) -> tuple[Interval, Interval]:
     """(alpha, beta) of lambda_q(w) from dyadic weight ratios alone.
 
     A second route, independent of the partial-sum profile that
-    ``index_report`` uses.  It is available when the dyadic weight-ratio
-    condition holds (sup growth of w_{2^k}/w_{2^{k+n}} strictly below
-    2^{1/q}): then the block lattice is the weighted l_q model, shift norms
-    there are 2^{+-n/q} times plain weight-ratio sups, and
+    ``index_report`` uses.  It reads the dyadic profile log2 w(2^k),
+    k <= min(256, 1000 - n_max), once.  It is available when the dyadic
+    weight-ratio condition holds (sup growth of w_{2^k}/w_{2^{k+n}},
+    estimated at n_max, strictly below 2^{1/q}): then EX of the space is
+    lattice-isomorphic to the weighted l_q model, shift norms there are
+    2^{+-n/q} times plain weight-ratio sups, and
 
         alpha = 1/q - lim (1/n) log2 sup_k w_{2^k} / w_{2^{k+n}},
         beta  = 1/q + lim (1/n) log2 sup_k w_{2^{k+n}} / w_{2^k}.
     """
     if n_max < 2:
         raise ValueError("weight_ratio_indices needs n_max >= 2")
-    cond = weight_ratio_condition(q, w, n_max=n_max)
-    if not cond.holds:
+    q = space.q
+    k = np.arange(0, min(256, 1000 - n_max) + 1, dtype=float)
+    Us, Ls = _ratio_sups(np.log2(space.w.values_at(2.0**k)), n_max)
+    est, thr = float(2.0 ** (Ls[-1] / n_max)), float(2.0 ** (1.0 / q))
+    if not est < thr:
         raise ValueError(
             "weight-ratio route needs the dyadic weight-ratio condition: "
-            f"estimate {cond.estimate_at_n_max:.6f} >= threshold "
-            f"{cond.threshold:.6f}"
+            f"estimate {est:.6f} >= threshold {thr:.6f}"
         )
-    k = np.arange(0, cond.k_max + 1, dtype=float)
-    Us, Ls = _ratio_sups(np.log2(w.values_at(2.0**k)), n_max)
     eu = estimate_rate(Us)
     el = estimate_rate(Ls)
     alpha = _interval(1.0 / q - el.point, 1.0 / q - el.fekete, "truncated_sup")

@@ -56,8 +56,6 @@ __all__ = [
     "sandwich_ratio",
     "EquivalenceReport",
     "dyadic_equivalence_report",
-    "WeightRatioCondition",
-    "weight_ratio_condition",
     "random_decreasing",
     "lattice_from_json",
     "lattice_to_json",
@@ -328,88 +326,37 @@ def random_decreasing(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def dyadic_equivalence_report(
-    kind: str,
-    *,
-    q: float | None = None,
-    w: WeightSeq | None = None,
-    N: OrliczFn | None = None,
-    trials: int = 200,
-    max_len: int = 4096,
-    seed: int = 7,
+    space: Lorentz | Orlicz, *, trials: int = 200, max_len: int = 4096, seed: int = 7
 ) -> EquivalenceReport:
     """Compare ||x|| with the lattice norm of its dyadic samples (x*_{2^k})_k.
 
-    kind "lorentz": rhs in WeightedLq with mu_k = 2^((k-1)/q) w(2^(k-1));
-    the modular chain gives rhs/lhs in [1, 4^(1/q)].  kind "orlicz": rhs in
-    UN(N); the chain gives rhs/lhs in [1, 4].
+    Lorentz(q, w): rhs in WeightedLq with mu_k = 2^((k-1)/q) w(2^(k-1));
+    the modular chain gives rhs/lhs in [1, 4^(1/q)].  Orlicz(N): rhs in
+    UN(N); the chain gives rhs/lhs in [1, 4].  Other spaces raise TypeError.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "lorentz":
-        if q is None or w is None:
-            raise ValueError("lorentz equivalence needs q and w")
-        space: SpaceSpec = Lorentz(q, w)
-        lat: LatticeSpec = WeightedLq(q, block_weights_from_lorentz(q, w))
-        bound_lo, bound_hi = 1.0, 4.0 ** (1.0 / q)
-    elif kind == "orlicz":
-        if N is None:
-            raise ValueError("orlicz equivalence needs N")
-        space = Orlicz(N)
-        lat = UN(N)
-        bound_lo, bound_hi = 1.0, 4.0
+    if isinstance(space, Lorentz):
+        lat: LatticeSpec = WeightedLq(space.q, block_weights_from_lorentz(space.q, space.w))
+        kind, bound_hi = "lorentz", 4.0 ** (1.0 / space.q)
+    elif isinstance(space, Orlicz):
+        lat, kind, bound_hi = UN(space.N), "orlicz", 4.0
     else:
-        raise ValueError(f"unknown equivalence kind {kind!r}")
-
+        raise TypeError(f"dyadic equivalence models Lorentz and Orlicz spaces, not {space!r}")
+    rng = np.random.default_rng(seed)
     lo, hi = math.inf, 0.0
     for _ in range(trials):
         size = int(rng.integers(2, max_len + 1))
         x = random_decreasing(rng, size)
-        rhs = lattice_norm(lat, _dyadic_samples(x))
-        lhs = norm(space, x)
-        r = rhs / lhs
+        r = lattice_norm(lat, _dyadic_samples(x)) / norm(space, x)
         lo, hi = min(lo, r), max(hi, r)
     return EquivalenceReport(
         kind=kind,
         trials=trials,
         ratio_min=float(lo),
         ratio_max=float(hi),
-        bound_lo=bound_lo,
+        bound_lo=1.0,
         bound_hi=bound_hi,
         max_len=max_len,
         seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class WeightRatioCondition:
-    """Dyadic weight regularity: lim (sup_k w(2^k)/w(2^(k+n)))^(1/n) < 2^(1/q).
-
-    When it holds, EX of the Lorentz space is lattice-isomorphic to the
-    weighted l_q model and ``indices.weight_ratio_indices`` applies.
-    """
-
-    holds: bool
-    margin: float
-    estimate_at_n_max: float
-    threshold: float
-    n_max: int
-    k_max: int
-
-
-def weight_ratio_condition(
-    q: float, w: WeightSeq, n_max: int = 16, k_max: int = 256
-) -> WeightRatioCondition:
-    k_eff = min(k_max, 1000 - n_max)
-    k = np.arange(0, k_eff + 1, dtype=float)
-    logw = np.log2(w.values_at(2.0**k))
-    est = float(2.0 ** (_ratio_sups(logw, n_max)[1][-1] / n_max))
-    thr = float(2.0 ** (1.0 / q))
-    return WeightRatioCondition(
-        holds=est < thr,
-        margin=thr - est,
-        estimate_at_n_max=est,
-        threshold=thr,
-        n_max=n_max,
-        k_max=k_eff,
     )
 
 

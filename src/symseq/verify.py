@@ -272,7 +272,7 @@ def check_index_round_trips():
         w = power_weights(th)
         rep = index_report(Lorentz(q, w))
         e_full = max(abs(rep.alpha.point - want), abs(rep.beta.point - want))
-        a2, b2 = weight_ratio_indices(q, w)
+        a2, b2 = weight_ratio_indices(Lorentz(q, w))
         e_simp = max(abs(a2.point - want), abs(b2.point - want))
         worst = max(worst, e_full, e_simp)
         if e_full > 1e-3 or e_simp > 1e-3:
@@ -409,13 +409,13 @@ def check_shift_machinery(seed: int = 0):
 def check_equivalence_envelopes():
     """Orlicz block model within [1, 4]; Lorentz envelope pinned."""
     for p in (1.5, 2.0, 3.0):
-        rep = dyadic_equivalence_report("orlicz", N=OrliczFn.power(p))
+        rep = dyadic_equivalence_report(Orlicz(OrliczFn.power(p)))
         if rep.ratio_min < 1 - 1e-10 or rep.ratio_max > 4 + 1e-10:
             return False, (f"orlicz t^{p}: observed [{rep.ratio_min}, {rep.ratio_max}] "
                            "escapes [1, 4]")
     seen = {}
     for key, q, th in (("q1_th0.3", 1.0, 0.3), ("q2_th0.25", 2.0, 0.25)):
-        rep = dyadic_equivalence_report("lorentz", q=q, w=power_weights(th))
+        rep = dyadic_equivalence_report(Lorentz(q, power_weights(th)))
         if not (math.isfinite(rep.ratio_min) and math.isfinite(rep.ratio_max)):
             return False, f"lorentz {key}: envelope not finite"
         if rep.ratio_min < 1 - 1e-10 or rep.ratio_max > 4.0 ** (1.0 / q) + 1e-10:

@@ -145,19 +145,26 @@ def test_fundamental_and_dilation_routes_coincide():
 
 
 def test_lorentz_simplified_route_matches_direct():
-    # the weight-ratio route against the partial-sum profile
-    for q, theta in ((1.0, 0.3), (2.0, 0.25)):
-        w = power_weights(theta)
-        a1, b1 = alpha_beta(Lorentz(q, w), n_max=12, j_max=1 << 12)
-        a2, b2 = weight_ratio_indices(q, w, n_max=12)
-        assert a1.point == pytest.approx(a2.point, abs=2e-3)
-        assert b1.point == pytest.approx(b2.point, abs=2e-3)
+    # the weight-ratio route hits the index (1 - theta q)/q of w = k^{-theta}
+    # and agrees with the partial-sum profile, except at theta = 0.49, q = 2,
+    # just inside the condition theta < 1/q, where the profile converges slowly
+    for q, theta in ((1.0, 0.3), (2.0, 0.25), (2.0, 0.49)):
+        space = Lorentz(q, power_weights(theta))
+        a2, b2 = weight_ratio_indices(space, n_max=12)
+        want = (1.0 - theta * q) / q
+        assert a2.point == pytest.approx(want, abs=1e-9)
+        assert b2.point == pytest.approx(want, abs=1e-9)
+        if theta != 0.49:
+            a1, b1 = alpha_beta(space, n_max=12, j_max=1 << 12)
+            assert a1.point == pytest.approx(a2.point, abs=2e-3)
+            assert b1.point == pytest.approx(b2.point, abs=2e-3)
 
 
-def test_lorentz_simplified_route_refuses_irregular_weights():
-    # theta > 1/q: the dyadic ratio limit 2^theta crosses the 2^{1/q} threshold
+@pytest.mark.parametrize("q, theta", [(2.0, 0.7), (3.0, 0.5), (1.0, 1.2)])
+def test_lorentz_simplified_route_refuses_irregular_weights(q, theta):
+    # w = k^{-theta}: the dyadic ratio limit 2^theta must stay below 2^{1/q}
     with pytest.raises(ValueError, match="weight-ratio route"):
-        weight_ratio_indices(2.0, power_weights(0.7), n_max=8)
+        weight_ratio_indices(Lorentz(q, power_weights(theta)), n_max=8)
 
 
 # regression pins -------------------------------------------------------------

@@ -20,7 +20,6 @@ from symseq.lattices import (
     sandwich_ratio,
     shift_exponents,
     unit_norms,
-    weight_ratio_condition,
 )
 from symseq.spaces import (
     Lorentz,
@@ -389,43 +388,31 @@ def test_sandwich_ratio_reads_any_array_like():
 
 def test_lorentz_equivalence_envelope_small():
     rep = dyadic_equivalence_report(
-        "lorentz", q=2.0, w=power_weights(0.25), trials=40, max_len=512, seed=3
+        Lorentz(2.0, power_weights(0.25)), trials=40, max_len=512, seed=3
     )
+    assert rep.kind == "lorentz"
     assert 1.0 - 1e-10 <= rep.ratio_min <= rep.ratio_max <= 4.0**0.5 + 1e-10
     assert rep.bound_lo == 1.0 and rep.bound_hi == pytest.approx(4.0**0.5)
     assert rep.trials == 40
 
 
 def test_orlicz_equivalence_envelope_small():
-    rep = dyadic_equivalence_report(
-        "orlicz", N=OrliczFn.power(2.0), trials=40, max_len=512, seed=3
-    )
+    rep = dyadic_equivalence_report(Orlicz(OrliczFn.power(2.0)), trials=40, max_len=512, seed=3)
+    assert rep.kind == "orlicz"
     assert 1.0 - 1e-10 <= rep.ratio_min <= rep.ratio_max <= 4.0 + 1e-10
 
 
 def test_equivalence_report_is_deterministic():
-    kw = dict(q=2.0, w=power_weights(0.3), trials=25, max_len=256, seed=11)
-    a = dyadic_equivalence_report("lorentz", **kw)
-    b = dyadic_equivalence_report("lorentz", **kw)
+    kw = dict(trials=25, max_len=256, seed=11)
+    a = dyadic_equivalence_report(Lorentz(2.0, power_weights(0.3)), **kw)
+    b = dyadic_equivalence_report(Lorentz(2.0, power_weights(0.3)), **kw)
     assert (a.ratio_min, a.ratio_max) == (b.ratio_min, b.ratio_max)
 
 
-def test_equivalence_report_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        dyadic_equivalence_report("mystery")
-
-
-# weight regularity ----------------------------------------------------------------
-
-
-def test_weight_ratio_condition_power_weights():
-    # w = k^{-theta}: the dyadic ratio limit is 2^theta < 2^{1/q} iff theta < 1/q
-    ok = weight_ratio_condition(2.0, power_weights(0.25))
-    assert ok.holds and ok.margin > 0.0
-    edge = weight_ratio_condition(2.0, power_weights(0.49))
-    assert edge.holds
-    bad = weight_ratio_condition(1.0, power_weights(0.999))
-    assert bad.margin < 0.1
+@pytest.mark.parametrize("space", [Lp(2.0), LpQ(2.0, 3.0)], ids=["lp", "lpq"])
+def test_equivalence_report_refuses_spaces_without_a_block_model(space):
+    with pytest.raises(TypeError, match="Lorentz and Orlicz"):
+        dyadic_equivalence_report(space, trials=1)
 
 
 def test_block_weights_from_lorentz_values():

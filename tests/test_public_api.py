@@ -119,6 +119,12 @@ def test_partial_sum_kernels_stay_in_spaces():
         assert not (defined | called) & _SUM_KERNELS, path.name
 
 
+# indices reads only the spaces it indexes and the limit estimator: the
+# weight-ratio route takes its dyadic profile from the Lorentz space itself.
+def test_indices_imports_only_limits_and_spaces():
+    assert set(_sibling_imports(SRC / "indices.py")) <= {"_limits", "spaces"}
+
+
 def _self_calls(path, name: str) -> list[int]:
     """Lines where the top-level function ``name`` calls itself by name."""
     for node in ast.parse(path.read_text()).body:
