@@ -11,7 +11,9 @@ a CSV header, CSV rows and an exit code); ``run`` alone renders it and writes
 it once, to stdout or ``--out``.  A command that fails writes nothing there.
 Inputs that size an allocation are refused before it is made: an operator
 image past 2^24 entries, a grid past 4,096 points, an index window outside
-``index_report``'s rule, a ``witness --kind un`` past n = 256.
+``index_report``'s rule, a ``witness --kind un`` past n = 256.  A
+``witness --kind vn`` whose support 2^n - 1 would not print is refused
+before it is computed.
 
 Determinism contract: identical config + seed produce byte-identical output.
 JSON is emitted with sorted keys and never holds NaN or infinity, every CSV
@@ -391,6 +393,14 @@ def _cmd_scan(config: RunConfig):
     return payload, ["lambda", "residual_estimate", "method", "dim", "seed"], rows, EXIT_OK
 
 
+def _vn_print_bound() -> int | None:
+    """The largest n whose vn support 2^n - 1 prints: it has floor(n log10 2)
+    + 1 digits, and str() refuses an int past the interpreter's digit limit
+    (4,300 by default, so n <= 14,284; 0 or no limit gives None)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return math.ceil(digits / math.log10(2)) - 1 if digits else None
+
+
 def _cmd_witness(config: RunConfig):
     if config.kind not in ("vn", "un"):
         raise CliError(EXIT_BAD_PARAMETER, "witness needs --kind vn or --kind un")
@@ -401,6 +411,11 @@ def _cmd_witness(config: RunConfig):
     p, n = float(config.p), config.n
     if config.kind == "vn":
         space = _load_space(config)[0]
+        n_print = _vn_print_bound()
+        if n_print is not None and n > n_print:
+            raise CliError(EXIT_BAD_PARAMETER,
+                           f"witness --kind vn needs n <= {n_print}: a larger n has a support "
+                           "2^n - 1 past Python's int-to-string digit limit")
         method = _method(space)
         rep = doubling_orbit_witness(space, p, n)
         names = ("lambda", "norm_value", "residual", "predicted", "support")

@@ -138,13 +138,18 @@ def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
     return U, L
 
 
+# the most summed points j 2^n one Lorentz or l^{p,q} profile may take
+_MAX_SUMMED_POINTS = 1 << 22
+
+
 def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
     """The one window rule of ``index_report``, checked before any grid.
 
     n_max >= 1, 1 <= j_max <= 2^20 and k_max >= 0; n_max + k_max <= 996, so
     the Orlicz inverse arguments 2^-(k_max+n_max) stay above 1e-300; and for
     Lorentz and l^{p,q} every summed point j 2^n, the beta subgrid's
-    included, stays below 2^63.
+    included, stays below 2^63, and there are at most 2^22 of them (~40 B
+    each while the profile is built, so ~170 MiB at most).
     """
     if n_max < 1:
         raise ValueError("index_report needs n_max >= 1")
@@ -161,6 +166,10 @@ def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
         j_small, n_ext = _subgrid(n_max, j_max)
         if max(j_max << n_max, j_small << n_ext) >= 1 << 63:
             raise ValueError("index_report needs every summed point j 2^n below 2^63: "
+                             "lower n_max or j_max")
+        points = (n_max + 1) * j_max + (n_ext - n_max) * j_small
+        if points > _MAX_SUMMED_POINTS:
+            raise ValueError(f"index_report needs at most 2^22 summed points, got {points}: "
                              "lower n_max or j_max")
 
 

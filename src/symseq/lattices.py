@@ -31,6 +31,7 @@ from .spaces import (
     SpaceSpec,
     WeightSeq,
     _distinct,
+    _json_float,
     _luxemburg,
     _orlicz_from_json,
     _orlicz_inverse_vec,
@@ -86,10 +87,17 @@ class WeightedLq:
         if not (1.0 <= self.q < math.inf):
             raise ValueError("WeightedLq needs q in [1, inf)")
         # probe only k = 1, 2 so finite weight tables stay constructible;
-        # range errors beyond a table surface at evaluation time
-        probe = np.asarray(self.mu(np.arange(1.0, 3.0)), dtype=float)
-        if not np.all(np.isfinite(probe)) or np.any(probe <= 0):
+        # the weights past them are checked where a norm reads them
+        self.weights(2)
+
+    def weights(self, n: int) -> np.ndarray:
+        """mu_1..mu_n; one that overflows, underflows to 0 or is not positive
+        is refused with the constructor's message, never used."""
+        with np.errstate(all="ignore"):
+            mu = np.asarray(self.mu(np.arange(1.0, n + 1.0)), dtype=float)
+        if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
             raise ValueError("weights mu must be finite and positive")
+        return mu
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,7 @@ def lattice_norm(lat: LatticeSpec, a):
     elif isinstance(lat, WeightedLq):
         # each row of mu |a| is scaled as in _descending before the power,
         # so no term over- or underflows where the norm is representable
-        v = rows * np.asarray(lat.mu(np.arange(1.0, rows.shape[1] + 1.0)), dtype=float)
+        v = rows * lat.weights(rows.shape[1])
         scale = np.ldexp(1.0, np.frexp(v.max(axis=1, initial=0.0))[1] - 1)
         s = np.add.reduce((v / scale[:, None]) ** lat.q, axis=1)
         out = [c * t ** (1.0 / lat.q) for c, t in zip(scale.tolist(), s.tolist())]
@@ -232,7 +240,7 @@ def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
     if isinstance(lat, EX):
         return np.array([fundamental_function(lat.base, 1 << k) for k in range(k_max)])
     if isinstance(lat, WeightedLq):
-        return np.asarray(lat.mu(np.arange(1.0, k_max + 1.0)), dtype=float)
+        return lat.weights(k_max)
     raise TypeError(f"unknown lattice spec {lat!r}")
 
 
@@ -368,7 +376,7 @@ def _mu_from_json(q: float, obj) -> tuple:
         raise ValueError('wlq weights must be {"form": ...}')
     form = obj["form"]
     if form == "geometric":
-        r = float(obj["ratio"])
+        r = _json_float(obj["ratio"], "ratio")
         if not 0.0 < r < math.inf:
             raise ValueError("geometric weights need ratio > 0")
 
@@ -380,7 +388,7 @@ def _mu_from_json(q: float, obj) -> tuple:
         vals = obj.get("values")
         if not isinstance(vals, list) or len(vals) < 2:
             raise ValueError('array weights need "values" with at least 2 entries')
-        table = np.asarray([float(v) for v in vals])
+        table = np.asarray([_json_float(v, f"values[{i}]") for i, v in enumerate(vals)])
 
         def mu(k, table=table):
             idx = np.asarray(k, dtype=np.int64)
@@ -388,7 +396,7 @@ def _mu_from_json(q: float, obj) -> tuple:
                 raise ValueError(f"array weights cover only k <= {table.size}")
             return table[idx - 1]
 
-        return mu, {"form": "array", "values": [float(v) for v in vals]}
+        return mu, {"form": "array", "values": table.tolist()}
     if form == "lorentz_blocks":
         w = _weights_from_json(obj.get("weights"))
         desc = {"form": "lorentz_blocks", "weights": dict(obj["weights"])}
@@ -404,7 +412,7 @@ def lattice_from_json(obj) -> LatticeSpec:
     if kind == "ex":
         return EX(base=space_from_json(obj["base"]))
     if kind == "wlq":
-        q = float(obj["q"])
+        q = _json_float(obj["q"], "q")
         mu, desc = _mu_from_json(q, obj["weights"])
         return WeightedLq(q=q, mu=mu, descriptor=desc)
     if kind == "un":

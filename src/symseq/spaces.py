@@ -694,17 +694,29 @@ def fundamental_function(space: SpaceSpec, n: int) -> float:
 
 # JSON descriptors ----------------------------------------------------------
 
+_JSON_TYPES = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+
+
+def _json_float(v, key: str) -> float:
+    """A descriptor number: a JSON number or a string that float() reads.
+    null, booleans, arrays and objects are refused, naming the key."""
+    if type(v) in _JSON_TYPES:
+        raise ValueError(f"descriptor key {key!r} must be a number, not {_JSON_TYPES[type(v)]}")
+    return float(v)
+
+
 def _weights_from_json(obj) -> WeightSeq:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ValueError('weights must be {"form": ...}')
     form = obj["form"]
     if form == "power":
-        return power_weights(float(obj["theta"]))
+        return power_weights(_json_float(obj["theta"], "theta"))
     if form == "array":
         vals = obj.get("values")
         if not isinstance(vals, list) or not vals:
             raise ValueError('array weights need "values": [..]')
-        return WeightSeq(kind="array", data=tuple(float(v) for v in vals))
+        data = tuple(_json_float(v, f"values[{i}]") for i, v in enumerate(vals))
+        return WeightSeq(kind="array", data=data)
     raise ValueError(f"unknown weights form {form!r}")
 
 
@@ -713,9 +725,9 @@ def _orlicz_from_json(obj) -> OrliczFn:
         raise ValueError('orlicz must be {"form": ...}')
     form = obj["form"]
     if form == "power":
-        return OrliczFn.power(float(obj["p"]))
+        return OrliczFn.power(_json_float(obj["p"], "p"))
     if form == "power_log":
-        return OrliczFn.power_log(float(obj["p"]), float(obj["a"]))
+        return OrliczFn.power_log(_json_float(obj["p"], "p"), _json_float(obj["a"], "a"))
     raise ValueError(f"unknown orlicz form {form!r}")
 
 
@@ -726,13 +738,13 @@ def space_from_json(obj) -> SpaceSpec:
     kind = obj.get("kind")
     if kind == "lp":
         p = obj["p"]
-        return Lp(math.inf if p in ("inf", "infinity") else float(p))
+        return Lp(math.inf if p in ("inf", "infinity") else _json_float(p, "p"))
     if kind == "lpq":
         q = obj["q"]
-        q = math.inf if q in ("inf", "infinity") else float(q)
-        return LpQ(float(obj["p"]), q)
+        q = math.inf if q in ("inf", "infinity") else _json_float(q, "q")
+        return LpQ(_json_float(obj["p"], "p"), q)
     if kind == "lorentz":
-        return Lorentz(float(obj["q"]), _weights_from_json(obj["weights"]))
+        return Lorentz(_json_float(obj["q"], "q"), _weights_from_json(obj["weights"]))
     if kind == "orlicz":
         return Orlicz(_orlicz_from_json(obj["orlicz"]))
     raise KeyError(f"unknown space kind {kind!r}")

@@ -372,11 +372,11 @@ def _search_rho(lat: EX, lam: float, ms, rhos: np.ndarray) -> tuple[float, dict]
 def _scan_point(lam: float, lat: EX, dim: int) -> tuple[float, str, dict]:
     base = lat.base
     if not (isinstance(base, Lp) and base.p != math.inf):
-        blocks = max(1, int(math.log2(max(dim, 2))))
+        blocks = max(1, int(dim).bit_length() - 1)
         rhos = np.concatenate(([1.0 / lam], _GENERAL_RHOS))
         est, params = _search_rho(lat, lam, range(1, blocks + 1), rhos)
         return est, "operator_search", params
-    mgrid = 2 ** np.arange(0, int(math.log2(dim)) + 1)
+    mgrid = 2 ** np.arange(0, int(dim).bit_length())
     fam = _orbit_family_residual(lam, base.p, mgrid)
     i = int(np.argmin(fam))
     est, params = _search_rho(lat, lam, [min(dim, 64)], _LP_RHOS)

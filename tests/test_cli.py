@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,27 @@ def test_scan_past_2_63_block_positions_exits_before_any_work(capsys, monkeypatc
     assert "2^63" in err
 
 
+def test_scan_floors_log2_dim_in_integers(capsys):
+    # float log2 rounds 2^63 - 1 up to 63: the l^p orbit grid reached m = 2^63
+    code, out, _ = _run(["scan", "--p", "2", "--grid", "1:1:1", "--dim", str((1 << 63) - 1),
+                         "--format", "csv"], capsys)
+    assert code == 0
+    assert math.isfinite(float(list(csv.DictReader(io.StringIO(out)))[0]["residual_estimate"]))
+
+
+def test_witness_vn_refuses_a_support_that_cannot_print_before_computing(capsys, monkeypatch):
+    # 2^14284 - 1 has 4,300 digits, Python's default int-to-string limit
+    for fmt in ("json", "csv"):
+        code, out, _ = _run(["witness", "--kind", "vn", "--p", "2", "--n", "14284",
+                             "--format", fmt], capsys)
+        assert code == 0 and str((1 << 14284) - 1) in out
+    monkeypatch.setattr(cli, "doubling_orbit_witness", lambda *a: pytest.fail("computed"))
+    for n in (14285, 1 << 20):
+        code, out, err = _run(["witness", "--kind", "vn", "--p", "2", "--n", str(n)], capsys)
+        assert code == EXIT_BAD_PARAMETER and out == ""
+        assert "n <= 14284" in err
+
+
 def test_norm_ex_lattice_does_not_echo_a_cap_key(capsys):
     lattice = '{"kind":"ex","base":{"kind":"lpq","p":3,"q":2},"cap":5}'
     code, out, _ = _run(["norm", "--lattice", lattice, "--vector", "[1, 1]"], capsys)
@@ -335,6 +357,76 @@ def test_norm_lattice_refuses_non_finite_vectors(lattice, vector, capsys):
     code, out, err = _run(["norm", "--lattice", lattice, "--vector", vector], capsys)
     assert code == EXIT_BAD_PARAMETER and out == ""
     assert "norm input must be finite" in err
+
+
+def _power_log(p, a):
+    return {"form": "power_log", "p": p, "a": a}
+
+
+# every number a descriptor reads: (flag, key, descriptor with v at that key)
+DESCRIPTOR_NUMBERS = [pytest.param(*case, id=case_id) for case_id, case in {
+    "lp-p": ("space", "p", lambda v: {"kind": "lp", "p": v}),
+    "lpq-p": ("space", "p", lambda v: {"kind": "lpq", "p": v, "q": 2}),
+    "lpq-q": ("space", "q", lambda v: {"kind": "lpq", "p": 3, "q": v}),
+    "lorentz-q": ("space", "q", lambda v: {
+        "kind": "lorentz", "q": v, "weights": {"form": "power", "theta": 0.25}}),
+    "lorentz-theta": ("space", "theta", lambda v: {
+        "kind": "lorentz", "q": 2, "weights": {"form": "power", "theta": v}}),
+    "lorentz-values": ("space", "values[1]", lambda v: {
+        "kind": "lorentz", "q": 1, "weights": {"form": "array", "values": [1, v]}}),
+    "orlicz-power-p": ("space", "p", lambda v: {
+        "kind": "orlicz", "orlicz": {"form": "power", "p": v}}),
+    "orlicz-power_log-p": ("space", "p", lambda v: {
+        "kind": "orlicz", "orlicz": _power_log(v, 0.6)}),
+    "orlicz-power_log-a": ("space", "a", lambda v: {"kind": "orlicz", "orlicz": _power_log(2, v)}),
+    "ex-p": ("lattice", "p", lambda v: {"kind": "ex", "base": {"kind": "lp", "p": v}}),
+    "un-p": ("lattice", "p", lambda v: {"kind": "un", "orlicz": {"form": "power", "p": v}}),
+    "wlq-q": ("lattice", "q", lambda v: {
+        "kind": "wlq", "q": v, "weights": {"form": "geometric", "ratio": 2}}),
+    "wlq-ratio": ("lattice", "ratio", lambda v: {
+        "kind": "wlq", "q": 2, "weights": {"form": "geometric", "ratio": v}}),
+    "wlq-values": ("lattice", "values[0]", lambda v: {
+        "kind": "wlq", "q": 2, "weights": {"form": "array", "values": [v, 1]}}),
+    "wlq-theta": ("lattice", "theta", lambda v: {"kind": "wlq", "q": 2, "weights": {
+        "form": "lorentz_blocks", "weights": {"form": "power", "theta": v}}}),
+}.items()]
+
+
+@pytest.mark.parametrize("bad", [None, True, False, [2], {}],
+                         ids=["null", "true", "false", "array", "object"])
+@pytest.mark.parametrize("flag, key, descriptor", DESCRIPTOR_NUMBERS)
+def test_descriptor_numbers_refuse_other_json_types(flag, key, descriptor, bad, capsys):
+    argv = ["norm", f"--{flag}", json.dumps(descriptor(bad)), "--vector", "[3, 4]"]
+    code, out, err = _main(argv, capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert f"descriptor key {key!r} must be a number" in err and "Traceback" not in err
+
+
+def test_descriptor_numbers_still_read_strings(capsys):
+    for space, want in [('{"kind":"lp","p":"2"}', 5.0), ('{"kind":"lp","p":"infinity"}', 4.0),
+                        ('{"kind":"lpq","p":"2","q":"inf"}', 3.0 * 2.0**0.5)]:
+        code, out, _ = _run(["norm", "--space", space, "--vector", "[3, 4]"], capsys)
+        assert code == 0 and json.loads(out)["value"] == pytest.approx(want)
+    code, out, err = _run(["norm", "--space", '{"kind":"lp","p":"two"}', "--vector", "[3]"], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == "" and "could not convert" in err
+
+
+@pytest.mark.parametrize("weights", [
+    {"form": "array", "values": [1, 2, -3]},
+    {"form": "array", "values": [1, 2, 0]},
+    {"form": "geometric", "ratio": 1e-300},
+    {"form": "geometric", "ratio": 1e300},
+])
+def test_wlq_weights_past_the_probe_are_checked_where_read(weights, capsys):
+    lattice = json.dumps({"kind": "wlq", "q": 2, "weights": weights})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(["norm", "--lattice", lattice, "--vector", "[1, 2, 3]"], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "weights mu must be finite and positive" in err
+    # the first two coordinates pass the constructor's probe and still work
+    code, out, _ = _run(["norm", "--lattice", lattice, "--vector", "[1, 2]"], capsys)
+    assert code == 0
 
 
 def test_distinct_messages_per_error_class(capsys):

@@ -160,11 +160,11 @@ def test_lorentz_simplified_route_matches_direct():
             assert b1.point == pytest.approx(b2.point, abs=2e-3)
 
 
-@pytest.mark.parametrize("q, theta", [(2.0, 0.7), (3.0, 0.5), (1.0, 1.2)])
-def test_lorentz_simplified_route_refuses_irregular_weights(q, theta):
+def test_lorentz_simplified_route_refuses_irregular_weights():
     # w = k^{-theta}: the dyadic ratio limit 2^theta must stay below 2^{1/q}
-    with pytest.raises(ValueError, match="weight-ratio route"):
-        weight_ratio_indices(Lorentz(q, power_weights(theta)), n_max=8)
+    for q, theta in ((2.0, 0.7), (3.0, 0.5), (1.0, 1.2)):
+        with pytest.raises(ValueError, match="weight-ratio route"):
+            weight_ratio_indices(Lorentz(q, power_weights(theta)), n_max=8)
 
 
 # regression pins -------------------------------------------------------------
@@ -208,6 +208,9 @@ ORLICZ = Orlicz(OrliczFn.power(1.5))
     (LpQ(3.0, 2.0), dict(n_max=62, j_max=2)),
     # 95 2^56 < 2^63, but the beta subgrid rounds 95 up to 128 = 64 2^1
     (LORENTZ, dict(n_max=56, j_max=95)),
+    # 16 2^18 + 12 64 summed points, the beta subgrid's included, pass 2^22
+    (LORENTZ, dict(n_max=15, j_max=1 << 18)),
+    (LpQ(3.0, 2.0), dict(n_max=42, j_max=1 << 20)),
 ])
 def test_index_window_rule_refuses_before_any_grid(space, window):
     tracemalloc.start()
@@ -221,9 +224,11 @@ def test_index_window_rule_refuses_before_any_grid(space, window):
 
 
 def test_index_window_rule_admits_its_edges():
-    # checked without building the grids: the largest point is 2^62 each time
+    # checked without building the grids: the first case sums
+    # 16 (2^18 - 64) + 12 64 points, 256 short of 2^22, and the next two
+    # reach the largest point 2^62
     for space, n_max, j_max, k_max in [
-        (LORENTZ, 42, 1 << 20, 0),
+        (LORENTZ, 15, (1 << 18) - 64, 0),
         (LpQ(3.0, 2.0), 62, 1, 0),
         (LORENTZ, 55, 95, 0),
         (ORLICZ, 796, 1, 200),

@@ -409,10 +409,11 @@ def test_equivalence_report_is_deterministic():
     assert (a.ratio_min, a.ratio_max) == (b.ratio_min, b.ratio_max)
 
 
-@pytest.mark.parametrize("space", [Lp(2.0), LpQ(2.0, 3.0)], ids=["lp", "lpq"])
-def test_equivalence_report_refuses_spaces_without_a_block_model(space):
-    with pytest.raises(TypeError, match="Lorentz and Orlicz"):
-        dyadic_equivalence_report(space, trials=1)
+def test_equivalence_report_rejects_unknown_kind():
+    # the model comes from the type of the space: only Lorentz and Orlicz have one
+    for space in (Lp(2.0), LpQ(2.0, 3.0)):
+        with pytest.raises(TypeError, match="Lorentz and Orlicz"):
+            dyadic_equivalence_report(space, trials=1)
 
 
 def test_block_weights_from_lorentz_values():
@@ -456,6 +457,22 @@ def test_lattice_json_errors():
     # raw-callable lattices carry no descriptor and cannot serialize
     with pytest.raises(ValueError):
         lattice_to_json(WeightedLq(2.0, mu=lambda k: np.asarray(k, dtype=float)))
+
+
+@pytest.mark.parametrize("mu", [
+    lambda k: np.where(k < 3, 1.0, -1.0),
+    lambda k: np.where(k < 3, 1.0, 0.0),
+    lambda k: 1e-300 ** (k - 1.0),
+    lambda k: 1e300 ** (k - 1.0),
+], ids=["negative", "zero", "underflow", "overflow"])
+def test_wlq_weights_past_the_probe_are_checked_where_read(mu):
+    lat = WeightedLq(2.0, mu)
+    assert lattice_norm(lat, [1.0, 2.0]) > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (lambda: lattice_norm(lat, [1.0, 2.0, 3.0]), lambda: unit_norms(lat, 3)):
+            with pytest.raises(ValueError, match="weights mu must be finite and positive"):
+                read()
 
 
 def test_wlq_array_weights_report_their_range():

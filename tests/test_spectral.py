@@ -364,6 +364,15 @@ def test_scan_validates_grid():
         residual_scan(Lp(2.0), [1.0], dim=0)
 
 
+@pytest.mark.parametrize("k", [49, 53, 63])
+def test_scan_blocks_stay_within_dim_just_below_a_power_of_two(k):
+    # floor(log2(2^k - 1)) = k - 1, which float log2 rounds up to k from k = 49
+    dim = (1 << k) - 1
+    for space, m_max in ((Lp(2.0), dim), (Lorentz(2.0, power_weights(0.25)), k - 1)):
+        for pt in residual_scan(space, [1.0, 2.0**0.5], dim=dim):
+            assert math.isfinite(pt.estimate) and 1 <= pt.params["m"] <= m_max
+
+
 # The earlier scalar l^p block norm, kept verbatim as the reference for the
 # row-wise one.
 def reference_ex_norm_lp(p: float, a: np.ndarray) -> float:
