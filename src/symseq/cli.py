@@ -263,8 +263,16 @@ def _parse_grid(raw) -> list[float]:
     if raw is None:
         raise CliError(EXIT_BAD_PARAMETER, "scan needs --grid start:stop:steps")
     if isinstance(raw, (list, tuple)):
-        if len(raw) > _MAX_GRID or not all(_is_number(g) for g in raw):
-            raise CliError(EXIT_BAD_PARAMETER, f"a grid list holds at most {_MAX_GRID} numbers")
+        if len(raw) > _MAX_GRID:
+            raise CliError(EXIT_BAD_PARAMETER,
+                           f"a grid list holds at most {_MAX_GRID} numbers, got {len(raw)}")
+        for i, g in enumerate(raw):
+            if not _is_number(g):
+                raise CliError(EXIT_BAD_PARAMETER, f"a grid list holds at most {_MAX_GRID} "
+                                                   f"numbers; entry {i} is {g!r}, not a number")
+            if not 0 < g <= sys.float_info.max:
+                raise CliError(EXIT_BAD_PARAMETER,
+                               f"grid entry {i} must be positive and finite, got {g!r}")
         return [float(g) for g in raw]
     parts = str(raw).split(":")
     if len(parts) != 3:
@@ -273,6 +281,9 @@ def _parse_grid(raw) -> list[float]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as e:
         raise CliError(EXIT_BAD_PARAMETER, f"--grid must look like start:stop:steps: {e}") from e
+    # both ends positive keeps stop - start finite inside np.linspace
+    if not (0 < start < math.inf and 0 < stop < math.inf):
+        raise CliError(EXIT_BAD_PARAMETER, "--grid start and stop must be positive and finite")
     if steps < 1:
         raise CliError(EXIT_BAD_PARAMETER, "--grid needs at least one step")
     if steps > _MAX_GRID:

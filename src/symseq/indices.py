@@ -23,7 +23,9 @@ fundamental routes cannot disagree here.  ``weight_ratio_indices`` is a
 genuinely separate route for lambda_q(w): it reads dyadic weight ratios
 and never touches the partial sums.
 
-Truncations: the inner sup grid is held constant across n, making the
+Truncations: every truncated route reads a dyadic profile -- N^{-1}(2^-k),
+w(2^k), and W(j 2^n) with j in {2^i <= j_max} u {j_max} -- so no array
+grows with j_max.  The inner sup grid is held constant across n, making the
 truncation bias n-independent so that it cancels in the difference
 extrapolation of ``estimate_rate``.  Every index is reported as an interval
 whose certified side comes from the Fekete inf-characterization of the
@@ -92,19 +94,21 @@ def _subgrid(n_max: int, j_max: int) -> tuple[int, int]:
 def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     """U(n), L(n) = +-(1/q) log2 of the truncated partial-sum ratio sups.
 
-    W(j) is ``spaces._weight_sums`` of the space.  One pass over W serves two
-    regimes.  The alpha-side sup needs large j,
-    so L(n) uses the full grid j <= j_max for n <= n_max.  For nonincreasing
+    W(j) is ``spaces._weight_sums`` of the space, read on the dyadic window
+    J = {2^i <= j_max} u {j_max}: for a pure power W(2^n j)/W(j) is monotone
+    in j, so its sup and inf over 1..j_max sit at j = 1 and j = j_max, and J
+    holds both.  One pass over W serves two regimes.  The alpha-side sup
+    needs large j, so L(n) uses all of J for n <= n_max.  For nonincreasing
     weights the beta-side sup sits at small j, so U(n) continues to larger n
-    on the subgrid j <= 64 -- the largest summed point stays put
+    on the subgrid J n [1, 64] -- the largest summed point stays put
     (64 * 2^{n_ext} = j_max * 2^{n_max}) and the slow beta modes get twice
     the differencing depth for free.  Weights whose growth regime arrives
-    late (the dense grid beats the subgrid sup at n_max) fall back to the
-    dense profile.
+    late (the full window beats the subgrid sup at n_max) fall back to the
+    full profile.
     """
     j_small, n_ext = _subgrid(n_max, j_max)
-    j = np.arange(1, j_max + 1, dtype=np.int64)
-    js = np.arange(1, j_small + 1, dtype=np.int64)
+    j = _distinct(np.append(1 << np.arange(int(j_max).bit_length(), dtype=np.int64), j_max))
+    js = j[j <= j_small]
     grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
     grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
     pts = _distinct(np.concatenate(grids))
@@ -121,9 +125,9 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
         d = at(j, n) - base
         U_dense[n - 1] = float(np.max(d)) / space.q
         L[n - 1] = float(-np.min(d)) / space.q
-        U_small[n - 1] = float(np.max(d[:j_small])) / space.q
+        U_small[n - 1] = float(np.max(d[: js.size])) / space.q
     for n in range(n_max + 1, n_ext + 1):
-        U_small[n - 1] = float(np.max(at(js, n) - base[:j_small])) / space.q
+        U_small[n - 1] = float(np.max(at(js, n) - base[: js.size])) / space.q
     if U_dense[-1] - U_small[n_max - 1] > 1e-9:
         return U_dense, L
     return U_small, L
@@ -138,18 +142,14 @@ def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
     return U, L
 
 
-# the most summed points j 2^n one Lorentz or l^{p,q} profile may take
-_MAX_SUMMED_POINTS = 1 << 22
-
-
 def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
     """The one window rule of ``index_report``, checked before any grid.
 
     n_max >= 1, 1 <= j_max <= 2^20 and k_max >= 0; n_max + k_max <= 996, so
     the Orlicz inverse arguments 2^-(k_max+n_max) stay above 1e-300; and for
     Lorentz and l^{p,q} every summed point j 2^n, the beta subgrid's
-    included, stays below 2^63, and there are at most 2^22 of them (~40 B
-    each while the profile is built, so ~170 MiB at most).
+    included, stays below 2^63.  The profile sums at most
+    (n_ext + 1)(floor(log2 j_max) + 2) points, so nothing else needs a bound.
     """
     if n_max < 1:
         raise ValueError("index_report needs n_max >= 1")
@@ -166,10 +166,6 @@ def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
         j_small, n_ext = _subgrid(n_max, j_max)
         if max(j_max << n_max, j_small << n_ext) >= 1 << 63:
             raise ValueError("index_report needs every summed point j 2^n below 2^63: "
-                             "lower n_max or j_max")
-        points = (n_max + 1) * j_max + (n_ext - n_max) * j_small
-        if points > _MAX_SUMMED_POINTS:
-            raise ValueError(f"index_report needs at most 2^22 summed points, got {points}: "
                              "lower n_max or j_max")
 
 
@@ -199,8 +195,8 @@ def weight_ratio_indices(space: Lorentz, n_max: int = 16) -> tuple[Interval, Int
     """(alpha, beta) of lambda_q(w) from dyadic weight ratios alone.
 
     A second route, independent of the partial-sum profile that
-    ``index_report`` uses.  It reads the dyadic profile log2 w(2^k),
-    k <= min(256, 1000 - n_max), once.  It is available when the dyadic
+    ``index_report`` uses.  It reads the 256-step dyadic profile
+    log2 w(2^k), k <= 256, once, so it takes 2 <= n_max <= 256.  It is available when the dyadic
     weight-ratio condition holds (sup growth of w_{2^k}/w_{2^{k+n}},
     estimated at n_max, strictly below 2^{1/q}): then EX of the space is
     lattice-isomorphic to the weighted l_q model, shift norms there are
@@ -209,10 +205,11 @@ def weight_ratio_indices(space: Lorentz, n_max: int = 16) -> tuple[Interval, Int
         alpha = 1/q - lim (1/n) log2 sup_k w_{2^k} / w_{2^{k+n}},
         beta  = 1/q + lim (1/n) log2 sup_k w_{2^{k+n}} / w_{2^k}.
     """
-    if n_max < 2:
-        raise ValueError("weight_ratio_indices needs n_max >= 2")
+    if not 2 <= n_max <= 256:
+        raise ValueError("weight_ratio_indices needs 2 <= n_max <= 256: "
+                         "its dyadic weight profile log2 w(2^k) takes 256 steps")
     q = space.q
-    k = np.arange(0, min(256, 1000 - n_max) + 1, dtype=float)
+    k = np.arange(0, 257, dtype=float)
     Us, Ls = _ratio_sups(np.log2(space.w.values_at(2.0**k)), n_max)
     est, thr = float(2.0 ** (Ls[-1] / n_max)), float(2.0 ** (1.0 / q))
     if not est < thr:

@@ -349,6 +349,10 @@ def dyadic_equivalence_report(
         lat, kind, bound_hi = UN(space.N), "orlicz", 4.0
     else:
         raise TypeError(f"dyadic equivalence models Lorentz and Orlicz spaces, not {space!r}")
+    if trials < 1:
+        raise ValueError(f"dyadic_equivalence_report needs trials >= 1, got {trials}")
+    if max_len < 2:
+        raise ValueError(f"dyadic_equivalence_report needs max_len >= 2, got {max_len}")
     rng = np.random.default_rng(seed)
     lo, hi = math.inf, 0.0
     for _ in range(trials):

@@ -311,7 +311,13 @@ def _geom_series_log2(t: float, m: np.ndarray) -> np.ndarray:
     if abs(t) < 1e-9:
         return np.log2(m) + t * (m - 1.0) / 2.0
     if t > 0:
-        return m * t + np.log2(1.0 - 2.0 ** (-m * t)) - math.log2(math.expm1(t * math.log(2)))
+        # log2(2^t - 1); past t = 1000, where expm1(t ln 2) would overflow,
+        # as t + log2(1 - 2^-t)
+        if t > 1000:
+            log_step = t + math.log2(-math.expm1(-t * math.log(2)))
+        else:
+            log_step = math.log2(math.expm1(t * math.log(2)))
+        return m * t + np.log2(1.0 - 2.0 ** (-m * t)) - log_step
     return np.log2(1.0 - 2.0 ** (m * t)) - math.log2(-math.expm1(t * math.log(2)))
 
 
@@ -405,8 +411,8 @@ def residual_scan(space: SpaceSpec, lambda_grid, dim: int = 1 << 14) -> list[Sca
     seed, on the grid order or on how the grid is split.
     """
     grid = [float(g) for g in lambda_grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError("lambda grid entries must be positive")
+    if not grid or not all(0 < g < math.inf for g in grid):
+        raise ValueError("lambda grid entries must be positive and finite")
     if not 1 <= dim < 1 << 63:
         raise ValueError("residual_scan needs 1 <= dim < 2^63: block positions must stay below 2^63")
     lat = EX(space)

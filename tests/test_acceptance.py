@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from symseq import operators, spectral, verify
+from symseq import indices, operators, spectral, verify
 
 
 def _gate(check_fn):
@@ -77,6 +77,20 @@ def test_criterion_04_detects_a_broken_block_scaling(monkeypatch):
 
 def test_criterion_05_index_round_trips():
     _gate(verify.check_index_round_trips)
+
+
+def test_criterion_05_detects_a_drifting_index_profile(monkeypatch):
+    # W (1 + 1e-3 log2 n): every Lorentz partial sum drifts with log n, which
+    # moves the Lorentz indices by ~1.4e-3, past the 1e-3 round-trip tolerance
+    real = indices._weight_sums
+
+    def drifting(space, pts):
+        return real(space, pts) * (1.0 + 1e-3 * np.log2(np.asarray(pts, dtype=float)))
+
+    monkeypatch.setattr(indices, "_weight_sums", drifting)
+    r = verify.check_index_round_trips()
+    assert not r.passed
+    assert r.detail.startswith("lorentz")
 
 
 def test_criterion_06_index_ordering_chain():

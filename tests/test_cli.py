@@ -8,9 +8,12 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symseq import cli, operators, spectral, verify
 from symseq.cli import (
@@ -707,6 +710,9 @@ def test_a_nan_result_exits_4_instead_of_writing_invalid_json(monkeypatch, capsy
     (["norm", "--p", "2", "--vector", "[1]"], {"out": 5}, "config key 'out'"),
     (["scan", "--p", "2"], {"grid": [1.0] * 4097}, "a grid list holds at most 4096 numbers"),
     (["scan", "--p", "2"], {"grid": [1.0, True]}, "a grid list holds at most 4096 numbers"),
+    (["scan", "--p", "2"], {"grid": [1.0, "a"]}, "entry 1 is 'a', not a number"),
+    (["scan", "--p", "2"], {"grid": [1.0, math.inf]}, "grid entry 1 must be positive and finite"),
+    (["scan", "--p", "2"], {"grid": [math.nan]}, "grid entry 0 must be positive and finite"),
 ])
 def test_config_values_pass_their_flags_checks(command, cfg, message, tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -726,3 +732,89 @@ def test_config_values_of_the_flags_type_are_taken(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         code, out, _ = _main(command + ["--config", str(path)], capsys)
         assert code == 0 and out
+
+
+@pytest.mark.parametrize("grid", ["nan:1:3", "inf:inf:1", "1:inf:2", "-1:1:3", "1e308:-1e308:3"])
+def test_scan_refuses_a_grid_end_it_cannot_use(grid, capsys):
+    # refused before np.linspace, which would warn on each of these first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(["scan", "--p", "2", f"--grid={grid}"], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == "" and not caught
+    assert "--grid start and stop must be positive and finite" in err
+
+
+@pytest.mark.parametrize("p, grid", [("10", "1e-31:1e-31:1"), ("2", "1e-300:1e-300:1"),
+                                     ("100", "1e-300:1e-5:3")])
+def test_scan_takes_a_lambda_near_zero(p, grid, capsys):
+    code, out, err = _run(["scan", "--p", p, "--grid", grid], capsys)
+    assert code == 0 and err == ""
+    for pt in json.loads(out)["points"]:
+        assert pt["residual_estimate"] == pytest.approx(2.0 ** (1.0 / float(p)), rel=1e-5)
+
+
+# index and fset windows: every space family, every edge of the window rule
+
+FUZZ_SPACES = [
+    '{"kind":"lp","p":2}',
+    '{"kind":"lp","p":"inf"}',
+    '{"kind":"lpq","p":3,"q":2}',
+    '{"kind":"lpq","p":2,"q":"inf"}',
+    '{"kind":"lpq","p":2,"q":4}',
+    LORENTZ,
+    '{"kind":"lorentz","q":1,"weights":{"form":"power","theta":0.3}}',
+    ORLICZ_15,
+    '{"kind":"orlicz","orlicz":{"form":"power_log","p":2,"a":0.6}}',
+]
+# each edge of the rule, one step either side: n_max >= 1, 1 <= j_max <= 2^20,
+# k_max >= 0, n_max + k_max <= 996, and j 2^n < 2^63 on the beta subgrid too
+_N_EDGES = [0, 1, 2, 15, 16, 42, 55, 56, 57, 61, 62, 63, 796, 797, 995, 996, 997]
+_J_EDGES = [0, 1, 2, 63, 64, 65, 95, 96, 1000, (1 << 18) - 64, 1 << 18, (1 << 20) - 1,
+            1 << 20, (1 << 20) + 1]
+_K_EDGES = [-1, 0, 1, 120, 200, 934, 935, 995, 996, 997]
+
+
+def _edge_or_any(edges, lo, hi):
+    return st.none() | st.sampled_from(edges) | st.integers(lo, hi)
+
+
+def _window_flags(n_max, j_max, k_max):
+    pairs = (("--n-max", n_max), ("--j-max", j_max), ("--k-max", k_max))
+    return [arg for flag, v in pairs if v is not None for arg in (flag, str(v))]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["index", "fset"]), space=st.sampled_from(FUZZ_SPACES),
+       n_max=_edge_or_any(_N_EDGES, 0, 1000), j_max=_edge_or_any(_J_EDGES, 0, (1 << 20) + 2),
+       k_max=_edge_or_any(_K_EDGES, -1, 1000))
+@example(command="index", space=LORENTZ, n_max=None, j_max=None, k_max=None)
+@example(command="fset", space='{"kind":"lpq","p":3,"q":2}', n_max=None, j_max=None, k_max=None)
+@example(command="index", space=LORENTZ, n_max=15, j_max=1 << 18, k_max=None)
+@example(command="fset", space='{"kind":"lpq","p":3,"q":2}', n_max=42, j_max=1 << 20, k_max=None)
+def test_index_windows_exit_cleanly_in_bounded_memory(command, space, n_max, j_max, k_max):
+    argv = [command, "--space", space] + _window_flags(n_max, j_max, k_max)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(parse_args(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, EXIT_BAD_PARAMETER), (argv, err)
+    assert not caught and "Traceback" not in err and "warning" not in err.lower()
+    assert peak < 2 << 20, (argv, peak)
+    if code == EXIT_BAD_PARAMETER:
+        assert out == "" and "index_report needs" in err
+        return
+    payload = json.loads(out)
+    alpha, beta = payload["alpha"], payload["beta"]
+    if command == "index":
+        for end in (alpha, beta):
+            assert end["lo"] <= end["point"] <= end["hi"]
+        alpha, beta = alpha["point"], beta["point"]
+    want = ["inf" if beta == 0.0 else 1.0 / beta, "inf" if alpha == 0.0 else 1.0 / alpha]
+    assert payload["f_interval"] == want

@@ -18,6 +18,8 @@ from symseq._limits import estimate_rate
 from symseq.indices import (
     Interval,
     _check_window,
+    _lorentz_profiles,
+    _subgrid,
     index_report,
     report_to_json,
     weight_ratio_indices,
@@ -160,6 +162,18 @@ def test_lorentz_simplified_route_matches_direct():
             assert b1.point == pytest.approx(b2.point, abs=2e-3)
 
 
+@pytest.mark.parametrize("n_max", [1, 257, 500, 900])
+def test_lorentz_simplified_route_refuses_n_max_past_its_profile(n_max):
+    # the dyadic profile has 256 steps: past them every ratio is empty
+    with pytest.raises(ValueError, match="2 <= n_max <= 256"):
+        weight_ratio_indices(Lorentz(2.0, power_weights(0.25)), n_max=n_max)
+
+
+def test_lorentz_simplified_route_takes_n_max_256():
+    a, b = weight_ratio_indices(Lorentz(2.0, power_weights(0.25)), n_max=256)
+    assert a.point == pytest.approx(0.25, abs=1e-9) and b.point == pytest.approx(0.25, abs=1e-9)
+
+
 def test_lorentz_simplified_route_refuses_irregular_weights():
     # w = k^{-theta}: the dyadic ratio limit 2^theta must stay below 2^{1/q}
     for q, theta in ((2.0, 0.7), (3.0, 0.5), (1.0, 1.2)):
@@ -208,9 +222,6 @@ ORLICZ = Orlicz(OrliczFn.power(1.5))
     (LpQ(3.0, 2.0), dict(n_max=62, j_max=2)),
     # 95 2^56 < 2^63, but the beta subgrid rounds 95 up to 128 = 64 2^1
     (LORENTZ, dict(n_max=56, j_max=95)),
-    # 16 2^18 + 12 64 summed points, the beta subgrid's included, pass 2^22
-    (LORENTZ, dict(n_max=15, j_max=1 << 18)),
-    (LpQ(3.0, 2.0), dict(n_max=42, j_max=1 << 20)),
 ])
 def test_index_window_rule_refuses_before_any_grid(space, window):
     tracemalloc.start()
@@ -224,9 +235,8 @@ def test_index_window_rule_refuses_before_any_grid(space, window):
 
 
 def test_index_window_rule_admits_its_edges():
-    # checked without building the grids: the first case sums
-    # 16 (2^18 - 64) + 12 64 points, 256 short of 2^22, and the next two
-    # reach the largest point 2^62
+    # checked without building the grids: the second and third cases reach
+    # the largest point 2^62
     for space, n_max, j_max, k_max in [
         (LORENTZ, 15, (1 << 18) - 64, 0),
         (LpQ(3.0, 2.0), 62, 1, 0),
@@ -236,6 +246,83 @@ def test_index_window_rule_admits_its_edges():
     ]:
         _check_window(space, n_max, j_max, k_max)
     assert index_report(Lp(2.0), n_max=996, k_max=0).alpha.point == 0.5
+
+
+@pytest.mark.parametrize("space, window", [
+    (LORENTZ, dict(n_max=15, j_max=1 << 18)),
+    (LpQ(3.0, 2.0), dict(n_max=42, j_max=1 << 20)),
+    (LORENTZ, {}),
+    (LpQ(3.0, 2.0), {}),
+])
+def test_lorentz_profile_memory_does_not_grow_with_j_max(space, window):
+    # the profile reads W on {2^i <= j_max} u {j_max} only, so the largest
+    # admitted j_max costs no more than the default window
+    tracemalloc.start()
+    try:
+        rep = index_report(space, **window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.alpha.lo <= rep.alpha.point <= rep.alpha.hi
+
+
+def _dense_lorentz_profiles(space, n_max, j_max):
+    """``_lorentz_profiles`` with the inner sups over every j <= j_max: the
+    reference for the dyadic window."""
+    j_small, n_ext = _subgrid(n_max, j_max)
+    j = np.arange(1, j_max + 1, dtype=np.int64)
+    js = np.arange(1, j_small + 1, dtype=np.int64)
+    grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
+    grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
+    pts = np.unique(np.concatenate(grids))
+    logw = np.log2(spaces._weight_sums(space, pts))
+
+    def at(grid, n):
+        return logw[np.searchsorted(pts, grid * (1 << n))]
+
+    base = at(j, 0)
+    L = np.empty(n_max)
+    U_dense = np.empty(n_max)
+    U_small = np.empty(n_ext)
+    for n in range(1, n_max + 1):
+        d = at(j, n) - base
+        U_dense[n - 1] = float(np.max(d)) / space.q
+        L[n - 1] = float(-np.min(d)) / space.q
+        U_small[n - 1] = float(np.max(d[:j_small])) / space.q
+    for n in range(n_max + 1, n_ext + 1):
+        U_small[n - 1] = float(np.max(at(js, n) - base[:j_small])) / space.q
+    if U_dense[-1] - U_small[n_max - 1] > 1e-9:
+        return U_dense, L
+    return U_small, L
+
+
+# the built-in and benchmark-drawn power profiles, W(j) = sum k^s with s != 0
+POWER_PROFILES = [
+    *(Lorentz(q, power_weights(th)) for q, th in ((1.0, 0.3), (2.0, 0.1), (2.0, 0.25),
+                                                   (2.0, 0.3), (2.0, 0.4))),
+    *(LpQ(p, q) for p, q in ((2.0, 1.0), (3.0, 2.0), (2.0, 4.0), (2.5, 2.0), (4.0, 2.0),
+                             (5.0, 2.0), (6.0, 2.0))),
+]
+PROFILE_WINDOWS = [(16, 1 << 14), (12, 1 << 12), (9, 1000)] + [
+    (16, j_max) for j_max in (1, 2, 63, 64, 65, 95, 1000)
+]
+
+
+@pytest.mark.parametrize("n_max, j_max", PROFILE_WINDOWS)
+def test_dyadic_lorentz_profile_matches_the_dense_one(n_max, j_max):
+    # a pure-power ratio W(2^n j)/W(j) is monotone in j, so its extremes over
+    # 1..j_max sit at j = 1 and j = j_max, which the dyadic window holds
+    for space in POWER_PROFILES:
+        U, L = _lorentz_profiles(space, n_max, j_max)
+        U_ref, L_ref = _dense_lorentz_profiles(space, n_max, j_max)
+        assert np.array_equal(U, U_ref) and np.array_equal(L, L_ref), (space, n_max, j_max)
+    # s = 0: the ratio is 2^n at every j, so rounding alone picks the extreme
+    for space in (Lorentz(1.0, power_weights(0.0)), Lorentz(3.0, power_weights(0.0)),
+                  LpQ(2.0, 2.0)):
+        U, L = _lorentz_profiles(space, n_max, j_max)
+        U_ref, L_ref = _dense_lorentz_profiles(space, n_max, j_max)
+        assert np.max(np.abs(U - U_ref)) <= 4e-15 and np.max(np.abs(L - L_ref)) <= 4e-15
 
 
 def test_report_to_json_shape():

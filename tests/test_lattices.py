@@ -416,6 +416,19 @@ def test_equivalence_report_rejects_unknown_kind():
             dyadic_equivalence_report(space, trials=1)
 
 
+@pytest.mark.parametrize("counts, message", [
+    (dict(trials=0), "trials >= 1"),
+    (dict(trials=-3), "trials >= 1"),
+    (dict(max_len=1), "max_len >= 2"),
+    (dict(max_len=0), "max_len >= 2"),
+])
+def test_equivalence_report_refuses_counts_that_make_no_envelope(counts, message):
+    # no trial leaves ratio_min = inf above ratio_max = 0; a length below 2
+    # leaves no size to draw
+    with pytest.raises(ValueError, match=message):
+        dyadic_equivalence_report(Orlicz(OrliczFn.power(2.0)), **counts)
+
+
 def test_block_weights_from_lorentz_values():
     mu = block_weights_from_lorentz(2.0, power_weights(0.25))
     k = np.array([1.0, 2.0, 3.0])

@@ -362,6 +362,30 @@ def test_scan_validates_grid():
         residual_scan(Lp(2.0), [1.0, -0.5])
     with pytest.raises(ValueError):
         residual_scan(Lp(2.0), [1.0], dim=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            residual_scan(Lp(2.0), [1.0, bad])
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 10.0, 100.0])
+def test_scan_takes_a_lambda_near_zero(p):
+    # t = 1 - p log2(lambda) passes 1024 here, where expm1(t ln 2) overflows;
+    # the residual tends to ||D|| = 2^{1/p} as lambda -> 0.  The closed-form
+    # orbit loses ~m t 1e-16 in the log domain, so the limit holds to 1e-8.
+    pts = residual_scan(Lp(p), [1e-300, 1e-31, 1e-5])
+    for pt in pts:
+        assert math.isfinite(pt.estimate)
+        assert pt.estimate <= 2.0 ** (1.0 / p) * (1.0 + 1e-12)
+    assert pts[0].estimate == pytest.approx(2.0 ** (1.0 / p), rel=1e-8)
+
+
+def test_geom_series_log2_is_continuous_across_the_overflow_switch():
+    m = np.array([1.0, 2.0, 7.0, 1000.0])
+    below = spectral._geom_series_log2(1000.0, m)
+    above = spectral._geom_series_log2(math.nextafter(1000.0, math.inf), m)
+    assert np.allclose(below, above, rtol=1e-15, atol=1e-12)
+    # sum_{i<m} 2^{ti} = 2^{t(m-1)} (1 + 2^-t + ...): log2 is t(m - 1) to rounding
+    assert np.array_equal(spectral._geom_series_log2(2000.0, m), 2000.0 * (m - 1.0))
 
 
 @pytest.mark.parametrize("k", [49, 53, 63])
