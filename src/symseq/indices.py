@@ -23,9 +23,10 @@ fundamental routes cannot disagree here.  ``weight_ratio_indices`` is a
 genuinely separate route for lambda_q(w): it reads dyadic weight ratios
 and never touches the partial sums.
 
-Truncations: every truncated route reads a dyadic profile -- N^{-1}(2^-k),
-w(2^k), and W(j 2^n) with j in {2^i <= j_max} u {j_max} -- so no array
-grows with j_max.  The inner sup grid is held constant across n, making the
+Truncations: every truncated route is a dyadic log profile read by
+``_limits._ratio_sups`` -- log2 phi(2^k) = -log2 N^{-1}(2^-k), log2 w(2^k),
+and log2 W on the chains 2^k and j_max 2^n -- so no array grows with j_max.
+The inner sup grid is held constant across n, making the
 truncation bias n-independent so that it cancels in the difference
 extrapolation of ``estimate_rate``.  Every index is reported as an interval
 whose certified side comes from the Fekete inf-characterization of the
@@ -45,7 +46,6 @@ from .spaces import (
     Lp,
     LpQ,
     Orlicz,
-    OrliczFn,
     SpaceSpec,
     _distinct,
     _orlicz_inverse_vec,
@@ -94,52 +94,35 @@ def _subgrid(n_max: int, j_max: int) -> tuple[int, int]:
 def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     """U(n), L(n) = +-(1/q) log2 of the truncated partial-sum ratio sups.
 
-    W(j) is ``spaces._weight_sums`` of the space, read on the dyadic window
-    J = {2^i <= j_max} u {j_max}: for a pure power W(2^n j)/W(j) is monotone
-    in j, so its sup and inf over 1..j_max sit at j = 1 and j = j_max, and J
-    holds both.  One pass over W serves two regimes.  The alpha-side sup
-    needs large j, so L(n) uses all of J for n <= n_max.  For nonincreasing
-    weights the beta-side sup sits at small j, so U(n) continues to larger n
-    on the subgrid J n [1, 64] -- the largest summed point stays put
-    (64 * 2^{n_ext} = j_max * 2^{n_max}) and the slow beta modes get twice
-    the differencing depth for free.  Weights whose growth regime arrives
-    late (the full window beats the subgrid sup at n_max) fall back to the
-    full profile.
+    One ``spaces._weight_sums`` call reads two dyadic log chains, chain[k] =
+    log2 W(2^k) and col[n] = log2 W(j_max 2^n), and ``_ratio_sups`` takes
+    the inner sup over J = {2^i <= j_max} u {j_max} as the larger of its sups
+    over each: for a pure power W(2^n j)/W(j) is monotone in j, so its sup
+    and inf over 1..j_max sit at j = 1 and j = j_max.  L(n) uses all of J
+    for n <= n_max (the alpha-side sup needs large j).  For nonincreasing
+    weights the beta-side sup sits at small j, so U(n) continues to n_ext on
+    the subgrid 2^0..2^6, whose largest point 64 * 2^{n_ext} is j_max *
+    2^{n_max}, and falls back to all of J when the full window beats it at
+    n_max.  The chain stops at the last point read: a streamed generator
+    sums in stretches between requested points, so extra points move bits.
     """
-    j_small, n_ext = _subgrid(n_max, j_max)
-    j = _distinct(np.append(1 << np.arange(int(j_max).bit_length(), dtype=np.int64), j_max))
-    js = j[j <= j_small]
-    grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
-    grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
-    pts = _distinct(np.concatenate(grids))
+    top = int(j_max).bit_length() - 1
+    _, n_ext = _subgrid(n_max, j_max)
+    k_top = top + n_max if j_max <= 64 else max(top + n_max, 6 + n_ext)
+    chain_pts = 1 << np.arange(k_top + 1, dtype=np.int64)
+    col_pts = j_max << np.arange(n_max + 1, dtype=np.int64)
+    pts = _distinct(np.concatenate((chain_pts, col_pts)))
     logw = np.log2(_weight_sums(space, pts))
-
-    def at(grid, n):
-        return logw[np.searchsorted(pts, grid * (1 << n))]
-
-    base = at(j, 0)
-    L = np.empty(n_max)
-    U_dense = np.empty(n_max)
-    U_small = np.empty(n_ext)
-    for n in range(1, n_max + 1):
-        d = at(j, n) - base
-        U_dense[n - 1] = float(np.max(d)) / space.q
-        L[n - 1] = float(-np.min(d)) / space.q
-        U_small[n - 1] = float(np.max(d[: js.size])) / space.q
-    for n in range(n_max + 1, n_ext + 1):
-        U_small[n - 1] = float(np.max(at(js, n) - base[: js.size])) / space.q
-    if U_dense[-1] - U_small[n_max - 1] > 1e-9:
-        return U_dense, L
+    chain = logw[np.searchsorted(pts, chain_pts)]
+    col = logw[np.searchsorted(pts, col_pts)]
+    U, L = np.maximum(_ratio_sups(chain, n_max, window=top + 1), _ratio_sups(col, n_max, window=1))
+    U, L = U / space.q, L / space.q
+    if j_max <= 64:
+        return U, L
+    U_small = _ratio_sups(chain, n_ext, window=7)[0] / space.q
+    if U[-1] - U_small[n_max - 1] > 1e-9:
+        return U, L
     return U_small, L
-
-
-def _orlicz_profiles(N: OrliczFn, n_max: int, k_max: int):
-    """U(n), L(n) from ratios of N^{-1} on the dyadic argument grid."""
-    loginv = np.log2(
-        _orlicz_inverse_vec(N, 2.0 ** -np.arange(0, k_max + n_max + 1, dtype=float))
-    )
-    L, U = _ratio_sups(loginv, n_max, window=k_max + 1)
-    return U, L
 
 
 def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
@@ -148,8 +131,8 @@ def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
     n_max >= 1, 1 <= j_max <= 2^20 and k_max >= 0; n_max + k_max <= 996, so
     the Orlicz inverse arguments 2^-(k_max+n_max) stay above 1e-300; and for
     Lorentz and l^{p,q} every summed point j 2^n, the beta subgrid's
-    included, stays below 2^63.  The profile sums at most
-    (n_ext + 1)(floor(log2 j_max) + 2) points, so nothing else needs a bound.
+    included, stays below 2^63.  The profile reads two dyadic chains of at
+    most n_ext + log2(j_max) + 2 points each, so nothing else needs a bound.
     """
     if n_max < 1:
         raise ValueError("index_report needs n_max >= 1")
@@ -186,7 +169,10 @@ def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
         U, L = _lorentz_profiles(space, n_max, j_max)
         return U, L, "truncated_sup(quasi)" if quasi else "truncated_sup"
     if isinstance(space, Orlicz):
-        U, L = _orlicz_profiles(space.N, n_max, k_max)
+        # log2 phi(2^k) = -log2 N^{-1}(2^-k)
+        k = np.arange(0, k_max + n_max + 1, dtype=float)
+        logphi = -np.log2(_orlicz_inverse_vec(space.N, 2.0**-k))
+        U, L = _ratio_sups(logphi, n_max, window=k_max + 1)
         return U, L, "truncated_sup"
     raise TypeError(f"unknown space spec {space!r}")
 

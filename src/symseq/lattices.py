@@ -403,6 +403,9 @@ def _mu_from_json(q: float, obj) -> tuple:
         return mu, {"form": "array", "values": table.tolist()}
     if form == "lorentz_blocks":
         w = _weights_from_json(obj.get("weights"))
+        if w.kind != "generator":
+            raise ValueError('wlq weights form "lorentz_blocks" reads w(2^(k-1)) at every '
+                             'block k, so it needs "power" weights, not "array"')
         desc = {"form": "lorentz_blocks", "weights": dict(obj["weights"])}
         return block_weights_from_lorentz(q, w), desc
     raise ValueError(f"unknown wlq weights form {form!r}")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .lattices import EX, lattice_norm
 from .operators import ShiftMinusLambda, _exact_scalar, apply_array
-from .spaces import Lp, SpaceSpec
+from .spaces import Lorentz, Lp, LpQ, Orlicz, SpaceSpec
 
 __all__ = [
     "DisjointnessReport",
@@ -159,16 +159,19 @@ def doubling_orbit_witness(space: SpaceSpec, p: float, n: int) -> WitnessReport:
     v_n = n^{-1/p} sum_{k=1}^{n} 2^{(1-k)/p} D^{k-1} e_1 runs through dyadic
     block indicators, so v_n = S a with a_k = n^{-1/p} 2^{(1-k)/p} and the
     residual is evaluated in EX(space) on n + 1 block coordinates; no
-    2^n-entry vector is built, so n reaches 2^20 on l^p and 62 on Lorentz
-    and l^{p,q} (block run ends stay below 2^63).  For l^p with p matching
-    the space the residual is exactly (4/n)^{1/p}.
+    2^n-entry vector is built.  So n is capped per family before anything
+    is built: 62 on Lorentz and l^{p,q} (block run ends stay below 2^63),
+    63 on Orlicz (the Luxemburg block norm takes 64 coordinates) and 2^20
+    on l^p.  For l^p with p matching the space the residual is exactly
+    (4/n)^{1/p}.
     """
     if n < 1:
         raise ValueError("doubling_orbit_witness needs n >= 1")
     if not 1 <= p < math.inf:
         raise ValueError("doubling_orbit_witness needs 1 <= p < inf")
-    if n > 1 << 20:
-        raise ValueError("witness length overflow")
+    cap = 62 if isinstance(space, (LpQ, Lorentz)) else 63 if isinstance(space, Orlicz) else 1 << 20
+    if n > cap:
+        raise ValueError(f"doubling_orbit_witness needs n <= {cap} on {type(space).__name__}")
     lam = 2.0 ** (1.0 / p)
     k = np.arange(1, n + 1, dtype=float)
     a = n ** (-1.0 / p) * 2.0 ** ((1.0 - k) / p)
@@ -305,33 +308,22 @@ class ScanPoint:
     dim: int
 
 
-def _geom_series_log2(t: float, m: np.ndarray) -> np.ndarray:
-    """log2 of sum_{i=0}^{m-1} (2^t)^i, stable across the t ~ 0 boundary."""
-    m = np.asarray(m, dtype=float)
-    if abs(t) < 1e-9:
-        return np.log2(m) + t * (m - 1.0) / 2.0
-    if t > 0:
-        # log2(2^t - 1); past t = 1000, where expm1(t ln 2) would overflow,
-        # as t + log2(1 - 2^-t)
-        if t > 1000:
-            log_step = t + math.log2(-math.expm1(-t * math.log(2)))
-        else:
-            log_step = math.log2(math.expm1(t * math.log(2)))
-        return m * t + np.log2(1.0 - 2.0 ** (-m * t)) - log_step
-    return np.log2(1.0 - 2.0 ** (m * t)) - math.log2(-math.expm1(t * math.log(2)))
-
-
 def _orbit_family_residual(lam: float, p: float, m: np.ndarray) -> np.ndarray:
     """Residual of the damped orbit a_k = lam^{1-k}, k <= m, in l^p blocks.
 
-    (tau_1 - lam) telescopes a to -lam e_1 + lam^{1-m} e_{m+1}; all block
-    norms are evaluated in the log domain, so m may reach 2^14 and beyond.
+    (tau_1 - lam) telescopes a to -lam e_1 + lam^{1-m} e_{m+1}, and the
+    block norms sum to residual^p = lam^p (2^t - 1) coth(m t ln2 / 2) with
+    t = 1 - p log2 lam (4/m at t = 0).  That is taken in log2 from |t|
+    alone, so no two large logs cancel and m may reach 2^20 and beyond.
     """
     u = math.log2(lam)
     m = np.asarray(m, dtype=float)
-    log_num_p = np.logaddexp2(p * u, m + (1.0 - m) * p * u)
-    log_den_p = _geom_series_log2(1.0 - p * u, m)
-    return 2.0 ** ((log_num_p - log_den_p) / p)
+    t = 1.0 - p * u
+    if t == 0.0:
+        return (4.0 / m) ** (1.0 / p)
+    a = abs(t) * math.log(2)
+    log_p = p * u + max(t, 0.0) + math.log2(-math.expm1(-a)) - np.log2(np.tanh(m * a / 2.0))
+    return 2.0 ** (log_p / p)
 
 
 def _geom_profile_residuals(lat: EX, lam: float, rho: np.ndarray, m: int) -> np.ndarray:
@@ -344,8 +336,10 @@ def _geom_profile_residuals(lat: EX, lam: float, rho: np.ndarray, m: int) -> np.
 _LP_RHOS = np.linspace(0.05, 2.05, 21)
 _GENERAL_RHOS = np.linspace(0.1, 1.2, 12)
 # zoom: the first bracket is rho +- the coarse spacing, each next one a
-# quarter as wide, down to 0.1 / 4^9 ~ 3.8e-7
+# quarter as wide, down to 0.1 / 4^9 ~ 3.8e-7; so no candidate passes the
+# coarse stack's top by more than 0.1 (1 + 1/4 + ...) < 0.1334
 _ZOOMS = 9
+_ZOOM_REACH = 0.1334
 
 
 def _search_rho(lat: EX, lam: float, ms, rhos: np.ndarray) -> tuple[float, dict]:
@@ -375,17 +369,39 @@ def _search_rho(lat: EX, lam: float, ms, rhos: np.ndarray) -> tuple[float, dict]
     return best, {"m": m, "rho": rho}
 
 
+def _search_plan(lam: float, lat: EX, dim: int) -> tuple:
+    """Block counts and coarse rho of the search a scan point runs."""
+    base = lat.base
+    if isinstance(base, Lp) and base.p != math.inf:
+        return [min(dim, 64)], _LP_RHOS
+    blocks = max(1, int(dim).bit_length() - 1)
+    return range(1, blocks + 1), np.concatenate(([1.0 / lam], _GENERAL_RHOS))
+
+
+def _search_overflows(lam: float, ms, rhos: np.ndarray) -> bool:
+    """Whether a row rho^{k-1}, k <= m, of the search, lam times it, or a
+    block norm of either can overflow, for any rho the zoom can reach.
+
+    A norm of a block vector on m blocks is at most its max times
+    phi(2^m) <= 2^m, so every value stays below 2^bits.
+    """
+    top = float(np.max(rhos)) + _ZOOM_REACH
+    if not math.isfinite(top):
+        return True
+    m = max(ms)
+    bits = (m - 1) * max(0.0, math.log2(top)) + max(0.0, math.log2(lam)) + m + 2
+    return bits > 1020
+
+
 def _scan_point(lam: float, lat: EX, dim: int) -> tuple[float, str, dict]:
+    ms, rhos = _search_plan(lam, lat, dim)
+    est, params = _search_rho(lat, lam, ms, rhos)
     base = lat.base
     if not (isinstance(base, Lp) and base.p != math.inf):
-        blocks = max(1, int(dim).bit_length() - 1)
-        rhos = np.concatenate(([1.0 / lam], _GENERAL_RHOS))
-        est, params = _search_rho(lat, lam, range(1, blocks + 1), rhos)
         return est, "operator_search", params
     mgrid = 2 ** np.arange(0, int(dim).bit_length())
     fam = _orbit_family_residual(lam, base.p, mgrid)
     i = int(np.argmin(fam))
-    est, params = _search_rho(lat, lam, [min(dim, 64)], _LP_RHOS)
     # the zoom ends within ~4e-7 of a stationary rho: a win under 1e-12
     # relative is rounding in the block norms, not a better witness
     if est < fam[i] * (1.0 - 1e-12):
@@ -416,6 +432,10 @@ def residual_scan(space: SpaceSpec, lambda_grid, dim: int = 1 << 14) -> list[Sca
     if not 1 <= dim < 1 << 63:
         raise ValueError("residual_scan needs 1 <= dim < 2^63: block positions must stay below 2^63")
     lat = EX(space)
+    for lam in grid:
+        if _search_overflows(lam, *_search_plan(lam, lat, dim)):
+            raise ValueError(f"residual_scan cannot take lambda = {lam!r} on {type(space).__name__} "
+                             f"at dim = {dim}: its search rows or their images would overflow")
     return [ScanPoint(lam, *_scan_point(lam, lat, dim), dim=dim) for lam in grid]
 
 

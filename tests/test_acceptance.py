@@ -93,6 +93,20 @@ def test_criterion_05_detects_a_drifting_index_profile(monkeypatch):
     assert r.detail.startswith("lorentz")
 
 
+def test_criterion_05_detects_a_drifting_orlicz_profile(monkeypatch):
+    # N^{-1}(2^-k) (1 + 1e-6 k): the log phi profile gains ~1.44e-6 k, which
+    # moves the Orlicz indices past the 1e-8 round-trip tolerance
+    real = indices._orlicz_inverse_vec
+
+    def drifting(N, s):
+        return real(N, s) * (1.0 + 1e-6 * -np.log2(s))
+
+    monkeypatch.setattr(indices, "_orlicz_inverse_vec", drifting)
+    r = verify.check_index_round_trips()
+    assert not r.passed
+    assert r.detail.startswith("orlicz")
+
+
 def test_criterion_06_index_ordering_chain():
     _gate(verify.check_index_ordering_chain)
 

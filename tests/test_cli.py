@@ -684,6 +684,33 @@ def test_size_producing_inputs_are_refused_before_allocating(argv, message, caps
     assert peak < 1 << 20
 
 
+LORENTZ_BLOCKS_ARRAY = ('{"kind":"wlq","q":2,"weights":{"form":"lorentz_blocks",'
+                        '"weights":{"form":"array","values":[1,0.5,0.25,0.1]}}}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["norm", "--lattice", LORENTZ_BLOCKS_ARRAY, "--vector", "[1, 2]"],
+     'form "lorentz_blocks" reads w(2^(k-1)) at every block k, so it needs "power" weights'),
+    (["witness", "--kind", "vn", "--p", "2", "--n", "63", "--space", LORENTZ],
+     "needs n <= 62 on Lorentz"),
+    (["witness", "--kind", "vn", "--p", "2", "--n", "63", "--space", '{"kind":"lpq","p":3,"q":2}'],
+     "needs n <= 62 on LpQ"),
+    (["witness", "--kind", "vn", "--p", "2", "--n", "64", "--space", ORLICZ_15],
+     "needs n <= 63 on Orlicz"),
+])
+def test_refusals_name_what_the_caller_asked_for(argv, message, capsys):
+    # not the kernel each input would reach: an array-weight lookup, or the
+    # 63 block / 64 coordinate caps of the EX and UN norms
+    code, out, err = _run(argv, capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert message in err
+    if argv[0] == "witness":
+        n = int(argv[argv.index("--n") + 1]) - 1
+        argv[argv.index("--n") + 1] = str(n)
+        code, out, _ = _run(argv, capsys)
+        assert code == 0 and json.loads(out)["n"] == n
+
+
 def test_a_nan_result_exits_4_instead_of_writing_invalid_json(monkeypatch, capsys):
     def nan_witness(p, n):
         return spectral.BranchingReport(p, n, math.nan, 1.0, 1.0, 1.0, 1.0, 9, False)
@@ -751,6 +778,44 @@ def test_scan_takes_a_lambda_near_zero(p, grid, capsys):
     assert code == 0 and err == ""
     for pt in json.loads(out)["points"]:
         assert pt["residual_estimate"] == pytest.approx(2.0 ** (1.0 / float(p)), rel=1e-5)
+
+
+@pytest.mark.parametrize("space", [LORENTZ, '{"kind":"lpq","p":3,"q":2}', ORLICZ_15])
+def test_scan_refuses_a_lambda_its_search_would_overflow(space, capsys):
+    # (1/lambda)^13 overflows on 14 blocks, where numpy used to warn and the
+    # norm refused the inf it made
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(["scan", "--space", space, "--grid", "1e-25:1e-25:1"], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == "" and not caught
+    assert "cannot take lambda = 1e-25" in err and "dim = 16384" in err
+
+
+SCAN_FUZZ_SPACES = ['{"kind":"lp","p":2}', '{"kind":"lp","p":1}', '{"kind":"lp","p":"inf"}',
+                    '{"kind":"lpq","p":3,"q":2}', '{"kind":"lpq","p":2,"q":4}', LORENTZ, ORLICZ_15]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(space=st.sampled_from(SCAN_FUZZ_SPACES), log_lam=st.floats(-300.0, 308.0),
+       dim=st.sampled_from([1, 2, 4, 64, 1 << 14]))
+@example(space=LORENTZ, log_lam=-25.0, dim=1 << 14)
+@example(space='{"kind":"lp","p":2}', log_lam=300.0, dim=1 << 14)
+def test_scan_exits_cleanly_at_any_lambda(space, log_lam, dim):
+    lam = 10.0**log_lam
+    argv = ["scan", "--space", space, "--grid", f"{lam!r}:{lam!r}:1", "--dim", str(dim)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(parse_args(argv))
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, EXIT_BAD_PARAMETER), (argv, err)
+    assert not caught and "Traceback" not in err and "warning" not in err.lower()
+    if code == EXIT_BAD_PARAMETER:
+        assert out == ""
+        return
+    for pt in json.loads(out)["points"]:
+        assert math.isfinite(pt["residual_estimate"]) and pt["residual_estimate"] >= 0.0
 
 
 # index and fset windows: every space family, every edge of the window rule

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symseq import spaces
+from symseq import indices, spaces
 from symseq._limits import estimate_rate
 from symseq.indices import (
     Interval,
@@ -267,15 +267,16 @@ def test_lorentz_profile_memory_does_not_grow_with_j_max(space, window):
     assert rep.alpha.lo <= rep.alpha.point <= rep.alpha.hi
 
 
-def _dense_lorentz_profiles(space, n_max, j_max):
-    """``_lorentz_profiles`` with the inner sups over every j <= j_max: the
-    reference for the dyadic window."""
+def _sup_loop_profiles(space, n_max, j_max, j):
+    """``_lorentz_profiles`` as per-n sup loops over the sorted inner grid j:
+    every j <= j_max is the dense reference for the dyadic window, and the
+    dyadic window itself (the loops ``_lorentz_profiles`` ran before it read
+    two chains) the reference for the chains."""
     j_small, n_ext = _subgrid(n_max, j_max)
-    j = np.arange(1, j_max + 1, dtype=np.int64)
-    js = np.arange(1, j_small + 1, dtype=np.int64)
+    js = j[j <= j_small]
     grids = [j] + [j * (1 << n) for n in range(1, n_max + 1)]
     grids += [js * (1 << n) for n in range(n_max + 1, n_ext + 1)]
-    pts = np.unique(np.concatenate(grids))
+    pts = spaces._distinct(np.concatenate(grids))
     logw = np.log2(spaces._weight_sums(space, pts))
 
     def at(grid, n):
@@ -289,12 +290,21 @@ def _dense_lorentz_profiles(space, n_max, j_max):
         d = at(j, n) - base
         U_dense[n - 1] = float(np.max(d)) / space.q
         L[n - 1] = float(-np.min(d)) / space.q
-        U_small[n - 1] = float(np.max(d[:j_small])) / space.q
+        U_small[n - 1] = float(np.max(d[: js.size])) / space.q
     for n in range(n_max + 1, n_ext + 1):
-        U_small[n - 1] = float(np.max(at(js, n) - base[:j_small])) / space.q
+        U_small[n - 1] = float(np.max(at(js, n) - base[: js.size])) / space.q
     if U_dense[-1] - U_small[n_max - 1] > 1e-9:
         return U_dense, L
     return U_small, L
+
+
+def _dense_lorentz_profiles(space, n_max, j_max):
+    return _sup_loop_profiles(space, n_max, j_max, np.arange(1, j_max + 1, dtype=np.int64))
+
+
+def _reference_lorentz_profiles(space, n_max, j_max):
+    window = np.append(1 << np.arange(int(j_max).bit_length(), dtype=np.int64), j_max)
+    return _sup_loop_profiles(space, n_max, j_max, spaces._distinct(window))
 
 
 # the built-in and benchmark-drawn power profiles, W(j) = sum k^s with s != 0
@@ -323,6 +333,74 @@ def test_dyadic_lorentz_profile_matches_the_dense_one(n_max, j_max):
         U, L = _lorentz_profiles(space, n_max, j_max)
         U_ref, L_ref = _dense_lorentz_profiles(space, n_max, j_max)
         assert np.max(np.abs(U - U_ref)) <= 4e-15 and np.max(np.abs(L - L_ref)) <= 4e-15
+
+
+def _reference_orlicz_profiles(N, n_max, k_max):
+    """The Orlicz profile as ratios of N^{-1}, with U and L swapped: the
+    reference for the log2 phi(2^k) profile."""
+    loginv = np.log2(
+        spaces._orlicz_inverse_vec(N, 2.0 ** -np.arange(0, k_max + n_max + 1, dtype=float))
+    )
+    L, U = indices._ratio_sups(loginv, n_max, window=k_max + 1)
+    return U, L
+
+
+# every power profile shape: s = 0 (theta = 0, l^{p,p}), s < 0, and the
+# increasing pseudo-weights of the quasi l^{p,q} (q > p)
+CHAIN_POWER_SPACES = [
+    *(Lorentz(q, power_weights(th / 10)) for q in (1.0, 1.5, 2.0, 3.0) for th in range(10)),
+    *(LpQ(p, q) for p in (1.5, 2.0, 3.0, 4.0, 6.0) for q in (1.0, 2.0, 4.0, p)),
+]
+CHAIN_POWER_WINDOWS = [(16, 1 << 14), (12, 1 << 12), (9, 1000), (9, 3000), (42, 1 << 20),
+                       (20, 1 << 20), (3, 5)] + [
+    (16, j_max) for j_max in (1, 2, 63, 64, 65, 95, 1000)
+]
+# streamed and array weights sum every point they are asked for, so their
+# windows stay below 2^16 summed terms
+IRREGULAR_SPACES = [
+    Lorentz(2.0, WeightSeq(kind="generator", fn=lambda k: (1.0 + 1.0 / k) * k**-0.25)),
+    Lorentz(1.5, WeightSeq(kind="generator", fn=lambda k: 1.0 / np.log2(k + 1.0))),
+    Lorentz(2.0, WeightSeq(kind="array", data=tuple(
+        np.sort(np.random.default_rng(3).uniform(0.05, 1.0, 1 << 16))[::-1]))),
+]
+IRREGULAR_WINDOWS = [(3, 1), (8, 2), (5, 63), (6, 64), (4, 65), (6, 95), (5, 1000),
+                     (2, 3000), (10, 17), (1, 1 << 15)]
+
+
+def test_chain_profiles_are_bit_identical_to_the_sup_loops(monkeypatch):
+    # same points summed (a streamed generator's bits depend on the point
+    # set), and a max over the union of J is the max of the two chain maxes
+    calls = []
+    real = spaces._weight_sums
+
+    def recording(space, pts):
+        calls.append(np.asarray(pts).copy())
+        return real(space, pts)
+
+    monkeypatch.setattr(spaces, "_weight_sums", recording)
+    monkeypatch.setattr(indices, "_weight_sums", recording)
+    corpus = [(sp, w) for sp in CHAIN_POWER_SPACES for w in CHAIN_POWER_WINDOWS]
+    corpus += [(sp, w) for sp in IRREGULAR_SPACES for w in IRREGULAR_WINDOWS]
+    assert len(corpus) >= 800
+    for space, (n_max, j_max) in corpus:
+        _check_window(space, n_max, j_max, 0)
+        calls.clear()
+        U, L = _lorentz_profiles(space, n_max, j_max)
+        U_ref, L_ref = _reference_lorentz_profiles(space, n_max, j_max)
+        assert np.array_equal(calls[0], calls[1]), (space, n_max, j_max)
+        assert np.array_equal(U, U_ref) and np.array_equal(L, L_ref), (space, n_max, j_max)
+
+
+@pytest.mark.parametrize("n_max, k_max", [(16, 200), (12, 120), (20, 200), (1, 0), (5, 10),
+                                          (40, 956)])
+def test_orlicz_log_phi_profile_is_bit_identical_to_the_inverse_ratios(n_max, k_max):
+    # log2 phi(2^k) = -log2 N^{-1}(2^-k): negation is exact, so the sups of
+    # phi are the swapped sups of N^{-1} bit for bit
+    for N in (OrliczFn.power(1.5), OrliczFn.power(3.0), OrliczFn.power(1.0),
+              OrliczFn.power_log(2.0, 0.6), OrliczFn.power_log(3.0, 0.3)):
+        U, L, _ = indices._profiles(Orlicz(N), n_max, 1, k_max)
+        U_ref, L_ref = _reference_orlicz_profiles(N, n_max, k_max)
+        assert np.array_equal(U, U_ref) and np.array_equal(L, L_ref), (N, n_max, k_max)
 
 
 def test_report_to_json_shape():

@@ -17,6 +17,7 @@ l^p block norm, the reference for the row-wise one.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,19 +231,19 @@ def test_scan_points_match_the_ambient_residual():
                 assert pt.estimate == pytest.approx(want, rel=1e-12 if lp else 1e-14, abs=0)
 
 
-def test_vn_limits_are_the_lattice_limits():
+def test_vn_limits_are_the_lattice_limits(monkeypatch):
     # the residual has n + 1 blocks, whose run ends must stay below 2^63
     for space in (Lorentz(2.0, power_weights(0.25)), LpQ(3.0, 2.0)):
         for n in (22, 40, 62):
             rep = doubling_orbit_witness(space, 2.0, n)
             assert rep.support == (1 << n) - 1 and 0.0 < rep.residual < 2.0
-        with pytest.raises(ValueError, match="2\\^63"):
-            doubling_orbit_witness(space, 2.0, 63)
-    # UN allows 64 coordinates
-    with pytest.raises(ValueError, match="64 coordinates"):
-        doubling_orbit_witness(ORLICZ_BUILTINS[0], 1.5, 64)
-    with pytest.raises(ValueError, match="overflow"):
-        doubling_orbit_witness(Lp(2.0), 2.0, (1 << 20) + 1)
+    # each cap is stated in n and refused before any block norm: UN allows
+    # 64 coordinates, so Orlicz takes n <= 63
+    monkeypatch.setattr(spectral, "lattice_norm", None)
+    for space, cap in ((Lorentz(2.0, power_weights(0.25)), 62), (LpQ(3.0, 2.0), 62),
+                       (ORLICZ_BUILTINS[0], 63), (Lp(2.0), 1 << 20)):
+        with pytest.raises(ValueError, match=f"n <= {cap} on {type(space).__name__}"):
+            doubling_orbit_witness(space, 1.5, cap + 1)
 
 
 def test_vn_and_scan_on_orlicz_never_take_space_norms(monkeypatch):
@@ -367,25 +368,80 @@ def test_scan_validates_grid():
             residual_scan(Lp(2.0), [1.0, bad])
 
 
+@pytest.mark.parametrize("space, dim, runs, refused", [
+    (Lp(2.0), 4, 1e304, 1e305),
+    (Lp(2.0), 1 << 14, 1e265, 1e266),
+    (Lorentz(2.0, power_weights(0.25)), 4, 1e-305, 1e-306),
+    (Lorentz(2.0, power_weights(0.25)), 4, 1e305, 1e306),
+    (Lorentz(2.0, power_weights(0.25)), 1 << 14, 1e-23, 1e-24),
+    (Lorentz(2.0, power_weights(0.25)), 1 << 14, 1e300, 1e301),
+])
+def test_scan_refuses_a_lambda_whose_search_could_overflow(space, dim, runs, refused, monkeypatch):
+    # rows rho^{k-1} over every rho the zoom reaches (1/lambda on the
+    # general families), lambda times them, and their block norms: past the
+    # edge one of them could overflow; inside it the point runs warning-free
+    pt, = residual_scan(space, [runs], dim=dim)
+    assert math.isfinite(pt.estimate) and pt.estimate > 0.0
+    monkeypatch.setattr(spectral, "lattice_norm", None)  # refused before any norm
+    with pytest.raises(ValueError) as err:
+        residual_scan(space, [runs, refused], dim=dim)
+    msg = str(err.value)
+    assert f"lambda = {refused!r}" in msg and type(space).__name__ in msg and f"dim = {dim}" in msg
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 10.0, 100.0])
 def test_scan_takes_a_lambda_near_zero(p):
-    # t = 1 - p log2(lambda) passes 1024 here, where expm1(t ln 2) overflows;
-    # the residual tends to ||D|| = 2^{1/p} as lambda -> 0.  The closed-form
-    # orbit loses ~m t 1e-16 in the log domain, so the limit holds to 1e-8.
+    # t = 1 - p log2(lambda) passes 1024 here, where 2^t overflows; the
+    # residual tends to ||D|| = 2^{1/p} as lambda -> 0, and the closed-form
+    # orbit, which cancels no m t sized logs, reaches it to rounding
     pts = residual_scan(Lp(p), [1e-300, 1e-31, 1e-5])
     for pt in pts:
         assert math.isfinite(pt.estimate)
         assert pt.estimate <= 2.0 ** (1.0 / p) * (1.0 + 1e-12)
-    assert pts[0].estimate == pytest.approx(2.0 ** (1.0 / p), rel=1e-8)
+    assert pts[0].estimate == pytest.approx(2.0 ** (1.0 / p), rel=1e-15)
 
 
-def test_geom_series_log2_is_continuous_across_the_overflow_switch():
-    m = np.array([1.0, 2.0, 7.0, 1000.0])
-    below = spectral._geom_series_log2(1000.0, m)
-    above = spectral._geom_series_log2(math.nextafter(1000.0, math.inf), m)
-    assert np.allclose(below, above, rtol=1e-15, atol=1e-12)
-    # sum_{i<m} 2^{ti} = 2^{t(m-1)} (1 + 2^-t + ...): log2 is t(m - 1) to rounding
-    assert np.array_equal(spectral._geom_series_log2(2000.0, m), 2000.0 * (m - 1.0))
+def _mp_orbit_residual(lam, p, m):
+    """The damped-orbit residual from its definition, at the working
+    precision: boundary layers lam^p + lam^{(1-m)p} 2^m over the geometric
+    block sum."""
+    L, P = mpmath.mpf(lam), mpmath.mpf(p)
+    q = 2 / L**P
+    den = m if q == 1 else (q**m - 1) / (q - 1)
+    return ((L**P + L ** ((1 - m) * P) * mpmath.mpf(2) ** m) / den) ** (1 / P)
+
+
+def _orbit_errors(lam, p):
+    """Relative errors of the closed form against 50 digits on m = 2^0..2^14,
+    and kappa = |d ln r / d ln lambda| at each m."""
+    ms = 2.0 ** np.arange(15)
+    got = spectral._orbit_family_residual(lam, p, ms)
+    with mpmath.workdps(50):
+        h = mpmath.mpf(10) ** -20
+        out = []
+        for g, m in zip(got, ms.astype(int).tolist()):
+            r = _mp_orbit_residual(lam, p, m)
+            up, down = (_mp_orbit_residual(mpmath.mpf(lam) * (1 + s * h), p, m) for s in (1, -1))
+            out.append((float(abs(g / r - 1)), float(abs(mpmath.log(up / down)) / (2 * h))))
+    return got, out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 10.0, 100.0])
+def test_orbit_family_residual_matches_mpmath(p):
+    # the coth form takes log2 from |t| alone, so no m t sized logs cancel.
+    # Near lambda = 2^{1/p} the residual at m t ~ 1 is ill-conditioned in
+    # lambda: one rounding of log2(lambda) moves it by ~kappa 2^-52.
+    c = 2.0 ** (1.0 / p)
+    far = np.geomspace(1e-300, 1e100, 33).tolist()
+    near = [c * (1.0 + s * 10.0**-k) for k in (1, 4, 8, 12, 15) for s in (1, -1)] + [c]
+    for lam in far + near:
+        got, errs = _orbit_errors(lam, p)
+        slack = 0.0 if lam in far else 2.0**-52
+        assert all(err <= 2e-13 + kappa * slack for err, kappa in errs), lam
+        # ||D x|| = 2^{1/p} ||x|| in l^p, so no residual of D - lambda falls
+        # below |2^{1/p} - lambda|
+        floor = abs(2 ** (1 / mpmath.mpf(p)) - lam)
+        assert float(np.min(got)) >= floor * (1 - 2e-13), lam
 
 
 @pytest.mark.parametrize("k", [49, 53, 63])
