@@ -24,7 +24,6 @@ class RateEstimate:
     point: float      # extrapolated limit of L(n)/n
     fekete: float     # min_n L(n)/n, an upper bound for the true limit
     at_n_max: float   # raw L(n_max)/n_max
-    last_diff: float  # L(n_max) - L(n_max - 1)
 
 
 def estimate_rate(logvals) -> RateEstimate:
@@ -35,7 +34,7 @@ def estimate_rate(logvals) -> RateEstimate:
     fekete = float(np.min(L / ns))
     at_n_max = float(L[-1] / ns[-1])
     if L.size == 1:
-        return RateEstimate(at_n_max, fekete, at_n_max, at_n_max)
+        return RateEstimate(at_n_max, fekete, at_n_max)
     D = np.diff(L)
     point = float(D[-1])
     if D.size >= 3:
@@ -46,7 +45,7 @@ def estimate_rate(logvals) -> RateEstimate:
             spread = max(float(D.max() - D.min()), 1e-12)
             if D.min() - spread <= cand <= D.max() + spread:
                 point = float(cand)
-    return RateEstimate(point, fekete, at_n_max, float(D[-1]))
+    return RateEstimate(point, fekete, at_n_max)
 
 
 def _ratio_sups(logs, n_max: int, window: int | None = None) -> tuple[np.ndarray, np.ndarray]:

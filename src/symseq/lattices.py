@@ -213,10 +213,11 @@ def lattice_norm(lat: LatticeSpec, a):
         out = _ex_norm_orlicz(base.N, rows, m)
     elif isinstance(lat, WeightedLq):
         # each row of mu |a| is scaled as in _descending before the power,
-        # so no term over- or underflows where the norm is representable
-        v = rows * lat.weights(rows.shape[1])
-        scale = np.ldexp(1.0, np.frexp(v.max(axis=1, initial=0.0))[1] - 1)
-        s = np.add.reduce((v / scale[:, None]) ** lat.q, axis=1)
+        # so no term over- or underflows where the norm is representable (inf past it)
+        with np.errstate(over="ignore"):
+            v = rows * lat.weights(rows.shape[1])
+            scale = np.ldexp(1.0, np.frexp(v.max(axis=1, initial=0.0))[1] - 1)
+            s = np.add.reduce((v / scale[:, None]) ** lat.q, axis=1)
         out = [c * t ** (1.0 / lat.q) for c, t in zip(scale.tolist(), s.tolist())]
     else:
         raise TypeError(f"unknown lattice spec {lat!r}")

@@ -2,6 +2,8 @@
 
 Operators act lazily on dense coefficient vectors; nothing is ever stored as
 a matrix, so applying any of them to vectors with 2^20 entries stays cheap.
+The kernel refuses (``ValueError``) before numpy allocates an image, or an
+input padded to whole blocks, past 2^24 entries (``S`` on 24 blocks).
 One entry point, ``apply_array``, applies every operator through one
 kernel, on numerators over one positive common denominator (``_Exact``).
 Float input is float64 numerators over 1; exact input is integer
@@ -132,6 +134,7 @@ OperatorSpec = (
 
 
 _INT64_MAX = (1 << 63) - 1
+_MAX_IMAGE = 1 << 24  # the most entries one application builds; S on 24 blocks makes 2^24 - 1
 
 
 class _Exact(NamedTuple):
@@ -221,8 +224,17 @@ def _doubled(x: np.ndarray) -> np.ndarray:
 
 
 def _block_sums(x: np.ndarray, m: int) -> np.ndarray:
-    """Sums over consecutive blocks of length m, the last one zero-padded."""
-    return _pad(x, (-x.size) % m).reshape(-1, m).sum(axis=1)
+    """Sums over consecutive blocks of length m, the last one zero-padded (none on empty x)."""
+    return _pad(x, (-x.size) % m).reshape(-1, m).sum(axis=1) if x.size else x
+
+
+def _check_size(op: OperatorSpec, n: int, count: int) -> None:
+    """Refuse ``op`` on n entries before numpy allocates, if it would build
+    ``count`` > 2^24 entries (its image, or its input padded to whole blocks)."""
+    if count > _MAX_IMAGE:
+        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        raise ValueError(f"operator {op!r} on {n} entries would build {shown} entries, "
+                         "past the 2^24-entry cap")
 
 
 def _apply(op: OperatorSpec, x: _Exact) -> _Exact:
@@ -230,34 +242,43 @@ def _apply(op: OperatorSpec, x: _Exact) -> _Exact:
 
     Numerators are integers over ``den`` (exact input) or floats over
     ``den = 1`` (float input); every operator runs one body for both.
+    Each branch first counts what it builds (``_check_size``); so an
+    argument past the cap reaches numpy only with an empty input.
     """
     num, den, peak = x
+    n = num.size
+    asked = op
     if isinstance(op, DoublingInverse):  # D^-1 = sigma_1/2 tau_-1
         op, num = DilateDown(2), num[1:]
     if isinstance(op, DilateUp):
-        num = np.repeat(num, op.m)
+        _check_size(asked, n, n * op.m)
+        num = np.repeat(num, op.m) if n else num
     elif isinstance(op, Shift):
+        _check_size(asked, n, n + max(op.n, 0))
         num = np.concatenate([np.zeros(op.n, dtype=num.dtype), num]) if op.n >= 0 else num[-op.n :]
     elif isinstance(op, Doubling):
+        _check_size(asked, n, 2 * n + 1)
         num = _doubled(num)
     elif isinstance(op, BlockEmbed):
-        if num.size > 24:
-            raise ValueError("BlockEmbed input longer than 24 blocks (2^24 cap)")
-        num = np.repeat(num, 1 << np.arange(num.size))
+        _check_size(asked, n, (1 << n) - 1)
+        num = np.repeat(num, 1 << np.arange(n))
     elif isinstance(op, DilateDown):
+        _check_size(asked, n, -(-num.size // op.m) * op.m)
         num, peak = _grow(num, peak, op.m)
         num, den = _block_sums(num, op.m), den * op.m
     elif isinstance(op, AvgProjectN):
-        size = 1 << op.n
+        size = 1 << min(op.n, 64)  # past 2^24 one block is refused on any input
+        _check_size(asked, n, -(-n // size) * size)
         num, peak = _grow(num, peak, size)
-        num, den = np.repeat(_block_sums(num, size), size), den * size
+        num, den = np.repeat(_block_sums(num, size), size) if n else num, den * size
     elif isinstance(op, AvgProject):
-        blocks = num.size.bit_length()  # dyadic blocks covering the entries
+        blocks = n.bit_length()  # dyadic blocks covering the entries
         if blocks == 0:
             return x
         top = 1 << (blocks - 1)
+        _check_size(asked, n, 2 * top - 1)
         num, peak = _grow(num, peak, top)
-        num = _pad(num, 2 * top - 1 - num.size)
+        num = _pad(num, 2 * top - 1 - n)
         floats = num.dtype == float
         out = np.empty_like(num)
         for k in range(blocks):
@@ -272,10 +293,12 @@ def _apply(op: OperatorSpec, x: _Exact) -> _Exact:
     elif isinstance(op, (ShiftMinusLambda, DoublingMinusLambda)):
         # lam = p/q: (lead - lam x) = (q lead - p x) / q, lead = tau_1 x or D x;
         # a float lambda on exact input counts at its exact binary value
+        shift = isinstance(op, ShiftMinusLambda)  # tau_1 adds one entry per row of a stack
+        _check_size(asked, n, n + math.prod(num.shape[:-1]) if shift else 2 * n + 1)
         p, q = (float(op.lam), 1) if num.dtype == float else Fraction(op.lam).as_integer_ratio()
         num, peak = _grow(num, peak, abs(p) + q)
         lead = num * q if q != 1 else num
-        if isinstance(op, ShiftMinusLambda):
+        if shift:
             # along the last axis, so a stack of rows shifts row by row
             zero = np.zeros(num.shape[:-1] + (1,), dtype=num.dtype)
             num = np.concatenate([zero, lead], axis=-1) - p * np.concatenate([num, zero], axis=-1)

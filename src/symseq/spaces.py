@@ -211,9 +211,9 @@ class OrliczFn:
 
     @staticmethod
     def power(p: float) -> "OrliczFn":
-        """N(t) = t^p, p >= 1."""
-        if p < 1.0:
-            raise ValueError("power Orlicz profile needs p >= 1")
+        """N(t) = t^p, finite p >= 1 (t^inf is infinite past 1)."""
+        if not 1.0 <= p < math.inf:
+            raise ValueError(f"power Orlicz profile needs a finite p >= 1, got p = {p!r}")
         return OrliczFn(fn=lambda t, p=p: np.power(t, p), p=float(p))
 
     @staticmethod
@@ -221,8 +221,10 @@ class OrliczFn:
         """N(t) = t^p (1 + a |ln t|); already N(1) = 1.
 
         Convex on (0, 1] only for a <= p(p-1)/(2p-1); the constructor's grid
-        probe rejects anything beyond that.
+        probe rejects anything beyond that.  p must be finite.
         """
+        if not math.isfinite(p):
+            raise ValueError(f"power_log Orlicz profile needs a finite p, got p = {p!r}")
 
         def f(t: np.ndarray, p=p, a=a) -> np.ndarray:
             t = np.asarray(t, dtype=float)

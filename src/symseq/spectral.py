@@ -326,20 +326,16 @@ def _orbit_family_residual(lam: float, p: float, m: np.ndarray) -> np.ndarray:
     return 2.0 ** (log_p / p)
 
 
-def _geom_profile_residuals(lat: EX, lam: float, rho: np.ndarray, m: int) -> np.ndarray:
-    """Residuals of the window profiles a_k = rho^{k-1}, k <= m, one per rho."""
-    return _block_residual(lat, lam, rho[:, None] ** np.arange(m, dtype=float))[0]
-
-
 # coarse rho stacks: l^p optima can sit well above 1 (near 1.57 at dim = 2);
 # the other families keep their fixed candidates beside 1/lambda
 _LP_RHOS = np.linspace(0.05, 2.05, 21)
 _GENERAL_RHOS = np.linspace(0.1, 1.2, 12)
 # zoom: the first bracket is rho +- the coarse spacing, each next one a
 # quarter as wide, down to 0.1 / 4^9 ~ 3.8e-7; so no candidate passes the
-# coarse stack's top by more than 0.1 (1 + 1/4 + ...) < 0.1334
+# coarse stack's top by more than 0.1 (1 + 1/4 + ...) = 0.1 * 4/3
 _ZOOMS = 9
-_ZOOM_REACH = 0.1334
+_ZOOM_HALF_WIDTH, _ZOOM_SHRINK = 0.1, 4.0
+_ZOOM_REACH = _ZOOM_HALF_WIDTH * _ZOOM_SHRINK / (_ZOOM_SHRINK - 1.0)
 
 
 def _search_rho(lat: EX, lam: float, ms, rhos: np.ndarray) -> tuple[float, dict]:
@@ -358,33 +354,35 @@ def _search_rho(lat: EX, lam: float, ms, rhos: np.ndarray) -> tuple[float, dict]
     res = _block_residual(lat, lam, rows.reshape(-1, k.size))[0]
     i = int(np.argmin(res))
     best, m, rho = float(res[i]), int(ms[i // rhos.size]), float(rhos[i % rhos.size])
-    h = 0.1
+    h = _ZOOM_HALF_WIDTH
     for _ in range(_ZOOMS):
         cand = np.linspace(max(rho - h, 1e-3), rho + h, 9)
-        res = _geom_profile_residuals(lat, lam, cand, m)
+        res = _block_residual(lat, lam, cand[:, None] ** np.arange(m, dtype=float))[0]
         j = int(np.argmin(res))
         if res[j] < best:
             best, rho = float(res[j]), float(cand[j])
-        h /= 4.0
+        h /= _ZOOM_SHRINK
     return best, {"m": m, "rho": rho}
 
 
 def _search_plan(lam: float, lat: EX, dim: int) -> tuple:
-    """Block counts and coarse rho of the search a scan point runs."""
+    """Block counts and coarse rho of the search a scan point runs, and
+    whether the closed-form orbit family (finite-p l^p) runs beside it."""
     base = lat.base
     if isinstance(base, Lp) and base.p != math.inf:
-        return [min(dim, 64)], _LP_RHOS
+        return [min(dim, 64)], _LP_RHOS, True
     blocks = max(1, int(dim).bit_length() - 1)
-    return range(1, blocks + 1), np.concatenate(([1.0 / lam], _GENERAL_RHOS))
+    return range(1, blocks + 1), np.concatenate(([1.0 / lam], _GENERAL_RHOS)), False
 
 
-def _search_overflows(lam: float, ms, rhos: np.ndarray) -> bool:
+def _search_overflows(lam: float, plan: tuple) -> bool:
     """Whether a row rho^{k-1}, k <= m, of the search, lam times it, or a
     block norm of either can overflow, for any rho the zoom can reach.
 
     A norm of a block vector on m blocks is at most its max times
     phi(2^m) <= 2^m, so every value stays below 2^bits.
     """
+    ms, rhos, _ = plan
     top = float(np.max(rhos)) + _ZOOM_REACH
     if not math.isfinite(top):
         return True
@@ -393,14 +391,13 @@ def _search_overflows(lam: float, ms, rhos: np.ndarray) -> bool:
     return bits > 1020
 
 
-def _scan_point(lam: float, lat: EX, dim: int) -> tuple[float, str, dict]:
-    ms, rhos = _search_plan(lam, lat, dim)
+def _scan_point(lam: float, lat: EX, dim: int, plan: tuple) -> tuple[float, str, dict]:
+    ms, rhos, orbit = plan
     est, params = _search_rho(lat, lam, ms, rhos)
-    base = lat.base
-    if not (isinstance(base, Lp) and base.p != math.inf):
+    if not orbit:
         return est, "operator_search", params
     mgrid = 2 ** np.arange(0, int(dim).bit_length())
-    fam = _orbit_family_residual(lam, base.p, mgrid)
+    fam = _orbit_family_residual(lam, lat.base.p, mgrid)
     i = int(np.argmin(fam))
     # the zoom ends within ~4e-7 of a stationary rho: a win under 1e-12
     # relative is rounding in the block norms, not a better witness
@@ -432,11 +429,13 @@ def residual_scan(space: SpaceSpec, lambda_grid, dim: int = 1 << 14) -> list[Sca
     if not 1 <= dim < 1 << 63:
         raise ValueError("residual_scan needs 1 <= dim < 2^63: block positions must stay below 2^63")
     lat = EX(space)
-    for lam in grid:
-        if _search_overflows(lam, *_search_plan(lam, lat, dim)):
+    plans = [_search_plan(lam, lat, dim) for lam in grid]
+    for lam, plan in zip(grid, plans):
+        if _search_overflows(lam, plan):
             raise ValueError(f"residual_scan cannot take lambda = {lam!r} on {type(space).__name__} "
                              f"at dim = {dim}: its search rows or their images would overflow")
-    return [ScanPoint(lam, *_scan_point(lam, lat, dim), dim=dim) for lam in grid]
+    return [ScanPoint(lam, *_scan_point(lam, lat, dim, plan), dim=dim)
+            for lam, plan in zip(grid, plans)]
 
 
 # Exact shift machinery ------------------------------------------------------

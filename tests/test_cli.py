@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from symseq.cli import (
     EXIT_UNKNOWN_KIND,
     EXIT_VERIFY_FAILED,
     CliError,
-    _image_too_long,
     main,
     parse_args,
     run,
@@ -108,21 +108,40 @@ def test_norm_refuses_an_argument_to_an_operator_that_takes_none(operator, capsy
     assert f"bad operator argument in {operator!r}" in err
 
 
-# the smallest refused arguments on 2 entries: a missing cap would
-# allocate at most 256 MiB, not gigabytes
-@pytest.mark.parametrize("operator", ["R:25", "sigma_up:8388609", "tau:16777215"])
-def test_norm_refuses_an_operator_image_past_the_cap_before_making_it(operator, capsys):
+# the smallest refused arguments on 2 entries, S on 25 and a sigma_1/m whose
+# padded block would fill 8 TiB: a missing cap would allocate at most 256 MiB
+# on the first four, not gigabytes
+@pytest.mark.parametrize("operator, vector, spelled", [
+    pytest.param("R:25", "[1, 2]", "AvgProjectN(n=25) on 2 entries", id="R:25"),
+    pytest.param("sigma_up:8388609", "[1, 2]", "DilateUp(m=8388609) on 2 entries",
+                 id="sigma_up:8388609"),
+    pytest.param("tau:16777215", "[1, 2]", "Shift(n=16777215) on 2 entries", id="tau:16777215"),
+    pytest.param("sigma_down:1099511627776", "[1, 2]",
+                 "DilateDown(m=1099511627776) on 2 entries", id="sigma_down:1099511627776"),
+    pytest.param("S", json.dumps([1] * 25), "BlockEmbed() on 25 entries", id="S"),
+])
+def test_norm_refuses_an_operator_image_past_the_cap_before_making_it(operator, vector, spelled,
+                                                                     capsys):
     tracemalloc.start()
     try:
         code, out, err = _run(
-            ["norm", "--space", '{"kind":"lp","p":2}', "--vector", "[1, 2]", "--operator", operator], capsys
+            ["norm", "--space", '{"kind":"lp","p":2}', "--vector", vector, "--operator", operator],
+            capsys
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == EXIT_BAD_PARAMETER and out == ""
-    assert f"operator {operator!r} on 2 entries" in err and "2^24-entry cap" in err
+    assert f"operator {spelled} would build" in err and "2^24-entry cap" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("operator", ["sigma_up:99999999999999999999",
+                                      "sigma_down:99999999999999999999", "R:100000000",
+                                      "tau:-100000000000000000000"])
+def test_norm_of_an_empty_image_ignores_the_operator_argument(operator, capsys):
+    code, out, err = _run(["norm", "--p", "2", "--vector", "[]", "--operator", operator], capsys)
+    assert code == 0 and json.loads(out)["value"] == 0.0, err
 
 
 def test_norm_refuses_a_non_finite_lambda_without_a_warning():
@@ -137,28 +156,19 @@ def test_norm_refuses_a_non_finite_lambda_without_a_warning():
         assert "RuntimeWarning" not in proc.stderr
 
 
-def test_image_cap_bounds_the_operators_that_grow_by_their_argument():
-    # sigma_up:m makes n m entries, tau:k n + k, R:k n rounded up to 2^k;
-    # exactly 2^24 entries pass, one more does not
-    cap = 1 << 24
-    for op, n in [
-        (operators.DilateUp(cap // 2), 2),
-        (operators.Shift(cap - 2), 2),
-        (operators.AvgProjectN(24), 1),
-        (operators.AvgProjectN(23), cap),
-        (operators.AvgProjectN(10**8), 0),
-        (operators.Shift(-(10**8)), 2),
-        (operators.Doubling(), cap),
-    ]:
-        assert not _image_too_long(op, n), (op, n)
-    for op, n in [
-        (operators.DilateUp(cap // 2 + 1), 2),
-        (operators.Shift(cap - 1), 2),
-        (operators.AvgProjectN(24), cap + 1),
-        (operators.AvgProjectN(25), 1),
-        (operators.AvgProjectN(10**8), 1),
-    ]:
-        assert _image_too_long(op, n), (op, n)
+def test_norm_refuses_an_operator_image_that_overflows_without_a_warning():
+    # T and Dl overflow in their multiply, sigma_1/m and R_n in the block sum,
+    # which is refused even where the mean would fit
+    for operator, vector in [("T:1e308", "[1e308, 1]"), ("Dl:-1e308", "[1e308, 1]"),
+                             ("sigma_down:2", "[1e308, 1e308]"), ("R:1", "[1e308, 1e308]")]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symseq.cli", "norm", "--p", "2", "--vector", vector,
+             "--operator", operator],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_BAD_PARAMETER and proc.stdout == "", operator
+        assert "norm input must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_norm_refuses_json_booleans_in_the_vector(capsys):
@@ -816,6 +826,91 @@ def test_scan_exits_cleanly_at_any_lambda(space, log_lam, dim):
         return
     for pt in json.loads(out)["points"]:
         assert math.isfinite(pt["residual_estimate"]) and pt["residual_estimate"] >= 0.0
+
+
+# an infinite Orlicz p (a string, or 1e400, which JSON reads as inf) is
+# refused when the descriptor is parsed, before any command does work
+INF_ORLICZ = ['{"form":"power","p":"inf"}', '{"form":"power","p":1e400}',
+              '{"form":"power_log","p":"inf","a":0.6}', '{"form":"power_log","p":1e400,"a":0.6}']
+
+
+@pytest.mark.parametrize("orlicz", INF_ORLICZ)
+@pytest.mark.parametrize("command", [
+    ["norm", "--vector", "[1, 2]"], ["index"], ["fset"], ["scan", "--grid", "1.0:1.2:2"],
+    ["witness", "--kind", "vn", "--p", "2", "--n", "3"],
+], ids=lambda argv: argv[0] if argv[0] != "witness" else "witness-vn")
+def test_every_command_refuses_an_infinite_orlicz_p(orlicz, command, capsys):
+    space = f'{{"kind":"orlicz","orlicz":{orlicz}}}'
+    code, out, err = _run(command + ["--space", space], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert "needs a finite p" in err and "p = inf" in err
+
+
+NORM_FUZZ_SPACES = [LP2, '{"kind":"lp","p":1}', '{"kind":"lp","p":"inf"}',
+                    '{"kind":"lpq","p":3,"q":2}', LORENTZ, ORLICZ_15,
+                    '{"kind":"orlicz","orlicz":{"form":"power_log","p":2,"a":0.6}}']
+NORM_FUZZ_LATTICES = ['{"kind":"ex","base":{"kind":"lp","p":2}}',
+                      '{"kind":"wlq","q":2,"weights":{"form":"geometric","ratio":2}}',
+                      '{"kind":"un","orlicz":{"form":"power","p":2}}']
+# the fuzz runs under a 2^16-entry cap, so that an image at its edge stays
+# far below the 4 MiB peak; arguments are small, at either cap's edge, or
+# past 2^40, so that a missing cap fails at the allocator, not zero-filling
+_FUZZ_CAP = 1 << 16
+_FUZZ_ARGS = [0, 1, 2, 3, 15, 16, 17, 23, 24, 25, (1 << 15) - 1, 1 << 15, _FUZZ_CAP - 1, _FUZZ_CAP,
+              _FUZZ_CAP + 1, (1 << 23) + 1, (1 << 24) + 1, 1 << 40, 10**20]
+
+
+def _operator_text(name, arg, sign, log_lam):
+    """One operator of the grammar; each draw takes every part, used or not."""
+    if name in ("sigma_up", "sigma_down"):
+        return f"{name}:{max(arg, 1)}"
+    if name in ("tau", "R"):
+        return f"{name}:{sign * arg if name == 'tau' else arg}"
+    if name in ("T", "Dl"):
+        return f"{name}:{sign * 10.0**log_lam!r}"
+    return name
+
+
+_fuzz_operator = st.builds(_operator_text, st.sampled_from(
+    ["sigma_up", "sigma_down", "tau", "doubling", "doubling_inv", "S", "Q", "R", "T", "Dl", None]),
+    st.sampled_from(_FUZZ_ARGS), st.sampled_from([-1, 1]), st.floats(-320.0, 308.0))
+
+
+_fuzz_entry = st.one_of(st.just(0.0), st.builds(lambda sign, x: sign * 10.0**x,
+                                                  st.sampled_from([-1.0, 1.0]),
+                                                  st.floats(-320.0, 308.0)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(target=st.sampled_from([("--space", v) for v in NORM_FUZZ_SPACES]
+                              + [("--lattice", v) for v in NORM_FUZZ_LATTICES]),
+       operator=_fuzz_operator, vector=st.lists(_fuzz_entry, max_size=64))
+@example(target=("--space", LP2), operator="sigma_down:1099511627776", vector=[1.0, 2.0])
+@example(target=("--space", LP2), operator="sigma_up:100000000000000000000", vector=[])
+def test_norm_exits_cleanly_on_any_operator_and_vector(target, operator, vector):
+    argv = ["norm", *target, "--vector", json.dumps(vector)]
+    if operator is not None and target[0] == "--space":
+        argv += ["--operator", operator]
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(operators, "_MAX_IMAGE", _FUZZ_CAP):
+            warnings.simplefilter("always")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(parse_args(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, EXIT_BAD_PARAMETER), (argv, err)
+    assert not caught and "Traceback" not in err and "warning" not in err.lower(), argv
+    assert peak < 4 << 20, argv
+    if code == EXIT_BAD_PARAMETER:
+        assert out == ""
+        return
+    value = json.loads(out)["value"]
+    assert value == "inf" or value >= 0.0, argv
 
 
 # index and fset windows: every space family, every edge of the window rule

@@ -12,6 +12,8 @@ bit-for-bit reference for float input.
 """
 
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symseq import operators
 from symseq.operators import (
     AvgProject,
     AvgProjectN,
@@ -440,6 +443,62 @@ def test_lorentz_dilation_norm_achievable():
     x = np.ones(1)
     got = norm(sp, apply_array(DilateUp(8), x)) / norm(sp, x)
     assert got == pytest.approx(2.090798125104979, abs=1e-12)
+
+
+# the 2^24-entry cap ------------------------------------------------------------
+
+
+# (operator, input shape, entries it builds: its image, or its input padded
+# to whole blocks where that is longer)
+SIZED = [
+    (DilateUp(3), (5,), 15), (Shift(4), (5,), 9), (Shift(-3), (5,), 5), (Doubling(), (5,), 11),
+    (DoublingInverse(), (6,), 6), (DoublingInverse(), (5,), 4), (BlockEmbed(), (5,), 31),
+    (DilateDown(4), (5,), 8), (DilateDown(5), (5,), 5), (AvgProjectN(2), (5,), 8),
+    (AvgProjectN(0), (5,), 5), (AvgProject(), (5,), 7), (AvgProject(), (8,), 15),
+    (ShiftMinusLambda(1.5), (5,), 6), (ShiftMinusLambda(1.5), (3, 4), 15),
+    (DoublingMinusLambda(0.5), (5,), 11),
+]
+
+
+def test_image_cap_bounds_every_operator_and_padded_block(monkeypatch):
+    # a small cap stands in for 2^24: exactly `count` entries pass, one fewer refuses
+    for op, shape, count in SIZED:
+        x = np.arange(1.0, math.prod(shape) + 1).reshape(shape)
+        for vec in [x] if len(shape) > 1 else [x, [Fraction(int(v), 3) for v in x]]:
+            monkeypatch.setattr(operators, "_MAX_IMAGE", count)
+            assert apply_array(op, vec).size <= count, op
+            monkeypatch.setattr(operators, "_MAX_IMAGE", count - 1)
+            with pytest.raises(ValueError, match=rf"operator {re.escape(repr(op))} on {x.size} "
+                                                 rf"entries would build {count} entries, past"):
+                apply_array(op, vec)
+
+
+# each refused at 2^24 on one or two entries, S on 25: a missing cap would
+# allocate from 128 MiB to terabytes
+@pytest.mark.parametrize("op, n, count", [
+    (DilateUp(2**40), 1, 2**40), (Shift(10**12), 1, 10**12 + 1), (DilateDown(2**40), 1, 2**40),
+    (DilateDown(2**40), 2, 2**40), (DilateUp(8388609), 2, 16777218), (Shift(16777215), 2, 16777217),
+    (AvgProjectN(25), 2, 1 << 25), (AvgProjectN(10**8), 2, "at least 2^64"),
+    (BlockEmbed(), 25, (1 << 25) - 1), (Doubling(), 1 << 23, (1 << 24) + 1),
+])
+def test_apply_array_refuses_past_the_cap_before_allocating(op, n, count):
+    x = np.broadcast_to(1.0, (n,))  # n entries in one float
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            apply_array(op, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (f"operator {op!r} on {n} entries would build {count} entries, "
+                              "past the 2^24-entry cap")
+    assert peak < 1 << 20
+
+
+def test_an_empty_input_takes_any_argument():
+    for op in (DilateUp(10**20), DilateDown(10**20), AvgProjectN(10**8), Shift(-(10**20))):
+        assert apply_array(op, []).size == 0
+        assert apply_array(op, _Exact.of([])).num.size == 0
 
 
 # grammar ----------------------------------------------------------------------

@@ -162,6 +162,20 @@ def test_one_function_dispatches_on_operator_classes():
     assert len(_dispatchers(SRC / "operators.py", "DilateDown")) == 1
 
 
+# The kernel sizes what it builds, so the CLI knows no operator class: it
+# parses the text and applies the result.
+def test_the_cli_dispatches_on_no_operator_class():
+    from symseq import operators
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "operators"
+                for alias in node.names}
+    assert imported == {"apply_array", "parse_operator"}
+    assert not [(cls, fn) for cls in operators.__all__
+                for fn in _dispatchers(SRC / "cli.py", cls)]
+
+
 def _output_writers(path) -> list[str]:
     """Top-level functions in ``path`` that write stdout or open a file to write:
     ``sys.stdout``, a ``print`` with no ``file=``, or an ``open`` in a mode

@@ -496,6 +496,15 @@ def test_weight_and_parameter_validation():
         Lorentz(1.0, WeightSeq(kind="array", data=(1.0, 2.0)))
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_orlicz_powers_refuse_a_non_finite_p(p):
+    # t^inf is infinite past 1: no Orlicz function
+    with pytest.raises(ValueError, match=f"power Orlicz profile needs a finite p >= 1, got p = {p}"):
+        OrliczFn.power(p)
+    with pytest.raises(ValueError, match=f"power_log Orlicz profile needs a finite p, got p = {p}"):
+        OrliczFn.power_log(p, 0.6)
+
+
 # JSON codecs ----------------------------------------------------------------
 
 
