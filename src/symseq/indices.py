@@ -8,9 +8,9 @@ dilation norms reduce to ratio sups of one scalar profile:
 
   l^p          exact: ||sigma_{2^n}|| = 2^{n/p},
   lambda_q(w)  sup_j (W(2^n j)/W(j))^{1/q}, W(j) = sum_{k<=j} w_k^q from
-               ``spaces._weight_sums``, streamed for custom weights only
-               (l^{p,q} is the same profile with the pseudo-weight
-               w_k = k^{1/p-1/q}),
+               ``spaces._weight_sums``, in closed form for power weights
+               and by a cumulative sum for array weights (l^{p,q} is the
+               same profile with the pseudo-weight w_k = k^{1/p-1/q}),
   l_N          sup_k N^{-1}(2^{-k})/N^{-1}(2^{-k-n}) over the dyadic
                argument grid.
 
@@ -103,8 +103,8 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     weights the beta-side sup sits at small j, so U(n) continues to n_ext on
     the subgrid 2^0..2^6, whose largest point 64 * 2^{n_ext} is j_max *
     2^{n_max}, and falls back to all of J when the full window beats it at
-    n_max.  The chain stops at the last point read: a streamed generator
-    sums in stretches between requested points, so extra points move bits.
+    n_max.  The chain stops at the last point read, so array weights are
+    read no further than the window needs.
     """
     top = int(j_max).bit_length() - 1
     _, n_ext = _subgrid(n_max, j_max)

@@ -111,7 +111,10 @@ LatticeSpec = Union[EX, WeightedLq, UN]
 
 
 def block_weights_from_lorentz(q: float, w: WeightSeq) -> Callable[[np.ndarray], np.ndarray]:
-    """mu_k = 2^((k-1)/q) w(2^(k-1)): the weights making WeightedLq model EX."""
+    """mu_k = 2^((k-1)/q) w(2^(k-1)): the weights making WeightedLq model EX.
+
+    It reads w at every dyadic position, so it needs power weights; array
+    weights are refused where mu is read."""
 
     def mu(k: np.ndarray, q=q, w=w) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -404,7 +407,7 @@ def _mu_from_json(q: float, obj) -> tuple:
         return mu, {"form": "array", "values": table.tolist()}
     if form == "lorentz_blocks":
         w = _weights_from_json(obj.get("weights"))
-        if w.kind != "generator":
+        if w.theta is None:
             raise ValueError('wlq weights form "lorentz_blocks" reads w(2^(k-1)) at every '
                              'block k, so it needs "power" weights, not "array"')
         desc = {"form": "lorentz_blocks", "weights": dict(obj["weights"])}

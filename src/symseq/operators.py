@@ -280,14 +280,12 @@ def _apply(op: OperatorSpec, x: _Exact) -> _Exact:
         num, peak = _grow(num, peak, top)
         num = _pad(num, 2 * top - 1 - n)
         floats = num.dtype == float
-        out = np.empty_like(num)
-        for k in range(blocks):
-            # block k (2^k entries, one pairwise .sum()) has mean s_k / 2^k:
-            # on integers s_k 2^(B-1-k) over den 2^(B-1); on floats, where
-            # that scaling can overflow, the quotient itself
-            block = slice((1 << k) - 1, (2 << k) - 1)
-            out[block] = num[block].sum() / (1 << k) if floats else num[block].sum() * (top >> k)
-        num = out
+        # block k (2^k entries, one pairwise sum s_k) has mean s_k / 2^k: on
+        # integers s_k 2^(B-1-k) over den 2^(B-1); on floats, where that
+        # scaling can overflow, the quotient itself
+        sums = [np.add.reduce(num[(1 << k) - 1 : (2 << k) - 1]) for k in range(blocks)]
+        means = [s / (1 << k) if floats else s * (top >> k) for k, s in enumerate(sums)]
+        num = np.repeat(np.array(means, dtype=num.dtype), 1 << np.arange(blocks))
         if not floats:
             den *= top
     elif isinstance(op, (ShiftMinusLambda, DoublingMinusLambda)):

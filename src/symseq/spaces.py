@@ -14,19 +14,21 @@ Here x* denotes the decreasing rearrangement.  Only the l^{p,q} and Lorentz
 norms weight x*_k by its position, so only they sort, and they are exactly
 permutation invariant.  The l^p sum and the Orlicz modular read |x| in input
 order, so a permutation moves them by rounding in the pairwise sums alone:
-the tests bound it by 1e-15 relative, and by 4 _ROOT_TOL for an Orlicz
-function solved by bracketing.  The l^inf norm is a max and does not move.
+the tests bound it by 1e-15 relative.  The l^inf norm is a max and does not
+move.
 
-The built-in Orlicz functions ``OrliczFn.power`` and ``OrliczFn.power_log``
-have the moment form N(t) = t^p (1 + a |ln t|) and carry p and a.  For them
-the Luxemburg modular collapses to a scalar function of two moments of the
-vector, so a norm is one vector pass and a scalar Newton solve and never
-evaluates N.  A custom callable has no such form and is solved by bracketing.
+Every space is a closed form that a JSON descriptor names (see README):
+weights are power weights k^(-theta) or a finite array (``WeightSeq``), and
+an Orlicz function is N(t) = t^p (1 + a |ln t|) (``OrliczFn``), a = 0 for
+t^p.  For that form the Luxemburg modular collapses to a scalar function of
+two moments of the vector, so a norm is one vector pass and a scalar Newton
+solve and never evaluates N; only the inverse N^{-1} (``orlicz_inverse``)
+does, by a bracketed root.
 
 Partial sums W(n) of w_k^q (k^(q/p-1) for l^{p,q}) give phi(n) = W(n)^(1/q),
 the index profiles and the Lorentz and l^{p,q} block-lattice norms; their one
 producer ``_weight_sums`` sums pure powers in closed form (a head up to 2^12
-and an Euler-Maclaurin tail) and streams only custom generator weights.  The
+and an Euler-Maclaurin tail) and array weights by a cumulative sum.  The
 power tables k^s behind the Lorentz and l^{p,q} norms and that head depend
 only on the space and are cached per exponent (``_powers``).
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,7 +53,6 @@ __all__ = [
     "norm",
     "fundamental_function",
     "orlicz_inverse",
-    "partial_sums_at",
     "space_to_json",
     "space_from_json",
 ]
@@ -71,94 +72,74 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-# Probe used to validate weight monotonicity cheaply: dense small indices
-# plus powers of two with neighbors up to 2**20.
-_WEIGHT_PROBE = _distinct(
-    np.concatenate(
-        [
-            np.arange(1, 65, dtype=np.int64),
-            2 ** np.arange(0, 21, dtype=np.int64),
-            2 ** np.arange(1, 21, dtype=np.int64) - 1,
-            2 ** np.arange(1, 21, dtype=np.int64) + 1,
-        ]
+# k^(-theta) must be a positive float through this index: past theta ~ 53.7
+# it underflows to 0 there.
+_POWER_TOP = float(2**20 + 1)
+
+
+def _short_array(size: int, k) -> ValueError:
+    return ValueError(
+        f"array weights hold {size} values, but this request reads w_k at k = {k}; "
+        "use power weights or a longer array"
     )
-)
 
 
 @dataclass(frozen=True)
 class WeightSeq:
-    """Weight sequence, generator-backed or an explicit finite array.
+    """Nonincreasing positive weights: power weights k^(-theta) or a finite array.
 
-    The generator form takes a vectorized callable mapping an integer index
-    array (1-based) to weights and supports arbitrarily large indices; the
-    array form serves indices within its length only, partial sums included.
-    ``theta`` is set (by ``power_weights``) when the generator is k^(-theta);
-    ``_weight_sums`` then sums k^(-theta q) in closed form, without streaming.
+    Exactly one of ``theta`` and ``data`` is set.  ``power_weights(theta)``
+    serves every index, and ``_weight_sums`` sums k^(-theta q) in closed
+    form; ``data = (w_1, ..., w_n)`` serves indices k <= n only, partial
+    sums included.  Both hold plain numbers, so equality is by value.
     """
 
-    kind: str  # "generator" | "array"
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-    data: tuple[float, ...] | None = None
     theta: float | None = None
+    data: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "generator":
-            if self.fn is None:
-                raise ValueError("generator WeightSeq needs a callable")
-            probe = self.values_at(_WEIGHT_PROBE.astype(float))
-        elif self.kind == "array":
-            if not self.data:
-                raise ValueError("array WeightSeq needs at least one value")
-            probe = np.asarray(self.data, dtype=float)
-        else:
-            raise ValueError(f"unknown WeightSeq kind {self.kind!r}")
+        if callable(self.theta) or callable(self.data):
+            raise TypeError("WeightSeq takes theta or a tuple of values, not a callable")
+        if (self.theta is None) == (self.data is None):
+            raise ValueError("WeightSeq needs exactly one of theta and data")
+        if self.theta is not None:
+            theta = float(self.theta)
+            if not 0.0 <= theta:
+                raise ValueError("power weights need theta >= 0")
+            if not np.power(_POWER_TOP, -theta) > 0.0:
+                raise ValueError("weights must be finite and positive")
+            object.__setattr__(self, "theta", theta)
+            return
+        data = tuple(float(v) for v in self.data)
+        if not data:
+            raise ValueError("array WeightSeq needs at least one value")
+        probe = np.asarray(data)
         if not np.all(np.isfinite(probe)) or np.any(probe <= 0.0):
             raise ValueError("weights must be finite and positive")
-        # Spot check: nonincreasing within floating-point slack.
+        # nonincreasing within floating-point slack
         if np.any(np.diff(probe) > 1e-12 * probe[:-1]):
             raise ValueError("weights must be nonincreasing")
-        if self.theta is not None and not np.allclose(
-            probe, _WEIGHT_PROBE ** -self.theta, rtol=1e-12, atol=0.0
-        ):
-            raise ValueError("theta must match the generator k^(-theta)")
-
-    def __len__(self) -> int:
-        if self.kind != "array":
-            raise TypeError("generator-backed WeightSeq has no length")
-        return len(self.data)
+        object.__setattr__(self, "data", data)
 
     def values(self, n: int) -> np.ndarray:
         """First n weights w_1..w_n."""
-        if self.kind == "array":
-            if n > len(self.data):
-                raise ValueError(
-                    f"array-backed weights of length {len(self.data)} cannot "
-                    f"serve index {n}; use a generator-backed WeightSeq"
-                )
-            return np.asarray(self.data[:n], dtype=float)
-        return self.values_at(np.arange(1, n + 1, dtype=float))
+        if self.theta is not None:
+            return self.values_at(np.arange(1, n + 1, dtype=float))
+        if n > len(self.data):
+            raise _short_array(len(self.data), n)
+        return np.asarray(self.data[:n], dtype=float)
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
-        """Weights at the given (possibly huge) 1-based float indices."""
-        if self.kind != "generator":
-            raise ValueError(
-                "index-estimation routines need a generator-backed WeightSeq"
-            )
-        out = np.asarray(self.fn(np.asarray(idx, dtype=float)), dtype=float)
-        if out.shape != np.shape(idx):
-            raise ValueError("weight generator must be vectorized")
-        return out
+        """Power weights at the given (possibly huge) 1-based float indices."""
+        idx = np.asarray(idx, dtype=float)
+        if self.theta is None:
+            raise _short_array(len(self.data), f"{np.max(idx):.17g}")
+        return np.power(idx, -self.theta)
 
 
 def power_weights(theta: float) -> WeightSeq:
     """w_k = k^(-theta); nonincreasing for theta >= 0."""
-    if not 0.0 <= theta:
-        raise ValueError("power weights need theta >= 0")
-    return WeightSeq(
-        kind="generator",
-        fn=lambda k, theta=theta: np.power(k, -theta),
-        theta=float(theta),
-    )
+    return WeightSeq(theta=theta)
 
 
 _ORLICZ_GRID = np.geomspace(1e-9, 1.0, 1024)
@@ -166,55 +147,54 @@ _ORLICZ_GRID = np.geomspace(1e-9, 1.0, 1024)
 
 @dataclass(frozen=True)
 class OrliczFn:
-    """Normalized Orlicz function: N(0) = 0, N convex nondecreasing, N(1) = 1.
+    """Normalized Orlicz function N(t) = t^p (1 + a |ln t|), with N(0) = 0.
 
-    The callable must be numpy-vectorized.  Construction probes a fixed
-    1024-point geometric grid on [1e-9, 1] for monotonicity and midpoint
-    convexity and aborts on any violation; this is a spot check, not a proof,
-    and it keeps malformed profiles out of every downstream computation.
-    ``p`` and ``a`` are set (by ``power`` and ``power_log``) when the callable
-    is t^p (1 + a |ln t|) with 0 <= a < p; the probe checks them against it.
-    Luxemburg norms then come from two moments of the vector (see
-    ``_luxemburg``) without calling N.
+    ``power(p)`` builds t^p (a = 0) and ``power_log(p, a)`` the log-factor
+    form; both are plain numbers, so equality is by value.  Construction
+    needs finite p >= 1 and 0 <= a < p, then probes a fixed 1024-point
+    geometric grid on [1e-9, 1] for monotonicity and midpoint convexity and
+    aborts on any violation: t^p (1 + a |ln t|) is convex on (0, 1] only for
+    a <= p(p-1)/(2p-1).  Luxemburg norms come from two moments of the vector
+    (see ``_luxemburg``) without calling N; ``orlicz_inverse`` evaluates it.
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    p: float | None = None
+    p: float
     a: float = 0.0
 
     def __post_init__(self):
-        v0 = float(self.fn(np.array([0.0]))[0])
-        if v0 != 0.0:
-            raise ValueError("Orlicz function must satisfy N(0) = 0")
+        if callable(self.p) or callable(self.a):
+            raise TypeError("OrliczFn takes the numbers p and a, not a callable")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "a", float(self.a))
+        if not (1.0 <= self.p < math.inf and 0.0 <= self.a < self.p):
+            raise ValueError("OrliczFn needs a finite p >= 1 and 0 <= a < p")
         g = _ORLICZ_GRID
         vals = self(g)
         if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
             raise ValueError("Orlicz function must be finite and nonnegative")
         if np.any(np.diff(vals) < -1e-15 * vals[1:]):
             raise ValueError("Orlicz function must be nondecreasing")
-        if abs(float(self(np.array([1.0]))[0]) - 1.0) > 1e-12:
-            raise ValueError("Orlicz function must be normalized to N(1) = 1")
         mid = self((g[:-1] + g[1:]) / 2.0)
         bound = (vals[:-1] + vals[1:]) / 2.0
         if np.any(mid > bound + 1e-12 * np.maximum(1.0, bound)):
             raise ValueError("Orlicz function failed midpoint convexity probe")
-        if self.p is None:
-            if self.a != 0.0:
-                raise ValueError("the moment form needs p when a is set")
-        elif not (0.0 <= self.a < self.p) or not np.allclose(
-            vals, g**self.p * (1.0 + self.a * np.abs(np.log(g))), rtol=1e-12, atol=0.0
-        ):
-            raise ValueError("p and a must match the callable t^p (1 + a |ln t|), 0 <= a < p")
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
+        t = np.asarray(t, dtype=float)
+        if self.a == 0.0:
+            return np.asarray(np.power(t, self.p), dtype=float)
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        tp = t[pos]
+        out[pos] = tp**self.p * (1.0 + self.a * np.abs(np.log(tp)))
+        return out
 
     @staticmethod
     def power(p: float) -> "OrliczFn":
         """N(t) = t^p, finite p >= 1 (t^inf is infinite past 1)."""
         if not 1.0 <= p < math.inf:
             raise ValueError(f"power Orlicz profile needs a finite p >= 1, got p = {p!r}")
-        return OrliczFn(fn=lambda t, p=p: np.power(t, p), p=float(p))
+        return OrliczFn(p)
 
     @staticmethod
     def power_log(p: float, a: float) -> "OrliczFn":
@@ -225,16 +205,7 @@ class OrliczFn:
         """
         if not math.isfinite(p):
             raise ValueError(f"power_log Orlicz profile needs a finite p, got p = {p!r}")
-
-        def f(t: np.ndarray, p=p, a=a) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            pos = t > 0.0
-            tp = t[pos]
-            out[pos] = tp**p * (1.0 + a * np.abs(np.log(tp)))
-            return out
-
-        return OrliczFn(fn=f, p=float(p), a=float(a))
+        return OrliczFn(p, a)
 
 
 @dataclass(frozen=True)
@@ -419,40 +390,33 @@ def _luxemburg(
     admissible v.  The sums run over a in the order given, so no
     rearrangement is needed.
 
-    When N carries its moment form t^p (1 + a |ln t|), b <= 1 <= v gives
-    |ln(b/v)| = ln v - ln b, so the modular is v^-p (A + B ln v) with
-    S0 = sum w b^p, S1 = sum w b^p ln b <= 0, A = S0 - a S1 >= 1, B = a S0;
-    ``_moment_root`` solves it without evaluating N.  For t^p (a = 0),
-    A = S0 - 0 S1 = S0 and B = 0 exactly, so S1 and its logarithm are not
-    taken.  Zeros of b (zero coordinates, or entries that underflow in a/m)
-    are compacted out of the sums only when there are any, so a zero-free b
-    and the same b with zeros give bit-identical sums.  Any other N is
-    solved by ``_bracketed_root`` on the modular itself.  Takes finite a, as
-    ``norm`` and ``lattices.lattice_norm`` check it.
+    For N(t) = t^p (1 + a |ln t|), b <= 1 <= v gives |ln(b/v)| = ln v - ln b,
+    so the modular is v^-p (A + B ln v) with S0 = sum w b^p,
+    S1 = sum w b^p ln b <= 0, A = S0 - a S1 >= 1, B = a S0; ``_moment_root``
+    solves it without evaluating N.  For t^p (a = 0), A = S0 - 0 S1 = S0 and
+    B = 0 exactly, so S1 and its logarithm are not taken.  Zeros of b (zero
+    coordinates, or entries that underflow in a/m) are compacted out of the
+    sums only when there are any, so a zero-free b and the same b with zeros
+    give bit-identical sums.  Takes finite a, as ``norm`` and
+    ``lattices.lattice_norm`` check it.
     """
     if m is None:
         m = float(np.maximum.reduce(a, initial=0.0))
     if m == 0.0:
         return 0.0
     b = a / m
-    w = 1.0 if weights is None else weights
-    if N.p is not None:
-        if np.count_nonzero(b) < b.size:
-            pos = b > 0.0
-            b = b[pos]
-            if weights is not None:
-                w = w[pos]
-        wbp = b**N.p if weights is None else w * b**N.p
-        s0 = float(np.add.reduce(wbp))
-        if N.a == 0.0:
-            return m * _moment_root(N.p, s0, 0.0)
-        s1 = float(np.dot(wbp, np.log(b)))
-        return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        return -np.log(np.sum(w * N(b / v[:, None]), axis=1))
-
-    return m * float(_bracketed_root(residual, np.ones(1), np.array([np.sum(w * b)]))[0])
+    w = weights
+    if np.count_nonzero(b) < b.size:
+        pos = b > 0.0
+        b = b[pos]
+        if weights is not None:
+            w = w[pos]
+    wbp = b**N.p if weights is None else w * b**N.p
+    s0 = float(np.add.reduce(wbp))
+    if N.a == 0.0:
+        return m * _moment_root(N.p, s0, 0.0)
+    s1 = float(np.dot(wbp, np.log(b)))
+    return m * _moment_root(N.p, s0 - N.a * s1, N.a * s0)
 
 
 def _moment_root(p: float, A: float, B: float) -> float:
@@ -548,55 +512,6 @@ def _orlicz_inverse_vec(N: OrliczFn, s: np.ndarray) -> np.ndarray:
     return _bracketed_root(residual, np.minimum(s, 1.0), np.maximum(s, 1.0))
 
 
-_CHUNK = 1 << 22
-
-
-def _compensated_cumsum(x: np.ndarray, hi: float, lo: float):
-    """Prefix sums of (hi + lo) + x_1 + x_2 + ..., carrying every rounding error.
-
-    Each step of the running sum loses an error that TwoSum recovers exactly;
-    the errors are summed apart in ``lo`` and added back at each position, so
-    the running total stays within ~1 ulp however long it runs.  Returns the
-    prefix sums and the (hi, lo) pair after the last term.
-    """
-    run = np.cumsum(np.concatenate(([hi], x)))
-    prev, cur = run[:-1], run[1:]
-    back = cur - prev
-    low = lo + np.cumsum((prev - (cur - back)) + (x - back))
-    return cur + low, float(cur[-1]), float(low[-1])
-
-
-def partial_sums_at(term, points: np.ndarray) -> np.ndarray:
-    """Partial sums sum_{k<=p} term(k) at sorted positive int positions.
-
-    Streams 1..max(points) in chunks so cumulative sums at positions far
-    beyond memory limits (default grids reach 2^30) never materialize.
-    Each stretch between requested positions is summed pairwise, and the
-    running total over the stretches is compensated, so no error builds up
-    along the stream.
-    """
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.size == 0:
-        return np.empty(0)
-    if pts[0] < 1 or np.any(np.diff(pts) <= 0):
-        raise ValueError("points must be strictly increasing and >= 1")
-    out = np.empty(pts.size)
-    hi = lo = 0.0
-    top = int(pts[-1])
-    for start in range(1, top + 1, _CHUNK):
-        end = min(start + _CHUNK - 1, top)
-        terms = term(np.arange(start, end + 1, dtype=float))
-        first = np.searchsorted(pts, start, side="left")
-        last = np.searchsorted(pts, end, side="right")
-        # stretch i ends at the i-th point of the chunk; a tail past the last
-        # point only feeds the running total
-        cuts = pts[first:last] - start + 1
-        heads = np.concatenate(([0], cuts[cuts < terms.size]))
-        sums, hi, lo = _compensated_cumsum(np.add.reduceat(terms, heads), hi, lo)
-        out[first:last] = sums[: cuts.size]
-    return out
-
-
 # Head length of the power-sum kernel, summed term by term; past it, Euler-Maclaurin.
 _EM_HEAD = 1 << 12
 # B_2/2!, B_4/4!, B_6/6! and B_8/8!
@@ -665,7 +580,7 @@ def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
 def _weight_sums(space: LpQ | Lorentz, pts) -> np.ndarray:
     """W(n) = sum_{k<=n} omega_k at sorted int positions 1 <= n < 2^63, where
     omega_k = w_k^q (Lorentz) or k^(q/p-1) (l^{p,q}, finite q): pure powers in
-    closed form, array weights by a cumsum, custom generators by a stream."""
+    closed form, array weights by a cumsum."""
     if len(pts) and pts[-1] >= 1 << 63:
         raise ValueError("weight partial sums need positions below 2^63")
     pts = np.asarray(pts, dtype=np.int64)
@@ -674,9 +589,7 @@ def _weight_sums(space: LpQ | Lorentz, pts) -> np.ndarray:
     w, q = space.w, space.q
     if w.theta is not None:
         return _power_partial_sums(-w.theta * q, pts)
-    if w.kind == "array":
-        return np.cumsum(w.values(int(pts.max(initial=0))) ** q)[pts - 1]
-    return partial_sums_at(lambda k: w.values_at(k) ** q, pts)
+    return np.cumsum(w.values(int(pts.max(initial=0))) ** q)[pts - 1]
 
 
 def fundamental_function(space: SpaceSpec, n: int) -> float:
@@ -718,7 +631,7 @@ def _weights_from_json(obj) -> WeightSeq:
         if not isinstance(vals, list) or not vals:
             raise ValueError('array weights need "values": [..]')
         data = tuple(_json_float(v, f"values[{i}]") for i, v in enumerate(vals))
-        return WeightSeq(kind="array", data=data)
+        return WeightSeq(data=data)
     raise ValueError(f"unknown weights form {form!r}")
 
 
@@ -763,12 +676,10 @@ def space_to_json(space: SpaceSpec) -> dict:
         }
     if isinstance(space, Lorentz):
         w = space.w
-        if w.kind == "array":
+        if w.theta is None:
             weights = {"form": "array", "values": list(w.data)}
-        elif w.theta is not None:
-            weights = {"form": "power", "theta": w.theta}
         else:
-            raise ValueError("cannot serialize a custom weight generator")
+            weights = {"form": "power", "theta": w.theta}
         return {"kind": "lorentz", "q": space.q, "weights": weights}
     if isinstance(space, Orlicz):
         return {"kind": "orlicz", "orlicz": _orlicz_to_json(space.N)}
@@ -776,8 +687,6 @@ def space_to_json(space: SpaceSpec) -> dict:
 
 
 def _orlicz_to_json(N: OrliczFn) -> dict:
-    if N.p is None:
-        raise ValueError("cannot serialize a custom Orlicz callable")
     if N.a == 0.0:
         return {"form": "power", "p": N.p}
     return {"form": "power_log", "p": N.p, "a": N.a}

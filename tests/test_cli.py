@@ -1,14 +1,17 @@
 """Command-line contract: schemas, determinism, exit codes, config merge."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -978,3 +981,170 @@ def test_index_windows_exit_cleanly_in_bounded_memory(command, space, n_max, j_m
         alpha, beta = alpha["point"], beta["point"]
     want = ["inf" if beta == 0.0 else 1.0 / beta, "inf" if alpha == 0.0 else 1.0 / alpha]
     assert payload["f_interval"] == want
+
+
+# array weights name what they hold and what a request reads
+
+ARRAY3 = '{"kind":"lorentz","q":2,"weights":{"form":"array","values":[1,0.5,0.25]}}'
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["index"], 1 << 30), (["fset"], 1 << 30), (["scan", "--grid", "1:2:3"], 16383),
+    (["witness", "--kind", "vn", "--p", "2", "--n", "4"], 15),
+    (["norm", "--vector", "[1, 2, 3, 4]"], 4),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_short_array_weights_name_their_length_and_the_position_read(argv, position, capsys):
+    code, out, err = _run(argv + ["--space", ARRAY3], capsys)
+    assert code == EXIT_BAD_PARAMETER and out == ""
+    assert (f"array weights hold 3 values, but this request reads w_k at k = {position}; "
+            "use power weights or a longer array") in err
+
+
+# witness and verify: derandomized fuzzes over every flag they take
+
+_ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+def _oracles():
+    """perfbench/oracles.py, loaded read-only; it needs scipy."""
+    pytest.importorskip("scipy")
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", _ORACLES_PATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _fuzz_main(argv):
+    """(exit code, stdout, stderr, Python warnings, tracemalloc peak) of ``main``."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    main(argv)
+                    code = None  # main always exits
+                except SystemExit as e:
+                    code = e.code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, out.getvalue(), err.getvalue(), caught, peak
+
+
+# every family, an array too short for most n, and descriptors that are
+# malformed (exit 2), of an unknown kind (exit 3) or out of range (exit 4)
+WITNESS_SPACES = [
+    LP2, '{"kind":"lp","p":1}', '{"kind":"lp","p":"inf"}', '{"kind":"lpq","p":3,"q":2}',
+    '{"kind":"lpq","p":2,"q":4}', '{"kind":"lpq","p":2,"q":"inf"}', LORENTZ, ARRAY3,
+    '{"kind":"lorentz","q":1,"weights":{"form":"array","values":[1,1,1,1,1,1,1]}}',
+    ORLICZ_15, '{"kind":"orlicz","orlicz":{"form":"power_log","p":2,"a":0.6}}',
+]
+_UNKNOWN_KIND = '{"kind":"lq","p":2}'
+BAD_WITNESS_SPACES = [
+    '{"kind":"lp","p":2', "[1, 2]", '{"kind":"lp"}', '{"kind":"lp","p":0.5}', _UNKNOWN_KIND,
+    '{"kind":"lp","p":null}', '{"kind":"orlicz","orlicz":{"form":"power_log","p":2,"a":0.9}}',
+    '{"kind":"lorentz","q":2,"weights":{"form":"power","theta":60}}',
+    '{"kind":"lorentz","q":2,"weights":{"form":"array","values":[]}}',
+]
+_WITNESS_P = ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "1.5", "2", "3", "10", "1e308",
+              "5e-324", "two"]
+_WITNESS_N = ["-1", "0", "1", "2", "3", "12", "256", "257", "14284", "14285", "1.5"]
+# the oracles rebuild v_n entry by entry (2^n - 1 of them), so they check n <= 12
+_ORACLE_N = 12
+
+
+def _witness_target(kind):
+    """(kind, space): vn draws a space, valid or not, or none (l^p); un,
+    which takes no space, mostly draws none."""
+    spaces = WITNESS_SPACES + BAD_WITNESS_SPACES
+    nones = [None] * (len(spaces) // 2 if kind == "vn" else 2 * len(spaces))
+    return st.tuples(st.just(kind), st.sampled_from(nones + spaces))
+
+
+# valid draws outweigh the refusals, so that the oracles see ~30 witnesses
+@settings(max_examples=90, derandomize=True, deadline=None)
+@given(target=st.sampled_from(["vn"] * 3 + ["un"] * 3 + ["wn", None]).flatmap(_witness_target),
+       p=st.floats(1.0, 20.0).map(repr) | st.sampled_from(_WITNESS_P + [None]),
+       n=st.integers(1, _ORACLE_N).map(str) | st.sampled_from(_WITNESS_N + [None]))
+@example(target=("vn", ORLICZ_15), p="2", n="12")
+@example(target=("un", None), p="1.5", n="12")
+@example(target=("vn", None), p="3", n="14284")
+def test_witness_exits_cleanly_and_matches_the_oracles(target, p, n):
+    kind, space = target
+    argv = ["witness"] + [f"{flag}={v}" for flag, v in
+                          (("--kind", kind), ("--space", space), ("--p", p), ("--n", n))
+                          if v is not None]
+    code, out, err, caught, peak = _fuzz_main(argv)
+    assert code in (0, EXIT_BAD_JSON, EXIT_BAD_PARAMETER) or (
+        code == EXIT_UNKNOWN_KIND and space == _UNKNOWN_KIND), (argv, err)
+    assert not caught and "Traceback" not in err and "warning" not in err.lower(), argv
+    # un materializes its rational supports for n <= 5: 8.3 MiB at n = 5
+    assert peak < 16 << 20, (argv, peak)
+    if code != 0:
+        assert out == "", argv
+        return
+    payload, p, n = json.loads(out), float(p), int(n)
+    assert (payload["kind"], payload["p"], payload["n"]) == (kind, p, n)
+    if n > _ORACLE_N:
+        return
+    oracles = _oracles()
+    if kind == "un":
+        bad = oracles.check_un(p, n, payload)
+    elif space is None:
+        bad = oracles.check_vn_lp(p, n, payload)
+    else:
+        bad = oracles.check_vn_space(json.loads(space), p, n, payload)
+    assert not bad, (argv, bad)
+
+
+# checks 6 and 9 run in milliseconds; every other suite string is refused
+_CHEAP_SUITES = ["6", "9", "6,9", "9,6", "6,6", " 9", "6,"]
+_BAD_SUITES = ["", ",", "13", "0", "-1", "6,13", "x", "6;9", "all,6", "1e1"]
+_SEEDS = ["-1", "0", "1", "7", str(2**63), str(2**64), str(-(2**70)), "1.5", "seed"]
+_CONFIGS = ['{"suite": "6", "seed": 3}', '{"suite": "9", "format": "csv"}', '{"seed": 0}',
+            '{"suite": 9}', '{"format": "xml"}', '{"seed": "7"}', '{"bogus": 1}',
+            '{"suite": "13"}', '{"suite": ""}', "{", "[1]", '{"seed": null}']
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(suite=st.none() | st.sampled_from(_CHEAP_SUITES + _BAD_SUITES),
+       seed=st.none() | st.sampled_from(_SEEDS) | st.integers(0, 2**64).map(str),
+       fmt=st.none() | st.sampled_from(["table", "json", "csv", "xml"]),
+       config=st.none() | st.sampled_from(_CONFIGS))
+@example(suite="6,9", seed="7", fmt="table", config=None)
+@example(suite="9", seed=None, fmt="json", config='{"suite": "6", "seed": 3}')
+def test_verify_exits_cleanly_on_any_suite_seed_format_and_config(suite, seed, fmt, config):
+    if suite is None and (config is None or '"suite": "' not in config):
+        suite = "9"  # never the whole suite
+    argv = ["verify"] + [f"{flag}={v}" for flag, v in
+                         (("--suite", suite), ("--seed", seed), ("--format", fmt)) if v is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(config)
+            argv.append(f"--config={path}")
+        code, out, err, caught, peak = _fuzz_main(argv)
+    assert code in (0, EXIT_BAD_JSON, EXIT_BAD_PARAMETER), (argv, err)
+    assert not caught and "Traceback" not in err, argv
+    # the one stderr warning is the config file's own
+    for line in err.splitlines():
+        assert "warning" not in line.lower() or line.startswith(
+            ("warning: ignoring unknown config key", "warning: config file overrides")), argv
+    assert peak < 8 << 20, (argv, peak)
+    if code != 0:
+        assert out == "", argv
+        return
+    cfg = json.loads(config) if config else {}
+    ids = sorted({int(part) for part in str(cfg.get("suite", suite)).split(",") if part.strip()})
+    fmt = cfg.get("format", fmt) or "table"
+    if fmt == "table":
+        assert not _oracles().check_verify(ids, code, out), argv
+    elif fmt == "json":
+        payload = json.loads(out)
+        assert payload["passed"] and sorted(r["id"] for r in payload["results"]) == ids
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[:3] == ["schema_version", "id", "name"]
+        assert sorted(int(r[1]) for r in rows) == ids and {r[3] for r in rows} == {"pass"}

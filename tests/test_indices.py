@@ -34,7 +34,6 @@ from symseq.spaces import (
     WeightSeq,
     _em_remainder_bound,
     _power_partial_sums,
-    partial_sums_at,
     power_weights,
 )
 
@@ -355,12 +354,13 @@ CHAIN_POWER_WINDOWS = [(16, 1 << 14), (12, 1 << 12), (9, 1000), (9, 3000), (42, 
                        (20, 1 << 20), (3, 5)] + [
     (16, j_max) for j_max in (1, 2, 63, 64, 65, 95, 1000)
 ]
-# streamed and array weights sum every point they are asked for, so their
-# windows stay below 2^16 summed terms
+# array weights hold every term up to the last point read, so their windows
+# stay within 2^16 terms; the first two are irregular profiles sampled there
+_IRREGULAR_K = np.arange(1.0, (1 << 16) + 1.0)
 IRREGULAR_SPACES = [
-    Lorentz(2.0, WeightSeq(kind="generator", fn=lambda k: (1.0 + 1.0 / k) * k**-0.25)),
-    Lorentz(1.5, WeightSeq(kind="generator", fn=lambda k: 1.0 / np.log2(k + 1.0))),
-    Lorentz(2.0, WeightSeq(kind="array", data=tuple(
+    Lorentz(2.0, WeightSeq(data=tuple((1.0 + 1.0 / _IRREGULAR_K) * _IRREGULAR_K**-0.25))),
+    Lorentz(1.5, WeightSeq(data=tuple(1.0 / np.log2(_IRREGULAR_K + 1.0)))),
+    Lorentz(2.0, WeightSeq(data=tuple(
         np.sort(np.random.default_rng(3).uniform(0.05, 1.0, 1 << 16))[::-1]))),
 ]
 IRREGULAR_WINDOWS = [(3, 1), (8, 2), (5, 63), (6, 64), (4, 65), (6, 95), (5, 1000),
@@ -368,8 +368,8 @@ IRREGULAR_WINDOWS = [(3, 1), (8, 2), (5, 63), (6, 64), (4, 65), (6, 95), (5, 100
 
 
 def test_chain_profiles_are_bit_identical_to_the_sup_loops(monkeypatch):
-    # same points summed (a streamed generator's bits depend on the point
-    # set), and a max over the union of J is the max of the two chain maxes
+    # the same points summed, and a max over the union of J is the max of
+    # the two chain maxes
     calls = []
     real = spaces._weight_sums
 
@@ -416,6 +416,47 @@ def test_report_to_json_shape():
 # kernels ----------------------------------------------------------------------
 
 
+def _compensated_cumsum(x: np.ndarray, hi: float, lo: float):
+    """Prefix sums of (hi + lo) + x_1 + x_2 + ..., carrying every rounding error.
+
+    Each step of the running sum loses an error that TwoSum recovers exactly;
+    the errors are summed apart in ``lo`` and added back at each position, so
+    the running total stays within ~1 ulp however long it runs.  Returns the
+    prefix sums and the (hi, lo) pair after the last term.
+    """
+    run = np.cumsum(np.concatenate(([hi], x)))
+    prev, cur = run[:-1], run[1:]
+    back = cur - prev
+    low = lo + np.cumsum((prev - (cur - back)) + (x - back))
+    return cur + low, float(cur[-1]), float(low[-1])
+
+
+def partial_sums_at(term, points: np.ndarray, chunk: int = 1 << 22) -> np.ndarray:
+    """Partial sums sum_{k<=p} term(k) at sorted positive int positions.
+
+    The reference for the closed-form power sums: it streams 1..max(points)
+    in chunks, sums each stretch between requested positions pairwise and
+    compensates the running total over the stretches, so no error builds up
+    along the stream.
+    """
+    pts = np.asarray(points, dtype=np.int64)
+    out = np.empty(pts.size)
+    hi = lo = 0.0
+    top = int(pts[-1])
+    for start in range(1, top + 1, chunk):
+        end = min(start + chunk - 1, top)
+        terms = term(np.arange(start, end + 1, dtype=float))
+        first = np.searchsorted(pts, start, side="left")
+        last = np.searchsorted(pts, end, side="right")
+        # stretch i ends at the i-th point of the chunk; a tail past the last
+        # point only feeds the running total
+        cuts = pts[first:last] - start + 1
+        heads = np.concatenate(([0], cuts[cuts < terms.size]))
+        sums, hi, lo = _compensated_cumsum(np.add.reduceat(terms, heads), hi, lo)
+        out[first:last] = sums[: cuts.size]
+    return out
+
+
 @settings(max_examples=40)
 @given(st.lists(st.integers(min_value=1, max_value=100000), min_size=1, max_size=30))
 def test_partial_sums_at_matches_direct_cumsum(points):
@@ -434,12 +475,11 @@ def test_partial_sums_at_does_not_drift():
     assert np.max(np.abs(got / want - 1.0)) <= 1e-15
 
 
-def test_partial_sums_at_carries_the_total_across_chunks(monkeypatch):
+def test_partial_sums_at_carries_the_total_across_chunks():
     # small chunks put many stretch ends, chunk ends and carries in one stream
-    monkeypatch.setattr(spaces, "_CHUNK", 1000)
     vals = np.random.default_rng(4).random(10000)
     pts = np.array([1, 2, 3, 999, 1000, 1001, 2500, 5000, 9999])
-    got = partial_sums_at(lambda k: vals[k.astype(np.int64) - 1], pts)
+    got = partial_sums_at(lambda k: vals[k.astype(np.int64) - 1], pts, chunk=1000)
     want = np.array([math.fsum(vals[:p]) for p in pts.tolist()])
     assert np.all(np.abs(got - want) <= np.spacing(want))
 
@@ -497,32 +537,43 @@ POWER_PROFILE_SPACES = [
 
 
 def test_power_profiles_never_stream(monkeypatch):
-    def no_stream(term, points):
-        raise AssertionError("power profile was streamed")
+    # the default window reads W(2^30): every sum is the closed form, in
+    # memory that does not grow with the positions read
+    tops = []
+    closed = spaces._power_partial_sums
 
-    monkeypatch.setattr(spaces, "partial_sums_at", no_stream)
+    def recording(s, pts):
+        tops.append(int(pts[-1]))
+        return closed(s, pts)
+
+    monkeypatch.setattr(spaces, "_power_partial_sums", recording)
     for sp in POWER_PROFILE_SPACES:
-        rep = index_report(sp)
+        tops.clear()
+        tracemalloc.start()
+        try:
+            rep = index_report(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert rep.alpha.method.startswith("truncated_sup")
+        assert max(tops) >= 1 << 30 and peak < 1 << 20, (sp, peak)
 
 
-def test_custom_generator_weights_still_stream(monkeypatch):
-    calls = []
-
-    def counting(term, points):
-        calls.append(int(points[-1]))
-        return partial_sums_at(term, points)
-
-    monkeypatch.setattr(spaces, "partial_sums_at", counting)
-    w = WeightSeq(kind="generator", fn=lambda k: 1.0 / (1.0 + np.log(k)))
+def test_array_weights_are_summed_by_one_cumsum():
+    # 1/(1 + ln k) as an array: the window reads W at 2^8 2^8 = 2^16 at most
+    k = np.arange(1.0, (1 << 16) + 1.0)
+    w = WeightSeq(data=tuple(1.0 / (1.0 + np.log(k))))
     rep = index_report(Lorentz(2.0, w), n_max=8, j_max=1 << 8)
-    assert calls == [1 << 16]
-    # the values an exactly rounded (math.fsum) profile gives; the earlier
-    # sequential cumsum stream put beta.point at 0.4431430703857676
-    assert rep.alpha.point == pytest.approx(0.269723531772476, abs=1e-15)
-    assert rep.alpha.lo == pytest.approx(0.21258402081148384, abs=1e-15)
-    assert rep.beta.point == pytest.approx(0.44314307038596307, abs=1e-15)
-    assert rep.beta.lo == pytest.approx(0.29504300342113154, abs=1e-15)
+    # the values an exactly rounded (math.fsum) profile gives; the sequential
+    # cumsum puts beta.point 2.0e-13 below its value
+    assert rep.alpha.point == pytest.approx(0.269723531772476, abs=1e-12)
+    assert rep.alpha.lo == pytest.approx(0.21258402081148384, abs=1e-12)
+    assert rep.beta.point == pytest.approx(0.44314307038596307, abs=1e-12)
+    assert rep.beta.lo == pytest.approx(0.29504300342113154, abs=1e-12)
+    # one value short, the refusal names the array length and the position
+    with pytest.raises(ValueError, match=r"hold 65535 values, but this request reads w_k at "
+                                         r"k = 65536; use power weights or a longer array"):
+        index_report(Lorentz(2.0, WeightSeq(data=w.data[:-1])), n_max=8, j_max=1 << 8)
 
 
 def test_estimate_rate_geometric_decay_converges():

@@ -75,7 +75,7 @@ SORTED_BASES = {
     "lorentz_q2_th0.25": Lorentz(2.0, power_weights(0.25)),
     "lorentz_q1_th0.3": Lorentz(1.0, power_weights(0.3)),
     "lorentz_q1.5_array": Lorentz(
-        1.5, WeightSeq(kind="array", data=tuple(1.0 / np.sqrt(np.arange(1.0, 5000.0))))
+        1.5, WeightSeq(data=tuple(1.0 / np.sqrt(np.arange(1.0, 5000.0))))
     ),
     "lpq_2_1": LpQ(2.0, 1.0),
     "lpq_3_2": LpQ(3.0, 2.0),
@@ -164,18 +164,18 @@ def test_ex_lp_and_un_norms_reject_non_finite_input(bad):
         with pytest.raises(ValueError, match="norm input must be finite"):
             lattice_norm(lat, [math.nan, bad, 1.0])
     with pytest.raises(ValueError, match="norm input must be finite"):
-        lattice_norm(UN(OrliczFn(fn=lambda t: np.asarray(t, dtype=float) ** 2)), [1.0, bad])
+        lattice_norm(UN(OrliczFn.power(2.0)), [1.0, bad])
 
 
-# One row contract for every lattice: N(t) = (t^2 + t^3) / 2 is a custom
-# Orlicz function, solved on its modular rather than by the moment form.
-_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0)
+# One row contract for every lattice: the custom N is a (p, a) pair that no
+# built-in space holds, at the convexity edge a = p(p-1)/(2p-1).
+_CUSTOM_N = OrliczFn.power_log(2.0, 2.0 / 3.0)
 _ROW_NS = {
     "power": OrliczFn.power(1.5),
     "power_log": OrliczFn.power_log(2.0, 0.6),
     "custom": _CUSTOM_N,
 }
-_ARRAY_W = WeightSeq(kind="array", data=tuple(1.0 / np.sqrt(np.arange(1.0, 5000.0))))
+_ARRAY_W = WeightSeq(data=tuple(1.0 / np.sqrt(np.arange(1.0, 5000.0))))
 ROW_LATTICES = {
     **{f"ex_l{p}": EX(Lp(p)) for p in (1.0, 2.0, 3.0, math.inf)},
     "ex_l3_2": EX(LpQ(3.0, 2.0)),
@@ -256,14 +256,19 @@ def test_unit_norms_of_power_bases_never_stream(monkeypatch):
     # phi(2^39) of a finite-q l^{p,q} or power-weight Lorentz base is one
     # closed-form partial sum; q = inf has a closed form of its own
     assert unit_norms(EX(LpQ(3.0, math.inf)), 64)[-1] == pytest.approx(2.0 ** (63 / 3.0))
+    tops = []
+    closed = spaces._power_partial_sums
 
-    def no_stream(term, points):
-        raise AssertionError("a power-weight unit norm was streamed")
+    def recording(s, pts):
+        tops.append(int(pts[-1]))
+        return closed(s, pts)
 
-    monkeypatch.setattr(spaces, "partial_sums_at", no_stream)
+    monkeypatch.setattr(spaces, "_power_partial_sums", recording)
     for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
+        tops.clear()
         s = unit_norms(EX(base), 40)
         assert s.size == 40 and np.all(np.diff(s) > 0.0)
+        assert max(tops) == 1 << 39
 
 
 def test_weighted_lq_norm_definition():

@@ -3,11 +3,10 @@
 The three functions below are the earlier bisection implementations, kept
 verbatim as the reference: ``_luxemburg`` and ``_un_luxemburg`` stop at a
 bracket of 1e-12 relative, ``_orlicz_inverse_vec`` at 1e-14.  The moment
-path of the built-in functions is checked against the bracketed path that
-the same callable takes when it carries no moment form.
+path is checked against ``_modular_luxemburg``, a bracketed root of the
+modular itself that evaluates N at every step.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 from symseq import spaces
 from symseq.lattices import EX, UN, lattice_norm
-from symseq.spaces import Orlicz, OrliczFn, norm, space_from_json, space_to_json
+from symseq.spaces import Orlicz, OrliczFn, norm, orlicz_inverse, space_from_json, space_to_json
 from symseq.verify import BUILTIN_SPACES
 
 ORLICZ_FNS = [(lbl, sp.N) for lbl, sp in BUILTIN_SPACES if isinstance(sp, Orlicz)]
@@ -110,6 +109,22 @@ def _orlicz_inverse_vec(N: OrliczFn, s: np.ndarray) -> np.ndarray:
     return hi
 
 
+def _modular_luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for nonnegative a, solved by
+    ``spaces._bracketed_root`` on the log of the modular of b = a / max(a),
+    for v in [1, sum w_k b_k], evaluating N at every step."""
+    m = float(np.maximum.reduce(a, initial=0.0))
+    if m == 0.0:
+        return 0.0
+    b = a / m
+    w = 1.0 if weights is None else weights
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        return -np.log(np.sum(w * N(b / v[:, None]), axis=1))
+
+    return m * float(spaces._bracketed_root(residual, np.ones(1), np.array([np.sum(w * b)]))[0])
+
+
 # agreement -------------------------------------------------------------------
 
 
@@ -198,8 +213,7 @@ def _solve(N: OrliczFn, x: np.ndarray, weights) -> float:
 def test_moment_path_matches_the_bracketed_path():
     worst = 0.0
     for N, x, weights in _moment_cases(47, 400):
-        generic = OrliczFn(fn=N.fn)  # the same function without its moment form
-        got, want = _solve(N, x, weights), _solve(generic, x, weights)
+        got, want = _solve(N, x, weights), _modular_luxemburg(N, np.abs(x), weights)
         worst = max(worst, abs(got / want - 1.0))
     assert worst <= 1e-14
 
@@ -213,15 +227,15 @@ def test_moment_path_is_admissible_and_tight():
 
 
 @pytest.mark.parametrize("label,N", ORLICZ_FNS)
-def test_builtin_norms_never_evaluate_N(label, N):
+def test_builtin_norms_never_evaluate_N(label, N, monkeypatch):
     calls = []
+    evaluate = OrliczFn.__call__
 
-    def counting(t, fn=N.fn):
+    def counting(self, t):
         calls.append(np.size(t))
-        return fn(t)
+        return evaluate(self, t)
 
-    N = dataclasses.replace(N)  # a private copy; construction evaluates N
-    object.__setattr__(N, "fn", counting)
+    monkeypatch.setattr(OrliczFn, "__call__", counting)
     rng = np.random.default_rng(59)
     x = rng.standard_normal(100)
     a = np.concatenate([[0.0, 1.0], rng.standard_normal(30)])
@@ -233,7 +247,7 @@ def test_builtin_norms_never_evaluate_N(label, N):
     assert calls == []
 
 
-def test_custom_functions_still_bracket(monkeypatch):
+def test_only_the_inverse_takes_a_bracketed_root(monkeypatch):
     solves = []
 
     def counting(f, lo, hi):
@@ -242,12 +256,17 @@ def test_custom_functions_still_bracket(monkeypatch):
 
     bracketed = spaces._bracketed_root
     monkeypatch.setattr(spaces, "_bracketed_root", counting)
-    N = OrliczFn(fn=lambda t: t**3)
+    for N in (OrliczFn.power(3.0), OrliczFn.power_log(3.0, 0.3)):
+        solves.clear()
+        norm(Orlicz(N), [3.0, 4.0])
+        lattice_norm(UN(N), [1.0, 0.0, 2.0])
+        lattice_norm(EX(Orlicz(N)), [1.0, 0.0, 2.0])
+        assert solves == []
+        orlicz_inverse(N, 0.5)
+        assert solves == [1]
+    N = OrliczFn.power(3.0)
     assert norm(Orlicz(N), [3.0, 4.0]) == pytest.approx(91.0 ** (1 / 3), rel=1e-14)
     assert lattice_norm(UN(N), [1.0, 0.0, 2.0]) == pytest.approx(33.0 ** (1 / 3), rel=1e-14)
-    assert solves == [1, 1]
-    norm(Orlicz(OrliczFn.power(3.0)), [3.0, 4.0])
-    assert solves == [1, 1]
 
 
 def test_power_functions_take_no_logarithm(monkeypatch):
@@ -274,16 +293,38 @@ def test_power_functions_take_no_logarithm(monkeypatch):
     assert len(logs) == 7
 
 
+def _descriptor_n(p: float, a: float):
+    """N of a JSON descriptor, written out apart from ``OrliczFn``: ``power``
+    as ``np.power``, ``power_log`` as t**p (1 + a |ln t|) off zero."""
+    if a == 0.0:
+        return lambda t: np.power(t, p)
+
+    def n(t):
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        out[pos] = t[pos] ** p * (1.0 + a * np.abs(np.log(t[pos])))
+        return out
+
+    return n
+
+
 def test_moment_form_must_match_the_callable():
-    with pytest.raises(ValueError):
-        OrliczFn(fn=lambda t: t**3, p=2.0)
-    with pytest.raises(ValueError):
-        OrliczFn(fn=lambda t: t**2, a=0.5)  # a without p
-    assert OrliczFn(fn=lambda t: t**3, p=3.0).p == 3.0
-    f = OrliczFn.power_log(2.0, 0.6).fn
-    with pytest.raises(ValueError):
-        OrliczFn(fn=f, p=2.0, a=0.5)
-    assert OrliczFn(fn=f, p=2.0, a=0.6).a == 0.6
+    # the (p, a) the moment path reads is the N that calling it evaluates,
+    # bit for bit, on zero, a wide geometric grid and uniform draws
+    t = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1.0, 2001),
+                        np.random.default_rng(67).random(2000), [1.5, 1e10]])
+    for p in (1.0, 1.5, 2.0, 3.0, 6.0):
+        a_max = p * (p - 1.0) / (2.0 * p - 1.0)
+        for a in {0.0, 0.5 * a_max, a_max}:
+            N = OrliczFn.power_log(p, a) if a else OrliczFn.power(p)
+            assert (N.p, N.a) == (p, a)
+            assert N(t).tobytes() == _descriptor_n(p, a)(t).tobytes(), (p, a)
+    for p, a in ((0.5, 0.0), (2.0, -0.1), (2.0, 2.0), (math.inf, 0.0), (math.nan, 0.0),
+                 (2.0, math.nan)):
+        with pytest.raises(ValueError, match="finite p >= 1 and 0 <= a < p"):
+            OrliczFn(p, a)
+    with pytest.raises(ValueError, match="convexity"):
+        OrliczFn.power_log(2.0, 0.7)
 
 
 def test_builtin_orlicz_spaces_round_trip_through_json():
@@ -291,5 +332,4 @@ def test_builtin_orlicz_spaces_round_trip_through_json():
         desc = space_to_json(Orlicz(N))
         assert space_to_json(space_from_json(desc)) == desc
         assert (desc["orlicz"]["form"] == "power_log") == ("log" in label)
-    with pytest.raises(ValueError):
-        space_to_json(Orlicz(OrliczFn(fn=lambda t: t**2)))
+        assert space_from_json(desc) == Orlicz(N)

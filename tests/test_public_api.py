@@ -103,7 +103,7 @@ def _sibling_imports(path) -> list[str]:
 
 # The w^q partial-sum decision lives in spaces alone: spaces._weight_sums
 # picks the kernel, and no other module sums a weight or a power itself.
-_SUM_KERNELS = {"_power_partial_sums", "partial_sums_at"}
+_SUM_KERNELS = {"_power_partial_sums"}
 
 
 def test_partial_sum_kernels_stay_in_spaces():

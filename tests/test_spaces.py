@@ -180,9 +180,9 @@ def test_zero_vector():
 
 EVERY_FAMILY = [sp for _, sp in BUILTIN_SPACES] + [
     LpQ(3.0, math.inf),
-    Lorentz(2.0, WeightSeq(kind="array", data=(1.0, 0.8, 0.5, 0.5, 0.3, 0.2, 0.1, 0.1))),
-    Lorentz(1.0, WeightSeq(kind="generator", fn=lambda k: 1.0 / np.log1p(k))),
-    Orlicz(OrliczFn(fn=lambda t: np.asarray(t, dtype=float) ** 2)),
+    Lorentz(2.0, WeightSeq(data=(1.0, 0.8, 0.5, 0.5, 0.3, 0.2, 0.1, 0.1))),
+    Lorentz(1.0, WeightSeq(data=tuple(1.0 / np.log1p(np.arange(1.0, 9.0))))),
+    Orlicz(OrliczFn.power(2.0)),
 ]
 
 
@@ -249,8 +249,9 @@ def test_entries_that_underflow_in_the_rearrangement_add_nothing():
 # order-free norms -----------------------------------------------------------------
 
 # l^p and Orlicz norms do not depend on the order of x, so they read |x| as
-# given; N(t) = (t^2 + t^3) / 2 has no moment form and takes the bracketed root
-_CUSTOM_N = OrliczFn(fn=lambda t: (np.asarray(t) ** 2 + np.asarray(t) ** 3) / 2.0)
+# given; the custom N is a (p, a) pair that no built-in space holds, at the
+# convexity edge a = p(p-1)/(2p-1)
+_CUSTOM_N = OrliczFn.power_log(2.0, 2.0 / 3.0)
 ORDER_FREE = {
     **{f"lp_{p}": Lp(p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)},
     "orlicz_t1.5": Orlicz(OrliczFn.power(1.5)),
@@ -299,10 +300,8 @@ def test_luxemburg_compaction_path_is_bit_identical_to_the_zero_free_path(N):
 
 # Rounding bound for a reordered input: the pairwise sums of the l^p and
 # moment-form kernels move by rounding alone (<= 6.8e-16 relative measured
-# over 13 sweeps like this one); the bracketed root of a custom N may land
-# anywhere in its final bracket, 2 _ROOT_TOL wide, so two orders may differ
-# by twice that.  l^inf is a max and does not move at all.
-ORDER_RTOL = {"lp_inf": 0.0, "orlicz_custom": 4.0 * spaces._ROOT_TOL}
+# over 13 sweeps like this one).  l^inf is a max and does not move at all.
+ORDER_RTOL = {"lp_inf": 0.0}
 
 
 @pytest.mark.parametrize("label", ORDER_FREE)
@@ -404,11 +403,6 @@ def test_distinct_is_what_np_unique_returns():
         want = np.unique(a)
         got = spaces._distinct(a)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    probe = np.unique(np.concatenate([
-        np.arange(1, 65), 2 ** np.arange(0, 21), 2 ** np.arange(1, 21) - 1, 2 ** np.arange(1, 21) + 1,
-    ]).astype(np.int64))
-    assert spaces._WEIGHT_PROBE.dtype == probe.dtype
-    assert np.array_equal(spaces._WEIGHT_PROBE, probe)
 
 
 def test_import_builds_no_power_table():
@@ -476,9 +470,21 @@ def test_power_weights_values():
     assert w.theta == 0.5
 
 
-def test_weight_theta_must_match_the_generator():
-    with pytest.raises(ValueError, match="theta"):
-        WeightSeq(kind="generator", fn=lambda k: np.power(k, -0.5), theta=0.25)
+def test_weight_seq_holds_theta_or_an_array():
+    assert WeightSeq(theta=1) == power_weights(1.0) and WeightSeq(data=[1, 0.5]).data == (1.0, 0.5)
+    for both_or_none in ({}, {"theta": 0.5, "data": (1.0,)}):
+        with pytest.raises(ValueError, match="exactly one of theta and data"):
+            WeightSeq(**both_or_none)
+    for theta in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="power weights need theta >= 0"):
+            power_weights(theta)
+    # k^(-theta) must stay a positive float through k = 2^20 + 1
+    assert power_weights(53.0).values_at(np.array([2.0**20 + 1]))[0] > 0.0
+    for theta in (60.0, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            power_weights(theta)
+    with pytest.raises(ValueError, match="at least one value"):
+        WeightSeq(data=())
 
 
 def test_weight_and_parameter_validation():
@@ -489,11 +495,11 @@ def test_weight_and_parameter_validation():
     with pytest.raises(ValueError):
         OrliczFn.power(0.5)
     with pytest.raises(ValueError):
-        # normalization N(1) = 1 enforced
-        OrliczFn(fn=lambda t: 2.0 * np.asarray(t))
+        # t^p (1 + a |ln t|) needs 0 <= a < p
+        OrliczFn(2.0, 2.5)
     with pytest.raises(ValueError):
         # nonincreasing-weight requirement
-        Lorentz(1.0, WeightSeq(kind="array", data=(1.0, 2.0)))
+        Lorentz(1.0, WeightSeq(data=(1.0, 2.0)))
 
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
@@ -537,10 +543,26 @@ def test_space_json_errors():
         space_from_json({"kind": "lorentz", "q": 1.0, "weights": {"form": "odd"}})
     with pytest.raises(ValueError):
         space_from_json("not a dict")
-    # custom callables cannot serialize
-    custom = Orlicz(OrliczFn(fn=lambda t: np.asarray(t, dtype=float)))
-    with pytest.raises(ValueError, match="cannot serialize"):
-        space_to_json(custom)
+
+
+# The space grammar is closed: every space the library builds is a JSON form.
+def test_every_builtin_space_and_json_form_round_trips():
+    specs = [sp for _, sp in BUILTIN_SPACES] + [space_from_json(obj) for obj in ROUND_TRIP_OBJS]
+    specs += [Lorentz(2.0, WeightSeq(data=(1, 0.5))), Orlicz(OrliczFn.power_log(2.0, 0.0))]
+    for sp in specs:
+        assert space_from_json(space_to_json(sp)) == sp, sp
+    for obj in ROUND_TRIP_OBJS:
+        assert space_to_json(space_from_json(obj)) == obj
+    # equality is by value, and the values hash
+    assert power_weights(0.25) == power_weights(0.25) and OrliczFn.power(2.0) == OrliczFn(2)
+    assert len({OrliczFn.power_log(2.0, 0.6), OrliczFn.power_log(2.0, 0.6), OrliczFn.power(2.0)}) == 2
+
+
+def test_weights_and_orlicz_functions_refuse_a_callable():
+    for make in (lambda: WeightSeq(lambda k: k**-0.5), lambda: WeightSeq(data=lambda k: k),
+                 lambda: OrliczFn(lambda t: t**2), lambda: OrliczFn(2.0, a=lambda t: t)):
+        with pytest.raises(TypeError, match="not a callable"):
+            make()
 
 
 def test_space_json_is_plain_data():
