@@ -32,7 +32,6 @@ from .lattices import (
     LatticeSpec,
     ShiftExponents,
     WeightedLq,
-    block_weights_from_lorentz,
     dyadic_equivalence_report,
     lattice_from_json,
     lattice_norm,
@@ -124,7 +123,6 @@ __all__ = [
     "WeightedLq",
     "WitnessReport",
     "apply_array",
-    "block_weights_from_lorentz",
     "branching_witness",
     "check_disjoint_supports",
     "doubling_orbit_witness",

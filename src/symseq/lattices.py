@@ -3,10 +3,12 @@
 ``EX(base)`` carries the norm ||a||_E = ||S a||_X where S spreads coordinate
 k over the dyadic block [2^(k-1), 2^k - 1]; its unit vector norms are the
 fundamental function of the base at dyadic arguments, s_k = phi_X(2^(k-1)).
-``WeightedLq(q, mu)`` is the plain weighted l_q lattice, and ``UN(N)`` is the
+``WeightedLq`` is the plain weighted l_q lattice, and ``UN(N)`` is the
 weighted Orlicz lattice with block cardinalities 2^(k-1) as weights; these
 are the concrete models to which EX of a Lorentz or Orlicz base is
 equivalent, with explicit constants checked by ``dyadic_equivalence_report``.
+Every lattice is a closed form of plain numbers that a JSON descriptor names
+(see README), so it compares by value and survives a JSON round trip.
 
 Shift operators on these lattices have norms governed by the unit-norm
 ratios; ``shift_exponents`` estimates the limits k_plus/k_minus of
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .spaces import (
     _weights_from_json,
     fundamental_function,
     norm,
+    power_weights,
     space_from_json,
     space_to_json,
 )
@@ -49,7 +52,6 @@ __all__ = [
     "WeightedLq",
     "UN",
     "LatticeSpec",
-    "block_weights_from_lorentz",
     "lattice_norm",
     "unit_norms",
     "ShiftExponents",
@@ -73,28 +75,61 @@ class EX:
 
 @dataclass(frozen=True)
 class WeightedLq:
-    """l_q with positive weights mu (vectorized callable on 1-based k).
+    """l_q with positive weights mu_k, k >= 1: exactly one of three JSON forms.
 
-    ``descriptor`` optionally carries the JSON form that built mu, so the
-    lattice can be serialized back; lattices built from raw callables cannot.
+    ``ratio`` (geometric) mu_k = r^(k-1); ``values`` (array) mu_k for
+    k <= len(values) only; ``theta`` (lorentz_blocks) mu_k = 2^((k-1)/q)
+    (2^(k-1))^(-theta).  Equality and hashing are by value.  Construction
+    probes mu_1, mu_2, so a short table still builds; ``weights`` checks
+    the rest where a norm reads them.
     """
 
     q: float
-    mu: Callable[[np.ndarray], np.ndarray]
-    descriptor: dict | None = None
+    ratio: float | None = None
+    values: tuple[float, ...] | None = None
+    theta: float | None = None
 
     def __post_init__(self):
+        forms = (self.ratio, self.values, self.theta)
+        if any(map(callable, (self.q, *forms))):
+            raise TypeError("WeightedLq takes q and one of ratio, values and theta, not a callable")
+        if sum(v is not None for v in forms) != 1:
+            raise ValueError("WeightedLq needs exactly one of ratio, values and theta")
+        if self.ratio is not None and not 0.0 < self.ratio < math.inf:
+            raise ValueError("geometric weights need ratio > 0")
+        if self.values is not None:
+            object.__setattr__(self, "values", tuple(map(float, self.values)))
+            if len(self.values) < 2:
+                raise ValueError('array weights need "values" with at least 2 entries')
+        if self.theta is not None:
+            power_weights(self.theta)  # theta >= 0, positive through k = 2^20 + 1
         if not (1.0 <= self.q < math.inf):
             raise ValueError("WeightedLq needs q in [1, inf)")
         # probe only k = 1, 2 so finite weight tables stay constructible;
         # the weights past them are checked where a norm reads them
         self.weights(2)
 
+    @staticmethod
+    def lorentz_blocks(q: float, w: WeightSeq) -> "WeightedLq":
+        """The EX(Lorentz(q, w)) model mu_k = 2^((k-1)/q) w(2^(k-1)); w must be power weights."""
+        if w.theta is None:
+            raise ValueError('wlq weights form "lorentz_blocks" reads w(2^(k-1)) at every '
+                             'block k, so it needs "power" weights, not "array"')
+        return WeightedLq(q, theta=w.theta)
+
     def weights(self, n: int) -> np.ndarray:
         """mu_1..mu_n; one that overflows, underflows to 0 or is not positive
         is refused with the constructor's message, never used."""
+        k = np.arange(1.0, n + 1.0)
         with np.errstate(all="ignore"):
-            mu = np.asarray(self.mu(np.arange(1.0, n + 1.0)), dtype=float)
+            if self.ratio is not None:
+                mu = self.ratio ** (k - 1.0)
+            elif self.values is not None:
+                if n > len(self.values):
+                    raise ValueError(f"array weights cover only k <= {len(self.values)}")
+                mu = np.asarray(self.values[:n], dtype=float)
+            else:
+                mu = 2.0 ** ((k - 1.0) / self.q) * np.power(2.0 ** (k - 1.0), -self.theta)
         if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
             raise ValueError("weights mu must be finite and positive")
         return mu
@@ -110,19 +145,6 @@ class UN:
 LatticeSpec = Union[EX, WeightedLq, UN]
 
 
-def block_weights_from_lorentz(q: float, w: WeightSeq) -> Callable[[np.ndarray], np.ndarray]:
-    """mu_k = 2^((k-1)/q) w(2^(k-1)): the weights making WeightedLq model EX.
-
-    It reads w at every dyadic position, so it needs power weights; array
-    weights are refused where mu is read."""
-
-    def mu(k: np.ndarray, q=q, w=w) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        return 2.0 ** ((k - 1.0) / q) * w.values_at(2.0 ** (k - 1.0))
-
-    return mu
-
-
 def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
     """||S a||_p of each row in closed form: block k adds a_k^p 2^(k-1).
 
@@ -130,7 +152,8 @@ def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
     overflow past k ~ 1023.  A row sums its nonzero entries alone (zeros
     would regroup the pairwise sum), and rows with equally many share one
     array pass.  The closing 2^(m/p) s^(1/p) is scalar pow, row by row:
-    array pow rounds an ulp away from it on some inputs.
+    array pow rounds an ulp away from it on some inputs.  s >= 1, so a row
+    whose 2^(m/p) passes the float range has norm inf.
     """
     if p == math.inf:
         return rows.max(axis=1, initial=0.0)
@@ -147,7 +170,8 @@ def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
         logs = p * np.log2(v) + k
         m = logs.max(axis=1)
         s = np.add.reduce(2.0 ** (logs - m[:, None]), axis=1)
-        out[sel] = [2.0 ** (mi / p) * si ** (1.0 / p) for mi, si in zip(m.tolist(), s.tolist())]
+        out[sel] = [2.0 ** (mi / p) * si ** (1.0 / p) if mi / p < 1024.0 else math.inf
+                    for mi, si in zip(m.tolist(), s.tolist())]
     return out
 
 
@@ -211,7 +235,8 @@ def lattice_norm(lat: LatticeSpec, a):
     if isinstance(base, Lp):
         out = _ex_norm_lp(base.p, rows)
     elif isinstance(base, (LpQ, Lorentz)):
-        out = _ex_norm_sorted(base, rows, m)
+        with np.errstate(over="ignore"):  # the closing scale * ... is inf past the float range
+            out = _ex_norm_sorted(base, rows, m)
     elif isinstance(base, (Orlicz, UN)):
         out = _ex_norm_orlicz(base.N, rows, m)
     elif isinstance(lat, WeightedLq):
@@ -230,15 +255,20 @@ def lattice_norm(lat: LatticeSpec, a):
 def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
     """s_k = ||e_k|| for k = 1..k_max: phi(2^(k-1)) of an EX base, mu_k on
     WeightedLq.  UN(N) is EX(Orlicz(N)), where one vector solve gives
-    s_k = 1 / N^{-1}(2^(1-k)).  A Lorentz or finite-q l^{p,q} base takes
-    k_max <= 63, the 63-block cap of ``_ex_norm_sorted``: phi(2^(k-1)) is a
-    weight partial sum, whose positions stay below 2^63."""
+    s_k = 1 / N^{-1}(2^(1-k)).  On a Lorentz or finite-q l^{p,q} base
+    phi(2^(k-1)) = W(2^(k-1))^(1/q) is a weight partial sum, all k_max of
+    them from one ``_weight_sums`` call; it takes k_max <= 63, the 63-block
+    cap of ``_ex_norm_sorted``, so the positions stay below 2^63."""
     if k_max < 1:
         raise ValueError("unit_norms needs k_max >= 1")
     base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
-    if isinstance(base, (LpQ, Lorentz)) and base.q != math.inf and k_max > 63:
-        raise ValueError(f"unit_norms on a Lorentz or l^{{p,q}} base needs k_max <= 63, "
-                         f"got {k_max}: the 63-block cap of _ex_norm_sorted (positions below 2^63)")
+    if isinstance(base, (LpQ, Lorentz)) and base.q != math.inf:
+        if k_max > 63:
+            raise ValueError(f"unit_norms on a Lorentz or l^{{p,q}} base needs k_max <= 63, "
+                             f"got {k_max}: the 63-block cap of _ex_norm_sorted (positions below 2^63)")
+        # fundamental_function's scalar pow per entry: array pow can round apart
+        sums = _weight_sums(base, np.left_shift(1, np.arange(k_max)))
+        return np.array([float(s ** (1.0 / base.q)) for s in sums])
     if isinstance(base, (Orlicz, UN)):
         return 1.0 / _orlicz_inverse_vec(base.N, 2.0 ** -np.arange(k_max))
     if isinstance(lat, EX):
@@ -342,12 +372,13 @@ def dyadic_equivalence_report(
 ) -> EquivalenceReport:
     """Compare ||x|| with the lattice norm of its dyadic samples (x*_{2^k})_k.
 
-    Lorentz(q, w): rhs in WeightedLq with mu_k = 2^((k-1)/q) w(2^(k-1));
-    the modular chain gives rhs/lhs in [1, 4^(1/q)].  Orlicz(N): rhs in
-    UN(N); the chain gives rhs/lhs in [1, 4].  Other spaces raise TypeError.
+    Lorentz(q, w): rhs in ``WeightedLq.lorentz_blocks(q, w)``, which refuses
+    array weights before any draw; the modular chain gives rhs/lhs in
+    [1, 4^(1/q)].  Orlicz(N): rhs in UN(N); the chain gives rhs/lhs in
+    [1, 4].  Other spaces raise TypeError.
     """
     if isinstance(space, Lorentz):
-        lat: LatticeSpec = WeightedLq(space.q, block_weights_from_lorentz(space.q, space.w))
+        lat: LatticeSpec = WeightedLq.lorentz_blocks(space.q, space.w)
         kind, bound_hi = "lorentz", 4.0 ** (1.0 / space.q)
     elif isinstance(space, Orlicz):
         lat, kind, bound_hi = UN(space.N), "orlicz", 4.0
@@ -379,42 +410,6 @@ def dyadic_equivalence_report(
 # JSON descriptors ------------------------------------------------------------
 
 
-def _mu_from_json(q: float, obj) -> tuple:
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise ValueError('wlq weights must be {"form": ...}')
-    form = obj["form"]
-    if form == "geometric":
-        r = _json_float(obj["ratio"], "ratio")
-        if not 0.0 < r < math.inf:
-            raise ValueError("geometric weights need ratio > 0")
-
-        def mu(k, r=r):
-            return r ** (np.asarray(k, dtype=float) - 1.0)
-
-        return mu, {"form": "geometric", "ratio": r}
-    if form == "array":
-        vals = obj.get("values")
-        if not isinstance(vals, list) or len(vals) < 2:
-            raise ValueError('array weights need "values" with at least 2 entries')
-        table = np.asarray([_json_float(v, f"values[{i}]") for i, v in enumerate(vals)])
-
-        def mu(k, table=table):
-            idx = np.asarray(k, dtype=np.int64)
-            if np.any(idx < 1) or np.any(idx > table.size):
-                raise ValueError(f"array weights cover only k <= {table.size}")
-            return table[idx - 1]
-
-        return mu, {"form": "array", "values": table.tolist()}
-    if form == "lorentz_blocks":
-        w = _weights_from_json(obj.get("weights"))
-        if w.theta is None:
-            raise ValueError('wlq weights form "lorentz_blocks" reads w(2^(k-1)) at every '
-                             'block k, so it needs "power" weights, not "array"')
-        desc = {"form": "lorentz_blocks", "weights": dict(obj["weights"])}
-        return block_weights_from_lorentz(q, w), desc
-    raise ValueError(f"unknown wlq weights form {form!r}")
-
-
 def lattice_from_json(obj) -> LatticeSpec:
     """Build a lattice from a parsed JSON object (see README for the schema)."""
     if not isinstance(obj, dict):
@@ -423,9 +418,19 @@ def lattice_from_json(obj) -> LatticeSpec:
     if kind == "ex":
         return EX(base=space_from_json(obj["base"]))
     if kind == "wlq":
-        q = _json_float(obj["q"], "q")
-        mu, desc = _mu_from_json(q, obj["weights"])
-        return WeightedLq(q=q, mu=mu, descriptor=desc)
+        q, w = _json_float(obj["q"], "q"), obj["weights"]
+        if not isinstance(w, dict) or "form" not in w:
+            raise ValueError('wlq weights must be {"form": ...}')
+        if w["form"] == "geometric":
+            return WeightedLq(q, ratio=_json_float(w["ratio"], "ratio"))
+        if w["form"] == "array":
+            vals = w.get("values")
+            if not isinstance(vals, list):
+                raise ValueError('array weights need "values" with at least 2 entries')
+            return WeightedLq(q, values=[_json_float(v, f"values[{i}]") for i, v in enumerate(vals)])
+        if w["form"] == "lorentz_blocks":
+            return WeightedLq.lorentz_blocks(q, _weights_from_json(w.get("weights")))
+        raise ValueError(f"unknown wlq weights form {w['form']!r}")
     if kind == "un":
         return UN(N=_orlicz_from_json(obj["orlicz"]))
     raise KeyError(f"unknown lattice kind {kind!r}")
@@ -435,9 +440,10 @@ def lattice_to_json(lat: LatticeSpec) -> dict:
     if isinstance(lat, EX):
         return {"kind": "ex", "base": space_to_json(lat.base)}
     if isinstance(lat, WeightedLq):
-        if lat.descriptor is None:
-            raise ValueError("cannot serialize a wlq lattice built from a raw callable")
-        return {"kind": "wlq", "q": lat.q, "weights": dict(lat.descriptor)}
+        weights = ({"form": "geometric", "ratio": lat.ratio} if lat.ratio is not None
+                   else {"form": "array", "values": list(lat.values)} if lat.values is not None
+                   else {"form": "lorentz_blocks", "weights": {"form": "power", "theta": lat.theta}})
+        return {"kind": "wlq", "q": lat.q, "weights": weights}
     if isinstance(lat, UN):
         return {"kind": "un", "orlicz": _orlicz_to_json(lat.N)}
     raise TypeError(f"unknown lattice spec {lat!r}")

@@ -77,13 +77,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 _POWER_TOP = float(2**20 + 1)
 
 
-def _short_array(size: int, k) -> ValueError:
-    return ValueError(
-        f"array weights hold {size} values, but this request reads w_k at k = {k}; "
-        "use power weights or a longer array"
-    )
-
-
 @dataclass(frozen=True)
 class WeightSeq:
     """Nonincreasing positive weights: power weights k^(-theta) or a finite array.
@@ -126,15 +119,17 @@ class WeightSeq:
         if self.theta is not None:
             return self.values_at(np.arange(1, n + 1, dtype=float))
         if n > len(self.data):
-            raise _short_array(len(self.data), n)
+            raise ValueError(f"array weights hold {len(self.data)} values, but this request "
+                             f"reads w_k at k = {n}; use power weights or a longer array")
         return np.asarray(self.data[:n], dtype=float)
 
     def values_at(self, idx: np.ndarray) -> np.ndarray:
-        """Power weights at the given (possibly huge) 1-based float indices."""
-        idx = np.asarray(idx, dtype=float)
+        """Power weights at the given (possibly huge) 1-based float indices;
+        array weights are read only as a prefix, by ``values``."""
         if self.theta is None:
-            raise _short_array(len(self.data), f"{np.max(idx):.17g}")
-        return np.power(idx, -self.theta)
+            raise ValueError(f"array weights ({len(self.data)} values) are read only as a prefix "
+                             "w_1..w_n; this request reads scattered positions: use power weights")
+        return np.power(np.asarray(idx, dtype=float), -self.theta)
 
 
 def power_weights(theta: float) -> WeightSeq:

@@ -1,5 +1,6 @@
 """Dyadic-block lattices: closed-form norms, shift exponents, equivalences."""
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -12,7 +13,6 @@ from symseq.lattices import (
     EX,
     UN,
     WeightedLq,
-    block_weights_from_lorentz,
     dyadic_equivalence_report,
     lattice_from_json,
     lattice_norm,
@@ -35,6 +35,7 @@ from symseq.spaces import (
 )
 from symseq.operators import BlockEmbed, apply_array
 from symseq.seq import Seq
+from symseq.verify import BUILTIN_SPACES
 
 
 # norms ------------------------------------------------------------------------
@@ -120,10 +121,25 @@ def test_unit_norms_refuse_k_max_past_63_before_evaluating(monkeypatch):
         raise AssertionError("a unit norm was evaluated past the cap")
 
     monkeypatch.setattr(lattices, "fundamental_function", no_phi)
+    monkeypatch.setattr(lattices, "_weight_sums", no_phi)
     for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
         for call in (lambda: unit_norms(EX(base), 64), lambda: shift_exponents(EX(base))):
             with pytest.raises(ValueError, match="k_max <= 63, got 64: the 63-block cap of _ex_norm_sorted"):
                 call()
+
+
+def test_ex_norms_past_the_float_range_are_inf():
+    # block 61 holds 2^60 entries: a norm past the float range is inf, with
+    # no numpy overflow warning and no OverflowError from a scalar pow
+    a = np.zeros(61)
+    a[-1] = 1e308
+    bases = (Lp(1.0), Lp(2.0), LpQ(3.0, 2.0), LpQ(3.0, math.inf), Lorentz(2.0, power_weights(0.25)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in bases:
+            assert lattice_norm(EX(base), a) == math.inf, base
+            inf, finite = lattice_norm(EX(base), np.vstack([a, a * 1e-300]))
+            assert inf == math.inf and finite == lattice_norm(EX(base), a * 1e-300) < math.inf, base
 
 
 def test_ex_orlicz_norm_is_the_un_norm():
@@ -149,7 +165,7 @@ def test_ex_lp_and_un_norms_reject_non_finite_input(bad):
     stack = rng.uniform(0.1, 2.0, (4, 6))
     lats = [EX(Lp(p)) for p in (1.0, 2.0, 3.0, math.inf)]
     lats += [UN(OrliczFn.power(2.0)), UN(OrliczFn.power_log(2.0, 0.6)), EX(Orlicz(OrliczFn.power(1.5)))]
-    lats += [WeightedLq(2.0, block_weights_from_lorentz(2.0, power_weights(0.25))),
+    lats += [WeightedLq.lorentz_blocks(2.0, power_weights(0.25)),
              EX(Lorentz(2.0, power_weights(0.25))), EX(LpQ(3.0, 2.0))]
     for lat in lats:
         for pos in (0, 2, 5):
@@ -253,8 +269,9 @@ def test_unit_norms_are_fundamental_values():
 
 
 def test_unit_norms_of_power_bases_never_stream(monkeypatch):
-    # phi(2^39) of a finite-q l^{p,q} or power-weight Lorentz base is one
-    # closed-form partial sum; q = inf has a closed form of its own
+    # phi(2^0), ..., phi(2^39) of a finite-q l^{p,q} or power-weight Lorentz
+    # base come from one closed-form partial-sum call over all 40 positions;
+    # q = inf has a closed form of its own
     assert unit_norms(EX(LpQ(3.0, math.inf)), 64)[-1] == pytest.approx(2.0 ** (63 / 3.0))
     tops = []
     closed = spaces._power_partial_sums
@@ -268,11 +285,14 @@ def test_unit_norms_of_power_bases_never_stream(monkeypatch):
         tops.clear()
         s = unit_norms(EX(base), 40)
         assert s.size == 40 and np.all(np.diff(s) > 0.0)
-        assert max(tops) == 1 << 39
+        assert tops == [1 << 39]
+        # the batch is fundamental_function's value at every k, bit for bit
+        want = np.array([fundamental_function(base, 1 << k) for k in range(40)])
+        assert s.tobytes() == want.tobytes()
 
 
 def test_weighted_lq_norm_definition():
-    lat = WeightedLq(q=2.0, mu=lambda k: np.asarray(k, dtype=float))
+    lat = WeightedLq(q=2.0, values=(1.0, 2.0))
     # ||a|| = (sum |a_k mu_k|^q)^(1/q)
     assert lattice_norm(lat, [1.0, 1.0]) == pytest.approx(math.sqrt(5.0))
 
@@ -288,7 +308,7 @@ def test_weighted_lq_rows_are_scaled_before_the_power():
     # neither (1e200)^2 nor (1e-200)^2 is a float; the norms are
     geo = lattice_from_json({"kind": "wlq", "q": 2.0, "weights": {"form": "geometric", "ratio": 1.3}})
     lats = [geo, lattice_from_json({"kind": "wlq", "q": 1.5, "weights": {"form": "geometric", "ratio": 1.1}}),
-            WeightedLq(2.0, block_weights_from_lorentz(2.0, power_weights(0.25)))]
+            WeightedLq.lorentz_blocks(2.0, power_weights(0.25))]
     rng = np.random.default_rng(43)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -296,7 +316,7 @@ def test_weighted_lq_rows_are_scaled_before_the_power():
         assert lattice_norm(geo, [1e-200]) == 1e-200
         for n in (1, 2, 7, 30):
             x = rng.standard_normal(n)
-            mu = geo.mu(np.arange(1.0, n + 1.0))
+            mu = geo.weights(n)
             for e in (-250, 0, 250):
                 want = _exact_wlq2(mu, x * 10.0**e)
                 assert abs(lattice_norm(geo, x * 10.0**e) - want) <= 1e-15 * want
@@ -333,7 +353,7 @@ def test_shift_exponent_bridge_inequality():
     lats = [
         (EX(Lp(1.5)), {}),
         (EX(Lorentz(2.0, power_weights(0.25))), dict(n_max=8, k_max=24)),
-        (WeightedLq(2.0, block_weights_from_lorentz(2.0, power_weights(0.25))), {}),
+        (WeightedLq.lorentz_blocks(2.0, power_weights(0.25)), {}),
         (UN(OrliczFn.power(2.0)), {}),
     ]
     for lat, kw in lats:
@@ -434,11 +454,31 @@ def test_equivalence_report_refuses_counts_that_make_no_envelope(counts, message
         dyadic_equivalence_report(Orlicz(OrliczFn.power(2.0)), **counts)
 
 
-def test_block_weights_from_lorentz_values():
-    mu = block_weights_from_lorentz(2.0, power_weights(0.25))
+def test_lorentz_block_weights_values():
+    lat = WeightedLq.lorentz_blocks(2.0, power_weights(0.25))
+    assert lat == WeightedLq(2.0, theta=0.25)
     k = np.array([1.0, 2.0, 3.0])
     want = 2.0 ** ((k - 1.0) / 2.0) * (2.0 ** (k - 1.0)) ** -0.25
-    assert np.allclose(mu(k), want, rtol=1e-12)
+    assert np.allclose(lat.weights(3), want, rtol=1e-12)
+    # bit for bit the expression of the mu_k = 2^((k-1)/q) w(2^(k-1)) closure
+    k = np.arange(1.0, 65.0)
+    for q, theta in ((2.0, 0.25), (1.0, 0.3), (1.5, 0.1), (3.0, 0.0)):
+        closure = 2.0 ** ((k - 1.0) / q) * power_weights(theta).values_at(2.0 ** (k - 1.0))
+        assert WeightedLq(q, theta=theta).weights(64).tobytes() == closure.tobytes()
+
+
+def test_lorentz_block_model_refuses_array_weights_before_any_draw(monkeypatch):
+    # w(2^(k-1)) is read at every block k: an array cannot serve it, even
+    # when its length covers the first blocks
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(lattices, "random_decreasing", no_draw)
+    for w in (WeightSeq(data=(1.0, 0.5, 0.25)), WeightSeq(data=(1.0,) * 64)):
+        with pytest.raises(ValueError, match='so it needs "power" weights, not "array"'):
+            dyadic_equivalence_report(Lorentz(2.0, w))
+        with pytest.raises(ValueError, match='so it needs "power" weights, not "array"'):
+            WeightedLq.lorentz_blocks(2.0, w)
 
 
 # JSON codecs ----------------------------------------------------------------------
@@ -472,19 +512,27 @@ def test_lattice_json_errors():
         lattice_from_json({"kind": "wlq", "q": 2.0})
     with pytest.raises(ValueError):
         lattice_from_json({"kind": "wlq", "q": 2.0, "weights": {"form": "odd"}})
-    # raw-callable lattices carry no descriptor and cannot serialize
-    with pytest.raises(ValueError):
-        lattice_to_json(WeightedLq(2.0, mu=lambda k: np.asarray(k, dtype=float)))
+    # the descriptor's checks are the constructor's: a library caller meets them too
+    for kwargs, message in [(dict(ratio=0.0), "ratio > 0"), (dict(ratio=math.inf), "ratio > 0"),
+                            (dict(ratio=math.nan), "ratio > 0"), (dict(values=(1.0,)), "at least 2"),
+                            (dict(values=()), "at least 2"), (dict(theta=-0.5), "theta >= 0"),
+                            (dict(theta=60.0), "finite and positive"), ({}, "exactly one"),
+                            (dict(ratio=2.0, theta=0.25), "exactly one")]:
+        with pytest.raises(ValueError, match=message):
+            WeightedLq(2.0, **kwargs)
+    for q in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="q in \\[1, inf\\)"):
+            WeightedLq(q, ratio=2.0)
 
 
-@pytest.mark.parametrize("mu", [
-    lambda k: np.where(k < 3, 1.0, -1.0),
-    lambda k: np.where(k < 3, 1.0, 0.0),
-    lambda k: 1e-300 ** (k - 1.0),
-    lambda k: 1e300 ** (k - 1.0),
+@pytest.mark.parametrize("weights", [
+    dict(values=(1.0, 1.0, -1.0)),
+    dict(values=(1.0, 1.0, 0.0)),
+    dict(ratio=1e-300),
+    dict(ratio=1e300),
 ], ids=["negative", "zero", "underflow", "overflow"])
-def test_wlq_weights_past_the_probe_are_checked_where_read(mu):
-    lat = WeightedLq(2.0, mu)
+def test_wlq_weights_past_the_probe_are_checked_where_read(weights):
+    lat = WeightedLq(2.0, **weights)
     assert lattice_norm(lat, [1.0, 2.0]) > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -499,3 +547,38 @@ def test_wlq_array_weights_report_their_range():
     )
     with pytest.raises(ValueError, match="cover only k <= 2"):
         lattice_norm(lat, [1.0, 1.0, 1.0])
+
+
+# The lattice grammar is closed: every lattice the library builds is a JSON form.
+def test_every_lattice_form_round_trips():
+    lats = [WeightedLq(2.0, ratio=1.3), WeightedLq(1.0, values=(1.0, 2.0, 4.0)),
+            WeightedLq(1.5, theta=0.25), WeightedLq.lorentz_blocks(2.0, power_weights(0.0))]
+    lats += [EX(sp) for _, sp in BUILTIN_SPACES]
+    lats += [UN(sp.N) for _, sp in BUILTIN_SPACES if isinstance(sp, Orlicz)]
+    lats += [lattice_from_json(obj) for obj in LATTICE_OBJS]
+    assert sum(isinstance(lat, UN) for lat in lats) == 4  # three built-ins, one descriptor
+    for lat in lats:
+        assert lattice_from_json(lattice_to_json(lat)) == lat, lat
+    for obj in LATTICE_OBJS:
+        assert lattice_to_json(lattice_from_json(obj)) == obj
+    # equal descriptors build equal lattices, and the lattices hash
+    for obj in LATTICE_OBJS:
+        assert lattice_from_json(obj) == lattice_from_json(json.loads(json.dumps(obj)))
+    assert len({lattice_from_json(obj) for obj in LATTICE_OBJS + LATTICE_OBJS}) == len(LATTICE_OBJS)
+    assert WeightedLq(2, ratio=2) == WeightedLq(2.0, ratio=2.0)
+    assert WeightedLq(2.0, values=[1, 2]) == WeightedLq(2.0, values=(1.0, 2.0))
+
+
+def test_wlq_refuses_a_callable():
+    for make in (lambda: WeightedLq(2.0, lambda k: k), lambda: WeightedLq(2.0, values=lambda k: k),
+                 lambda: WeightedLq(2.0, theta=lambda k: k), lambda: WeightedLq(lambda k: 2.0, ratio=2.0)):
+        with pytest.raises(TypeError, match="not a callable"):
+            make()
+
+
+def test_a_non_canonical_lorentz_blocks_descriptor_echoes_its_value():
+    obj = {"kind": "wlq", "q": 2, "weights": {"form": "lorentz_blocks",
+                                              "weights": {"form": "power", "theta": "0.25", "junk": 1}}}
+    assert lattice_to_json(lattice_from_json(obj)) == {
+        "kind": "wlq", "q": 2.0,
+        "weights": {"form": "lorentz_blocks", "weights": {"form": "power", "theta": 0.25}}}

@@ -9,6 +9,7 @@ imports do not count, so an export alone keeps nothing alive.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -30,6 +31,19 @@ def test_all_names_resolve(mod):
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, f"{mod.__name__}.__all__ names missing attributes: {missing}"
     assert len(set(names)) == len(names)
+
+
+# The space and lattice grammars are closed: every spec holds plain numbers
+# that a JSON descriptor names, so no module types a callable parameter and
+# the helper that built lattice weights as a callable stays gone.
+def test_no_spec_takes_a_callable():
+    for path in sorted(SRC.glob("*.py")):
+        names = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "Callable" not in names, path.name
+    assert not hasattr(symseq, "block_weights_from_lorentz")
+    assert not hasattr(symseq.lattices, "block_weights_from_lorentz")
+    assert {f.name for f in dataclasses.fields(symseq.WeightedLq)} == {"q", "ratio", "values", "theta"}
 
 
 def _unused_imports(path) -> list[str]:

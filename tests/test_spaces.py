@@ -558,6 +558,16 @@ def test_every_builtin_space_and_json_form_round_trips():
     assert len({OrliczFn.power_log(2.0, 0.6), OrliczFn.power_log(2.0, 0.6), OrliczFn.power(2.0)}) == 2
 
 
+def test_array_weights_refuse_scattered_reads_at_every_index():
+    # values_at serves power weights only; in range or not, an array refuses it
+    w = WeightSeq(data=(1.0, 0.5, 0.25))
+    for idx in ([1.0], [1.0, 2.0], [2.0**40]):
+        with pytest.raises(ValueError, match="array weights \\(3 values\\) are read only as a prefix") as e:
+            w.values_at(np.array(idx))
+        assert "use power weights" in str(e.value) and "hold 3 values, but" not in str(e.value)
+    assert w.values(3).tolist() == [1.0, 0.5, 0.25]
+
+
 def test_weights_and_orlicz_functions_refuse_a_callable():
     for make in (lambda: WeightSeq(lambda k: k**-0.5), lambda: WeightSeq(data=lambda k: k),
                  lambda: OrliczFn(lambda t: t**2), lambda: OrliczFn(2.0, a=lambda t: t)):
