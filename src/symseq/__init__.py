@@ -66,7 +66,6 @@ from .spaces import (
     WeightSeq,
     fundamental_function,
     norm,
-    orlicz_inverse,
     power_weights,
     space_from_json,
     space_to_json,
@@ -134,7 +133,6 @@ __all__ = [
     "lattice_to_json",
     "moment_functional",
     "norm",
-    "orlicz_inverse",
     "parse_operator",
     "power_weights",
     "report_to_json",

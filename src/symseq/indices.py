@@ -11,12 +11,13 @@ dilation norms reduce to ratio sups of one scalar profile:
                ``spaces._weight_sums``, in closed form for power weights
                and by a cumulative sum for array weights (l^{p,q} is the
                same profile with the pseudo-weight w_k = k^{1/p-1/q}),
-  l_N          sup_k N^{-1}(2^{-k})/N^{-1}(2^{-k-n}) over the dyadic
-               argument grid.
+  l_N          sup_k phi(2^{k+n})/phi(2^k) over the dyadic grid, where
+               phi(2^k) is the Luxemburg norm of a 2^k-entry indicator,
+               one scalar root of p s = k ln 2 + ln(1 + a s), s = ln phi.
 
 For the Lorentz and Orlicz families the fundamental-index ratio sups are
-literally the same expressions (phi^q is a partial sum of w^q; phi(2^k)
-is 1/N^{-1}(2^{-k})), which is exactly why these families are of
+literally the same expressions (phi^q is a partial sum of w^q; l_N's
+ratios are of phi itself), which is exactly why these families are of
 fundamental type.  ``index_report`` is the one pass over the profile
 kernel and reports mu, nu as the alpha, beta points, so the Boyd and
 fundamental routes cannot disagree here.  ``weight_ratio_indices`` is a
@@ -24,7 +25,7 @@ genuinely separate route for lambda_q(w): it reads dyadic weight ratios
 and never touches the partial sums.
 
 Truncations: every truncated route is a dyadic log profile read by
-``_limits._ratio_sups`` -- log2 phi(2^k) = -log2 N^{-1}(2^-k), log2 w(2^k),
+``_limits._ratio_sups`` -- log2 phi(2^k) for Orlicz, log2 w(2^k),
 and log2 W on the chains 2^k and j_max 2^n -- so no array grows with j_max.
 The inner sup grid is held constant across n, making the
 truncation bias n-independent so that it cancels in the difference
@@ -47,8 +48,10 @@ from .spaces import (
     LpQ,
     Orlicz,
     SpaceSpec,
+    _PHI_LOG2_MAX,
+    _PHI_RULE,
     _distinct,
-    _orlicz_inverse_vec,
+    _orlicz_phi,
     _weight_sums,
 )
 
@@ -128,11 +131,12 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
 def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
     """The one window rule of ``index_report``, checked before any grid.
 
-    n_max >= 1, 1 <= j_max <= 2^20 and k_max >= 0; n_max + k_max <= 996, so
-    the Orlicz inverse arguments 2^-(k_max+n_max) stay above 1e-300; and for
-    Lorentz and l^{p,q} every summed point j 2^n, the beta subgrid's
-    included, stays below 2^63.  The profile reads two dyadic chains of at
-    most n_ext + log2(j_max) + 2 points each, so nothing else needs a bound.
+    n_max >= 1, 1 <= j_max <= 2^20 and k_max >= 0; n_max + k_max <= 996,
+    the range ``spaces._PHI_LOG2_MAX`` in which the Orlicz profile phi(2^k)
+    is served; and for Lorentz and l^{p,q} every summed point j 2^n, the
+    beta subgrid's included, stays below 2^63.  The profile reads two dyadic
+    chains of at most n_ext + log2(j_max) + 2 points each, so nothing else
+    needs a bound.
     """
     if n_max < 1:
         raise ValueError("index_report needs n_max >= 1")
@@ -140,11 +144,8 @@ def _check_window(space: SpaceSpec, n_max: int, j_max: int, k_max: int) -> None:
         raise ValueError("index_report needs 1 <= j_max <= 2^20")
     if k_max < 0:
         raise ValueError("index_report needs k_max >= 0")
-    if n_max + k_max > 996:
-        raise ValueError(
-            "index_report needs n_max + k_max <= 996: inverse arguments "
-            "2^-(k_max+n_max) underflow below 1e-300"
-        )
+    if n_max + k_max > _PHI_LOG2_MAX:
+        raise ValueError(f"index_report needs n_max + k_max <= {_PHI_LOG2_MAX}: {_PHI_RULE}")
     if isinstance(space, (LpQ, Lorentz)):
         j_small, n_ext = _subgrid(n_max, j_max)
         if max(j_max << n_max, j_small << n_ext) >= 1 << 63:
@@ -169,9 +170,9 @@ def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
         U, L = _lorentz_profiles(space, n_max, j_max)
         return U, L, "truncated_sup(quasi)" if quasi else "truncated_sup"
     if isinstance(space, Orlicz):
-        # log2 phi(2^k) = -log2 N^{-1}(2^-k)
-        k = np.arange(0, k_max + n_max + 1, dtype=float)
-        logphi = -np.log2(_orlicz_inverse_vec(space.N, 2.0**-k))
+        # log2 phi(2^k), phi(2^k) the norm of a 2^k-entry indicator
+        logphi = np.log2([_orlicz_phi(space.N, math.ldexp(1.0, k))
+                          for k in range(k_max + n_max + 1)])
         U, L = _ratio_sups(logphi, n_max, window=k_max + 1)
         return U, L, "truncated_sup"
     raise TypeError(f"unknown space spec {space!r}")

@@ -32,11 +32,13 @@ from .spaces import (
     OrliczFn,
     SpaceSpec,
     WeightSeq,
+    _PHI_LOG2_MAX,
+    _PHI_RULE,
     _distinct,
     _json_float,
     _luxemburg,
     _orlicz_from_json,
-    _orlicz_inverse_vec,
+    _orlicz_phi,
     _orlicz_to_json,
     _weight_sums,
     _weights_from_json,
@@ -254,11 +256,13 @@ def lattice_norm(lat: LatticeSpec, a):
 
 def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
     """s_k = ||e_k|| for k = 1..k_max: phi(2^(k-1)) of an EX base, mu_k on
-    WeightedLq.  UN(N) is EX(Orlicz(N)), where one vector solve gives
-    s_k = 1 / N^{-1}(2^(1-k)).  On a Lorentz or finite-q l^{p,q} base
-    phi(2^(k-1)) = W(2^(k-1))^(1/q) is a weight partial sum, all k_max of
-    them from one ``_weight_sums`` call; it takes k_max <= 63, the 63-block
-    cap of ``_ex_norm_sorted``, so the positions stay below 2^63."""
+    WeightedLq.  UN(N) is EX(Orlicz(N)), where s_k is the moment root
+    ``spaces._orlicz_phi``, bit-identical to the UN norm of e_k; it takes
+    k_max <= 997, the Orlicz phi range, checked before any solve.  On a
+    Lorentz or finite-q l^{p,q} base phi(2^(k-1)) = W(2^(k-1))^(1/q) is a
+    weight partial sum, all k_max of them from one ``_weight_sums`` call; it
+    takes k_max <= 63, the 63-block cap of ``_ex_norm_sorted``, so the
+    positions stay below 2^63."""
     if k_max < 1:
         raise ValueError("unit_norms needs k_max >= 1")
     base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
@@ -270,7 +274,10 @@ def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
         sums = _weight_sums(base, np.left_shift(1, np.arange(k_max)))
         return np.array([float(s ** (1.0 / base.q)) for s in sums])
     if isinstance(base, (Orlicz, UN)):
-        return 1.0 / _orlicz_inverse_vec(base.N, 2.0 ** -np.arange(k_max))
+        if k_max > _PHI_LOG2_MAX + 1:
+            raise ValueError(f"unit_norms on an Orlicz base needs k_max <= {_PHI_LOG2_MAX + 1}, "
+                             f"got {k_max}: s_k = phi(2^(k-1)), and {_PHI_RULE}")
+        return np.array([_orlicz_phi(base.N, math.ldexp(1.0, k)) for k in range(k_max)])
     if isinstance(lat, EX):
         return np.array([fundamental_function(lat.base, 1 << k) for k in range(k_max)])
     if isinstance(lat, WeightedLq):

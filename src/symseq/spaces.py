@@ -22,8 +22,9 @@ weights are power weights k^(-theta) or a finite array (``WeightSeq``), and
 an Orlicz function is N(t) = t^p (1 + a |ln t|) (``OrliczFn``), a = 0 for
 t^p.  For that form the Luxemburg modular collapses to a scalar function of
 two moments of the vector, so a norm is one vector pass and a scalar Newton
-solve and never evaluates N; only the inverse N^{-1} (``orlicz_inverse``)
-does, by a bracketed root.
+solve (``_moment_root``) and never evaluates N.  The fundamental function
+phi(n) is the norm of an n-entry indicator, whose moments are n and 0, so
+``_orlicz_phi`` solves it with the same kernel and no vector pass.
 
 Partial sums W(n) of w_k^q (k^(q/p-1) for l^{p,q}) give phi(n) = W(n)^(1/q),
 the index profiles and the Lorentz and l^{p,q} block-lattice norms; their one
@@ -52,7 +53,6 @@ __all__ = [
     "SpaceSpec",
     "norm",
     "fundamental_function",
-    "orlicz_inverse",
     "space_to_json",
     "space_from_json",
 ]
@@ -149,8 +149,9 @@ class OrliczFn:
     needs finite p >= 1 and 0 <= a < p, then probes a fixed 1024-point
     geometric grid on [1e-9, 1] for monotonicity and midpoint convexity and
     aborts on any violation: t^p (1 + a |ln t|) is convex on (0, 1] only for
-    a <= p(p-1)/(2p-1).  Luxemburg norms come from two moments of the vector
-    (see ``_luxemburg``) without calling N; ``orlicz_inverse`` evaluates it.
+    a <= p(p-1)/(2p-1).  Luxemburg norms and the fundamental function come
+    from moments of the vector (see ``_luxemburg``) without calling N; only
+    the probe evaluates it.
     """
 
     p: float
@@ -162,7 +163,8 @@ class OrliczFn:
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "a", float(self.a))
         if not (1.0 <= self.p < math.inf and 0.0 <= self.a < self.p):
-            raise ValueError("OrliczFn needs a finite p >= 1 and 0 <= a < p")
+            raise ValueError(f"OrliczFn needs a finite p >= 1 and 0 <= a < p, "
+                             f"got p = {self.p!r}, a = {self.a!r}")
         g = _ORLICZ_GRID
         vals = self(g)
         if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
@@ -187,8 +189,6 @@ class OrliczFn:
     @staticmethod
     def power(p: float) -> "OrliczFn":
         """N(t) = t^p, finite p >= 1 (t^inf is infinite past 1)."""
-        if not 1.0 <= p < math.inf:
-            raise ValueError(f"power Orlicz profile needs a finite p >= 1, got p = {p!r}")
         return OrliczFn(p)
 
     @staticmethod
@@ -198,8 +198,6 @@ class OrliczFn:
         Convex on (0, 1] only for a <= p(p-1)/(2p-1); the constructor's grid
         probe rejects anything beyond that.  p must be finite.
         """
-        if not math.isfinite(p):
-            raise ValueError(f"power_log Orlicz profile needs a finite p, got p = {p!r}")
         return OrliczFn(p, a)
 
 
@@ -324,50 +322,10 @@ def _powers(s: float, n: int) -> np.ndarray:
     return _keep(_power_tables, s, np.power(np.arange(1, size + 1, dtype=float), s))[:n]
 
 
-# Relative distance a step keeps from either end of a bracket; the solver
-# stops once a bracket is at most twice this wide.
+# Newton in ln v stops once a step is at most this long.
 _ROOT_TOL = 4.0 * np.finfo(float).eps
-
-
-def _bracketed_root(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Solve f(t) = 0 for each entry, returning the admissible end of its bracket.
-
-    f maps positive t to a residual, one independent equation per entry,
-    that increases with t and is nonnegative exactly where t is admissible;
-    lo and hi are positive and every hi is admissible by construction.  Each
-    pass takes an Illinois regula falsi step (Dowell & Jarratt 1971) in
-    log t, where power-type residuals are nearly linear, measured from the
-    nearer end so that rounding cannot carry it out of the bracket.  A
-    non-finite residual or bracket width falls back to the geometric
-    midpoint, and every step keeps a relative distance of _ROOT_TOL from
-    both ends so that one-sided convergence cannot stall.
-    """
-    # non-finite residuals (log 0, overflow in N) are expected and handled
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        flo = f(lo)
-        fhi = np.maximum(f(hi), 0.0)
-        hi = np.where(flo >= 0.0, lo, hi)
-        was_up = was_down = np.zeros(hi.shape, dtype=bool)
-        for _ in range(200):
-            live = hi - lo > 2.0 * _ROOT_TOL * hi
-            if not live.any():
-                break
-            w = np.log(hi / lo)
-            d_lo = w * flo / (flo - fhi)  # secant point is lo e^d_lo = hi e^-d_hi
-            d_hi = w * fhi / (fhi - flo)
-            t = np.where(d_lo < d_hi, lo * np.exp(d_lo), hi * np.exp(-d_hi))
-            t = np.where(np.isfinite(d_lo + d_hi), t, np.sqrt(lo) * np.sqrt(hi))
-            t = np.minimum(np.maximum(t, lo * (1.0 + _ROOT_TOL)), hi * (1.0 - _ROOT_TOL))
-            ft = f(t)
-            up = live & (ft >= 0.0)
-            down = live ^ up
-            # Illinois: an end kept twice in a row has its residual halved
-            flo = np.where(up & was_up, 0.5 * flo, np.where(down, ft, flo))
-            fhi = np.where(down & was_down, 0.5 * fhi, np.where(up, ft, fhi))
-            lo = np.where(down, t, lo)
-            hi = np.where(up, t, hi)
-            was_up, was_down = up, down
-    return hi
+# v^p = e^(p ln v) stays finite while p ln v is at most this.
+_LOG_FLOAT_MAX = 709.0
 
 
 def _luxemburg(
@@ -426,21 +384,50 @@ def _moment_root(p: float, A: float, B: float) -> float:
     precision is lost to the size of ln v.  g = A + B ln v is A itself at
     the start (v = 1) and whenever B = 0, and then ln v is not taken.  A
     bounded nextafter guard moves the float result onto the admissible side.
+
+    The first step s1 = ln A / (p - c), c = B/A, overshoots the root, and
+    for a huge A (phi(2^k) at large k) v^p = e^(p s1) leaves the float
+    range.  Only then does the solve start from s2 = (ln A + ln(1 + c s1))/p
+    instead: h(s1) <= 0 gives s2 <= s1, so h(s2) = ln((1 + c s2)/(1 + c s1))
+    <= 0 and s2 is admissible too, with p s2 = ln A + ln(1 + c s1) in range.
+    A norm never takes that start: c <= a < p/2 gives p s1 < 2 ln A, and
+    A <= sum w <= 2^64.
     """
     log, exp = math.log, math.exp
     v, g = 1.0, A
+    step = log(A) / (p - B / A)
+    if p * step > _LOG_FLOAT_MAX:
+        step = (log(A) + math.log1p(B / A * step)) / p
     for _ in range(64):
-        step = log(g / v**p) / (p - B / g)
         v *= exp(step)
         if abs(step) <= _ROOT_TOL:
             break
         if B:
             g = A + B * log(v)
+        step = log(g / v**p) / (p - B / g)
     for _ in range(16):
         if (A + B * log(v) if B else A) <= v**p:
             break
         v = math.nextafter(v, math.inf)
     return v
+
+
+# phi(2^k) of an Orlicz space is served for k <= _PHI_LOG2_MAX.  Its root s
+# = ln phi has p s = k ln 2 + ln(1 + a s) with a < p/2, so p s < 697 and
+# every Newton iterate of ``_moment_root`` keeps v^p finite.
+_PHI_LOG2_MAX = 996
+_PHI_RULE = f"the Orlicz fundamental function phi(2^k) is served for k <= {_PHI_LOG2_MAX}"
+
+
+def _orlicz_phi(N: OrliczFn, n: float) -> float:
+    """phi(n) = ||e_1 + ... + e_n|| in Orlicz(N), 1 <= n <= 2^_PHI_LOG2_MAX.
+
+    The one producer of the Orlicz fundamental function: the Luxemburg norm
+    of an n-entry indicator, whose moments are S0 = n and S1 = 0, so it is
+    ``_moment_root(p, n, a n)`` and bit-identical to
+    ``norm(Orlicz(N), np.ones(n))``.  Callers check the range.
+    """
+    return _moment_root(N.p, n, N.a * n)
 
 
 def norm(space: SpaceSpec, x) -> float:
@@ -478,33 +465,6 @@ def norm(space: SpaceSpec, x) -> float:
     scale = math.ldexp(1.0, math.frexp(m)[1] - 1)
     a /= scale
     return scale * float(np.add.reduce(a**space.p) ** (1.0 / space.p))
-
-
-def orlicz_inverse(N: OrliczFn, s: float) -> float:
-    """t >= 0 with N(t) = s: a t with N(t) >= s, within ~1e-15 relative of
-    the least one.
-
-    That implies the absolute guarantee |N(t) - s| <= 1e-13 max(1, s).
-    """
-    if s < 0.0 or not math.isfinite(s):
-        raise ValueError("orlicz_inverse needs finite s >= 0")
-    if s == 0.0:
-        return 0.0
-    return float(_orlicz_inverse_vec(N, np.array([s]))[0])
-
-
-def _orlicz_inverse_vec(N: OrliczFn, s: np.ndarray) -> np.ndarray:
-    """N^{-1}(s) for positive s, elementwise.
-
-    Normalized convex N has N(t) <= t on [0, 1] and N(t) >= t beyond, so the
-    inverse lies between s and 1.
-    """
-    s = np.asarray(s, dtype=float)
-
-    def residual(t: np.ndarray) -> np.ndarray:
-        return np.log(N(t) / s)
-
-    return _bracketed_root(residual, np.minimum(s, 1.0), np.maximum(s, 1.0))
 
 
 # Head length of the power-sum kernel, summed term by term; past it, Euler-Maclaurin.
@@ -598,7 +558,10 @@ def fundamental_function(space: SpaceSpec, n: int) -> float:
     if isinstance(space, (LpQ, Lorentz)):
         return float(_weight_sums(space, [n])[0] ** (1.0 / space.q))
     if isinstance(space, Orlicz):
-        return 1.0 / orlicz_inverse(space.N, 1.0 / n)
+        if n > 1 << _PHI_LOG2_MAX:
+            raise ValueError(f"fundamental_function on an Orlicz space needs n <= 2^{_PHI_LOG2_MAX}: "
+                             f"{_PHI_RULE}")
+        return _orlicz_phi(space.N, float(n))
     raise TypeError(f"unknown space spec {space!r}")
 
 

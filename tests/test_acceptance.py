@@ -94,14 +94,14 @@ def test_criterion_05_detects_a_drifting_index_profile(monkeypatch):
 
 
 def test_criterion_05_detects_a_drifting_orlicz_profile(monkeypatch):
-    # N^{-1}(2^-k) (1 + 1e-6 k): the log phi profile gains ~1.44e-6 k, which
+    # phi(2^k) (1 + 1e-6 k): the log phi profile gains ~1.44e-6 k, which
     # moves the Orlicz indices past the 1e-8 round-trip tolerance
-    real = indices._orlicz_inverse_vec
+    real = indices._orlicz_phi
 
-    def drifting(N, s):
-        return real(N, s) * (1.0 + 1e-6 * -np.log2(s))
+    def drifting(N, n):
+        return real(N, n) * (1.0 + 1e-6 * np.log2(n))
 
-    monkeypatch.setattr(indices, "_orlicz_inverse_vec", drifting)
+    monkeypatch.setattr(indices, "_orlicz_phi", drifting)
     r = verify.check_index_round_trips()
     assert not r.passed
     assert r.detail.startswith("orlicz")

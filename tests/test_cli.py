@@ -812,17 +812,12 @@ _ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
 
 
 @functools.cache
-def _load_oracles():
+def _oracles():
+    """perfbench/oracles.py, loaded read-only once; it needs scipy, a test dependency."""
     spec = importlib.util.spec_from_file_location("perfbench_oracles", _ORACLES_PATH)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
-
-
-def _oracles():
-    """perfbench/oracles.py, loaded read-only once; it needs scipy."""
-    pytest.importorskip("scipy")
-    return _load_oracles()
 
 
 SCAN_FUZZ_SPACES = ['{"kind":"lp","p":2}', '{"kind":"lp","p":1}', '{"kind":"lp","p":"inf"}',

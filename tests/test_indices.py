@@ -335,11 +335,9 @@ def test_dyadic_lorentz_profile_matches_the_dense_one(n_max, j_max):
 
 
 def _reference_orlicz_profiles(N, n_max, k_max):
-    """The Orlicz profile as ratios of N^{-1}, with U and L swapped: the
-    reference for the log2 phi(2^k) profile."""
-    loginv = np.log2(
-        spaces._orlicz_inverse_vec(N, 2.0 ** -np.arange(0, k_max + n_max + 1, dtype=float))
-    )
+    """The Orlicz profile as ratios of N^{-1}(2^-k) = 1 / phi(2^k), with U
+    and L swapped: the reference for the log2 phi(2^k) profile."""
+    loginv = -np.log2([spaces._orlicz_phi(N, 2.0**k) for k in range(k_max + n_max + 1)])
     L, U = indices._ratio_sups(loginv, n_max, window=k_max + 1)
     return U, L
 
@@ -394,8 +392,8 @@ def test_chain_profiles_are_bit_identical_to_the_sup_loops(monkeypatch):
 @pytest.mark.parametrize("n_max, k_max", [(16, 200), (12, 120), (20, 200), (1, 0), (5, 10),
                                           (40, 956)])
 def test_orlicz_log_phi_profile_is_bit_identical_to_the_inverse_ratios(n_max, k_max):
-    # log2 phi(2^k) = -log2 N^{-1}(2^-k): negation is exact, so the sups of
-    # phi are the swapped sups of N^{-1} bit for bit
+    # log2 N^{-1}(2^-k) = -log2 phi(2^k) of the one phi producer: negation
+    # is exact, so the sups of phi are the swapped sups of N^{-1} bit for bit
     for N in (OrliczFn.power(1.5), OrliczFn.power(3.0), OrliczFn.power(1.0),
               OrliczFn.power_log(2.0, 0.6), OrliczFn.power_log(3.0, 0.3)):
         U, L, _ = indices._profiles(Orlicz(N), n_max, 1, k_max)

@@ -30,7 +30,6 @@ from symseq.spaces import (
     WeightSeq,
     fundamental_function,
     norm,
-    orlicz_inverse,
     power_weights,
 )
 from symseq.operators import BlockEmbed, apply_array
@@ -244,11 +243,32 @@ def test_a_fortran_ordered_stack_is_read_as_c_contiguous_rows(lat):
 
 
 @pytest.mark.parametrize("N", _ROW_NS.values(), ids=_ROW_NS.keys())
-def test_un_and_ex_orlicz_unit_norms_are_one_inverse_solve(N):
+def test_un_and_ex_orlicz_unit_norms_are_the_norms_of_unit_vectors(N):
+    # s_k = ||e_k|| = phi(2^(k-1)), bit for bit on all three routes
     un = unit_norms(UN(N), 64)
     ex = unit_norms(EX(Orlicz(N)), 64)
-    want = np.array([1.0 / orlicz_inverse(N, 2.0 ** -k) for k in range(64)])
-    assert un.tobytes() == ex.tobytes() == want.tobytes()
+    eye = lattice_norm(UN(N), np.eye(64))
+    phi = np.array([fundamental_function(Orlicz(N), 1 << k) for k in range(64)])
+    assert un.tobytes() == ex.tobytes() == eye.tobytes() == phi.tobytes()
+    for k in (1, 2, 7, 63):
+        assert unit_norms(UN(N), k).tobytes() == lattice_norm(UN(N), np.eye(k)).tobytes()
+
+
+def test_orlicz_unit_norms_refuse_k_max_past_997_before_any_solve(monkeypatch):
+    # s_997 = phi(2^996), the last value of the Orlicz phi range
+    N = OrliczFn.power_log(2.0, 0.6)
+    s = unit_norms(UN(N), 997)
+    assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0.0) and s[-1] > 1e150
+    assert s.tobytes() == unit_norms(EX(Orlicz(N)), 997).tobytes()
+
+    def no_solve(N, n):
+        raise AssertionError("phi was solved past the range")
+
+    monkeypatch.setattr(lattices, "_orlicz_phi", no_solve)
+    for lat in (UN(N), EX(Orlicz(N))):
+        for call in (lambda: unit_norms(lat, 998), lambda: shift_exponents(lat, k_max=1100)):
+            with pytest.raises(ValueError, match=r"needs k_max <= 997, got \d+: .* served for k <= 996"):
+                call()
 
 
 def test_a_space_is_not_a_lattice():

@@ -1,10 +1,11 @@
-"""The Orlicz solvers against the bisection loops they replaced and each other.
+"""The Orlicz moment solver against the bisection loops it replaced.
 
 The three functions below are the earlier bisection implementations, kept
 verbatim as the reference: ``_luxemburg`` and ``_un_luxemburg`` stop at a
 bracket of 1e-12 relative, ``_orlicz_inverse_vec`` at 1e-14.  The moment
-path is checked against ``_modular_luxemburg``, a bracketed root of the
-modular itself that evaluates N at every step.
+path is checked against ``_modular_luxemburg``, a bisection of the modular
+itself that evaluates N at every step, and the fundamental function
+phi(n) = 1 / N^{-1}(1/n) against ``_orlicz_inverse_vec``.
 """
 
 import math
@@ -13,8 +14,16 @@ import numpy as np
 import pytest
 
 from symseq import spaces
-from symseq.lattices import EX, UN, lattice_norm
-from symseq.spaces import Orlicz, OrliczFn, norm, orlicz_inverse, space_from_json, space_to_json
+from symseq.indices import index_report
+from symseq.lattices import EX, UN, lattice_norm, shift_exponents, unit_norms
+from symseq.spaces import (
+    Orlicz,
+    OrliczFn,
+    fundamental_function,
+    norm,
+    space_from_json,
+    space_to_json,
+)
 from symseq.verify import BUILTIN_SPACES
 
 ORLICZ_FNS = [(lbl, sp.N) for lbl, sp in BUILTIN_SPACES if isinstance(sp, Orlicz)]
@@ -110,19 +119,22 @@ def _orlicz_inverse_vec(N: OrliczFn, s: np.ndarray) -> np.ndarray:
 
 
 def _modular_luxemburg(N: OrliczFn, a: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for nonnegative a, solved by
-    ``spaces._bracketed_root`` on the log of the modular of b = a / max(a),
-    for v in [1, sum w_k b_k], evaluating N at every step."""
+    """inf{u > 0 : sum_k w_k N(a_k / u) <= 1} for nonnegative a: geometric
+    bisection of v in [1, sum w_k b_k] on the modular of b = a / max(a),
+    evaluating N at every step, to a bracket of 2 _ROOT_TOL relative."""
     m = float(np.maximum.reduce(a, initial=0.0))
     if m == 0.0:
         return 0.0
     b = a / m
     w = 1.0 if weights is None else weights
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        return -np.log(np.sum(w * N(b / v[:, None]), axis=1))
-
-    return m * float(spaces._bracketed_root(residual, np.ones(1), np.array([np.sum(w * b)]))[0])
+    lo, hi = 1.0, float(np.sum(w * b))
+    while hi - lo > 2.0 * spaces._ROOT_TOL * hi:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if np.sum(w * N(b / mid)) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return m * hi
 
 
 # agreement -------------------------------------------------------------------
@@ -154,31 +166,43 @@ def test_un_norm_matches_bisection(label, N):
         assert lattice_norm(lat, a) == pytest.approx(want, rel=2e-12)
 
 
+def _phi(N: OrliczFn) -> np.ndarray:
+    """phi(2^k) for k <= 996, the whole range the Orlicz phi rule serves."""
+    return np.array([spaces._orlicz_phi(N, math.ldexp(1.0, k)) for k in range(spaces._PHI_LOG2_MAX + 1)])
+
+
 @pytest.mark.parametrize("label,N", ORLICZ_FNS)
 def test_orlicz_inverse_matches_bisection(label, N):
-    s = 2.0 ** -np.arange(0, 997, dtype=float)
-    got = spaces._orlicz_inverse_vec(N, s)
-    want = _orlicz_inverse_vec(N, s)
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    # 1 / phi(2^k) is N^{-1}(2^-k); the bisection reference is only 1e-14
+    # tight, so the bound is its bracket plus the solver's 4 _ROOT_TOL
+    got = 1.0 / _phi(N)
+    want = _orlicz_inverse_vec(N, 2.0 ** -np.arange(0, spaces._PHI_LOG2_MAX + 1, dtype=float))
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14 + 4.0 * spaces._ROOT_TOL
 
 
-def test_orlicz_inverse_is_a_one_element_solve():
-    N = OrliczFn.power_log(2.0, 0.6)
-    for s in (1e-300, 1e-9, 0.5, 1.0, 3.0):
-        assert spaces.orlicz_inverse(N, s) == spaces._orlicz_inverse_vec(N, np.array([s]))[0]
-    assert spaces.orlicz_inverse(N, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        spaces.orlicz_inverse(N, math.inf)
+def _phi_sweep():
+    """p from 1 to 50 with a = 0, half and 0.999 of the convexity bound
+    p(p-1)/(2p-1), and two log factors whose first Newton step overflowed."""
+    for p in (1.0, 1.01, 1.5, 2.0, 3.0, 6.0, 20.0, 50.0):
+        a_max = p * (p - 1.0) / (2.0 * p - 1.0)
+        for a in sorted({0.0, 0.5 * a_max, 0.999 * a_max}):
+            yield OrliczFn.power_log(p, a) if a else OrliczFn.power(p)
+    yield OrliczFn.power_log(2.0, 0.6)
+    yield OrliczFn.power_log(1.2, 0.12)
 
 
 def test_solver_returns_the_admissible_end():
-    # N(t) >= s at the returned t, and the bracket below it is tight
-    N = OrliczFn.power(3.0)
-    s = np.geomspace(1e-300, 1e300, 301)
-    t = spaces._orlicz_inverse_vec(N, s)
-    assert np.all(N(t) >= s)
-    below = t * (1.0 - 4.0 * spaces._ROOT_TOL)
-    assert np.all(N(below) < s)
+    # 2^k N(1/phi(2^k)) <= 1 at every k <= 996, and phi (1 - 8 _ROOT_TOL)
+    # is not admissible; the sweep takes the guarded start wherever the
+    # first Newton step would put v^p past the float range
+    guarded = 0
+    for N in _phi_sweep():
+        phi, n = _phi(N), 2.0 ** np.arange(0, spaces._PHI_LOG2_MAX + 1)
+        assert np.all(n * N(1.0 / phi) <= 1.0 + 1e-14), N
+        assert np.all(n * N(1.0 / (phi * (1.0 - 8.0 * spaces._ROOT_TOL))) > 1.0), N
+        first = N.p * np.log(n) / (N.p - N.a)  # p s1 for A = n, B = a n
+        guarded += np.count_nonzero(first > spaces._LOG_FLOAT_MAX)
+    assert guarded > 1000
 
 
 # the moment path of the built-in functions -----------------------------------
@@ -244,26 +268,38 @@ def test_builtin_norms_never_evaluate_N(label, N, monkeypatch):
     norm(Orlicz(N), x)
     lattice_norm(UN(N), a)
     lattice_norm(EX(Orlicz(N)), a)
+    index_report(Orlicz(N))
+    fundamental_function(Orlicz(N), 1000)
+    unit_norms(UN(N), 64)
+    unit_norms(EX(Orlicz(N)), 64)
+    shift_exponents(UN(N))
     assert calls == []
 
 
-def test_only_the_inverse_takes_a_bracketed_root(monkeypatch):
+def test_every_orlicz_root_is_a_moment_root(monkeypatch):
+    # norms, the fundamental function, unit norms and the index profile:
+    # one _moment_root call per value
     solves = []
 
-    def counting(f, lo, hi):
-        solves.append(lo.size)
-        return bracketed(f, lo, hi)
+    def counting(p, A, B):
+        solves.append(A)
+        return moment_root(p, A, B)
 
-    bracketed = spaces._bracketed_root
-    monkeypatch.setattr(spaces, "_bracketed_root", counting)
+    moment_root = spaces._moment_root
+    monkeypatch.setattr(spaces, "_moment_root", counting)
     for N in (OrliczFn.power(3.0), OrliczFn.power_log(3.0, 0.3)):
         solves.clear()
         norm(Orlicz(N), [3.0, 4.0])
         lattice_norm(UN(N), [1.0, 0.0, 2.0])
-        lattice_norm(EX(Orlicz(N)), [1.0, 0.0, 2.0])
-        assert solves == []
-        orlicz_inverse(N, 0.5)
-        assert solves == [1]
+        lattice_norm(EX(Orlicz(N)), [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [5.0, 1.0, 0.0]])
+        assert len(solves) == 4  # the zero row takes no solve
+        solves.clear()
+        fundamental_function(Orlicz(N), 12)
+        unit_norms(UN(N), 5)
+        assert solves == [12.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+        solves.clear()
+        index_report(Orlicz(N), n_max=2, k_max=3)
+        assert solves == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
     N = OrliczFn.power(3.0)
     assert norm(Orlicz(N), [3.0, 4.0]) == pytest.approx(91.0 ** (1 / 3), rel=1e-14)
     assert lattice_norm(UN(N), [1.0, 0.0, 2.0]) == pytest.approx(33.0 ** (1 / 3), rel=1e-14)

@@ -26,7 +26,6 @@ from symseq.spaces import (
     WeightSeq,
     fundamental_function,
     norm,
-    orlicz_inverse,
     power_weights,
     space_from_json,
     space_to_json,
@@ -439,7 +438,8 @@ def test_fundamental_function_closed_forms():
     for n in (1, 4, 9):
         want = np.sum(w.values(n) ** 1.0)
         assert abs(fundamental_function(Lorentz(1.0, w), n) - want) < 1e-12
-    # Orlicz: phi(n) = 1 / N^{-1}(1/n); for t^p that is n^{1/p}
+    # Orlicz: phi(n) = 1 / N^{-1}(1/n), the norm of an indicator; for t^p
+    # that is n^{1/p}
     for n in (1, 2, 8):
         got = fundamental_function(Orlicz(OrliczFn.power(2.0)), n)
         assert abs(got - n**0.5) < 1e-10
@@ -455,10 +455,24 @@ def test_fundamental_function_matches_indicator_norm():
 
 
 def test_orlicz_inverse_inverts():
+    # N^{-1}(s) = 1 / phi(1/s)
     N = OrliczFn.power_log(2.0, 0.6)
     for u in np.geomspace(1e-8, 1.0, 64):
         s = float(N(np.array([u]))[0])
-        assert orlicz_inverse(N, s) == pytest.approx(u, rel=1e-9)
+        assert 1.0 / spaces._orlicz_phi(N, 1.0 / s) == pytest.approx(u, rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [OrliczFn.power(1.0), OrliczFn.power(1.5), OrliczFn.power(3.0),
+                               OrliczFn.power_log(2.0, 0.6), OrliczFn.power_log(2.0, 2.0 / 3.0)],
+                         ids=["t", "t1.5", "t3", "t2_log", "edge"])
+def test_orlicz_phi_is_the_norm_of_an_indicator(N):
+    # moments S0 = n and S1 = 0: the same Newton solve, bit for bit
+    for n in [*range(1, 41), 1000, 4096, 12345]:
+        assert fundamental_function(Orlicz(N), n) == norm(Orlicz(N), np.ones(n)), n
+    top = fundamental_function(Orlicz(N), 1 << 996)
+    assert math.isfinite(top) and top == spaces._orlicz_phi(N, 2.0**996)
+    with pytest.raises(ValueError, match=r"needs n <= 2\^996: .* served for k <= 996"):
+        fundamental_function(Orlicz(N), (1 << 996) + 1)
 
 
 # weights and constructors ---------------------------------------------------
@@ -505,9 +519,9 @@ def test_weight_and_parameter_validation():
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
 def test_orlicz_powers_refuse_a_non_finite_p(p):
     # t^inf is infinite past 1: no Orlicz function
-    with pytest.raises(ValueError, match=f"power Orlicz profile needs a finite p >= 1, got p = {p}"):
+    with pytest.raises(ValueError, match=f"OrliczFn needs a finite p >= 1 and 0 <= a < p, got p = {p}, a = 0.0"):
         OrliczFn.power(p)
-    with pytest.raises(ValueError, match=f"power_log Orlicz profile needs a finite p, got p = {p}"):
+    with pytest.raises(ValueError, match=f"OrliczFn needs a finite p >= 1 and 0 <= a < p, got p = {p}, a = 0.6"):
         OrliczFn.power_log(p, 0.6)
 
 

@@ -560,6 +560,21 @@ def test_shift_identity_exact(lam, n, j):
     assert shift_identity_check(lam, n, j)
 
 
+@pytest.mark.parametrize("lam", [0.4, 0.9, 1.0, 1.3, 2.5, np.float64(1.7)])
+@pytest.mark.parametrize("n, j", [(1, 1), (3, 2), (6, 4)])
+def test_shift_identity_float(lam, n, j):
+    # a float lam takes the 1e-10 relative branch
+    assert shift_identity_check(lam, n, j)
+
+
+def test_shift_identity_float_detects_a_wrong_identity(monkeypatch):
+    # (tau_1 - lam)^2 applied 1e-6 off telescopes to the wrong vector
+    real = spectral.apply_array
+    monkeypatch.setattr(spectral, "apply_array", lambda op, a: real(op, a) * (1.0 + 1e-6))
+    for lam, n, j in ((0.9, 3, 2), (1.3, 1, 1), (2.5, 6, 4)):
+        assert not shift_identity_check(lam, n, j)
+
+
 @settings(max_examples=60)
 @given(lam_fracs, st.lists(coef_fracs, min_size=1, max_size=12))
 def test_moment_annihilates_solvable_data(lam, a):
