@@ -16,7 +16,8 @@ the orbit of e_{1/6} to sums of unit coordinates whose supports are pairwise
 disjoint across distinct (j,k) powers (a 2-3 divisibility argument, checked
 here exhaustively in exact arithmetic).  Disjointness turns l^p norms of
 orbit combinations into counting, which yields simultaneous approximate
-eigenvectors u_n for both dilation bases with residuals (2/n)^{1/p}.
+eigenvectors u_n for both dilation bases with residuals (2/n)^{1/p};
+``branching_witness`` computes them on orbit coefficients alone.
 Every key of the orbit up to powers (J, K) is an integer over the single
 denominator 6 2^J 3^K, so one kernel, ``_dilate``, runs the dilations on
 int64 numerators: base-b dilation is (a + i*den) // b, exact because b
@@ -200,6 +201,8 @@ class BranchingReport:
     d2_predicted: float
     d3_predicted: float
     support: int
+    # always False, since no route materializes u_n; kept because the
+    # benchmark tracer (perfbench/tracing.py) reads it off every witness
     materialized: bool
 
 
@@ -215,17 +218,17 @@ def _orbit_norm_p(coef: np.ndarray, p: float) -> float:
     return float(np.sum(mass) ** (1.0 / p))
 
 
-def branching_witness(p: float, n: int, materialize: bool | None = None) -> BranchingReport:
+def branching_witness(p: float, n: int) -> BranchingReport:
     """Simultaneous approximate eigenvector for both rational dilations.
 
     u_n = n^{-2/p} sum_{j,k=1}^{n} 2^{-j/p} 3^{-k/p} (orbit at powers (j,k)).
     Returns ||2^{-1/p} D2 u_n - u_n|| and ||3^{-1/p} D3 u_n - u_n|| in l^p;
     the telescoping boundary layers make both equal (2/n)^{1/p} exactly.
-    For n <= 5 the vectors are materialized on their rational supports, as
-    int64 numerators over one denominator, and D2, D3 are applied as
-    written; beyond that the orbit-coefficient representation is used
-    (identical numbers, by disjointness).  Tests hold the coefficient route
-    to the materialized one.  n is capped at 256: the smallest atom mass
+    Everything is computed on the n x n orbit coefficients: by disjointness
+    D2 and D3 bump the orbit powers j and k, and an l^p norm is a count
+    weighted by the orbit cardinalities 2^j 3^k.  The tests hold this route
+    to a reference that materializes u_n on its rational supports and
+    applies D2, D3 as written.  n is capped at 256: the smallest atom mass
     |c|^p = n^-2 2^-n 3^-n leaves the normal floats near n = 388, and the
     coefficient arrays and the support sum grow as n^2.
     """
@@ -233,60 +236,23 @@ def branching_witness(p: float, n: int, materialize: bool | None = None) -> Bran
         raise ValueError("branching_witness needs 1 <= n <= 256")
     if not 1 <= p < math.inf:
         raise ValueError("branching_witness needs 1 <= p < inf")
-    if materialize is None:
-        materialize = n <= 5
     predicted = (2.0 / n) ** (1.0 / p)
     support = sum(2**j * 3**k for j in range(1, n + 1) for k in range(1, n + 1))
-    scale = float(n) ** (-2.0 / p)
-
-    if materialize:
-        # keys over den = 6 2^{n+1} 3^{n+1}, so D2 u and D3 u stay exact too
-        den = 6 * 2 ** (n + 1) * 3 ** (n + 1)
-        nums, coefs = [], []
-        for (j, k), (num, coef) in _orbits(n, n, den):
-            nums.append(num)
-            coefs.append(scale * 2.0 ** (-j / p) * 3.0 ** (-k / p) * coef)
-        u_num, u = _merge(np.concatenate(nums), np.concatenate(coefs))
-        res = []
-        for base in (2, 3):
-            d_num, d = _dilate(base, u_num, u, den)
-            damped = base ** (-1.0 / p) * d
-            diff = _merge(np.concatenate((d_num, u_num)), np.concatenate((damped, -u)))[1]
-            res.append(float(np.sum(np.abs(diff) ** p) ** (1.0 / p)))
-        return BranchingReport(
-            p=p,
-            n=n,
-            norm_value=float(np.sum(u**p) ** (1.0 / p)),
-            d2_residual=res[0],
-            d3_residual=res[1],
-            d2_predicted=predicted,
-            d3_predicted=predicted,
-            support=u_num.size,
-            materialized=True,
-        )
-
     j = np.arange(1, n + 1, dtype=float)
-    k = np.arange(1, n + 1, dtype=float)
-    coef = scale * np.outer(2.0 ** (-j / p), 3.0 ** (-k / p))
-    norm_value = _orbit_norm_p(coef, p)
+    coef = float(n) ** (-2.0 / p) * np.outer(2.0 ** (-j / p), 3.0 ** (-j / p))
 
-    def residual(axis: int, damp_base: float) -> float:
-        # damp * (orbit power bump along axis) - identity, on coefficients
-        ext = [n + 1, n] if axis == 0 else [n, n + 1]
-        diff = np.zeros(ext)
-        damp = damp_base ** (-1.0 / p)
-        if axis == 0:
-            diff[1:, :] += damp * coef
-            diff[:n, :] -= coef
-        else:
-            diff[:, 1:] += damp * coef
-            diff[:, :n] -= coef
-        return _orbit_norm_p(diff, p)
+    def residual(axis: int, base: float) -> float:
+        # base^{-1/p} (orbit powers bumped by one along axis) - u_n
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (1, 0)
+        bumped = np.pad(base ** (-1.0 / p) * coef, pad)
+        pad[axis] = (0, 1)
+        return _orbit_norm_p(bumped - np.pad(coef, pad), p)
 
     return BranchingReport(
         p=p,
         n=n,
-        norm_value=norm_value,
+        norm_value=_orbit_norm_p(coef, p),
         d2_residual=residual(0, 2.0),
         d3_residual=residual(1, 3.0),
         d2_predicted=predicted,

@@ -9,6 +9,7 @@ phi(n) = 1 / N^{-1}(1/n) against ``_orlicz_inverse_vec``.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,7 +316,7 @@ def test_power_functions_take_no_logarithm(monkeypatch):
     def solve(N):
         return norm(Orlicz(N), stack[0]), lattice_norm(UN(N), stack[0]), lattice_norm(UN(N), stack).tobytes()
 
-    Ns = [OrliczFn.power(p) for p in (1.0, 1.5, 3.0)]  # construction probes with np.log
+    Ns = [OrliczFn.power(p) for p in (1.0, 1.5, 3.0)]
     before = [solve(N) for N in Ns]
     with_log = OrliczFn.power_log(2.0, 0.6)
     logs = []
@@ -361,6 +362,42 @@ def test_moment_form_must_match_the_callable():
             OrliczFn(p, a)
     with pytest.raises(ValueError, match="convexity"):
         OrliczFn.power_log(2.0, 0.7)
+
+
+# (p, a) just under the largest a that the earlier 1024-point convexity
+# probe accepted, found by bisecting it: each N is non-convex just below
+# t = 1, and each is now refused, as is the midpoint of each gap
+_PROBE_ADMITTED = [(1.0, 1.969e-8), (1.01, 0.0099029), (1.5, 0.376424), (2.0, 0.671179),
+                   (3.0, 1.214676), (6.0, 2.803876), (20.0, 10.769694), (50.0, 32.114055)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 2.0, 3.0, 6.0, 20.0, 50.0])
+def test_convexity_rule_holds_its_edge_to_one_step(p):
+    # the edge is the float quotient p(p-1)/(2p-1); at these p it rounds to
+    # at or below the exact bound, so every accepted a is convex exactly
+    edge = p * (p - 1.0) / (2.0 * p - 1.0)
+    exact = Fraction(p) * (Fraction(p) - 1) / (2 * Fraction(p) - 1)
+    assert Fraction(edge) <= exact < Fraction(math.nextafter(edge, math.inf))
+    assert OrliczFn.power_log(p, edge).a == edge
+    below = math.nextafter(edge, -math.inf)
+    if below >= 0.0:
+        assert OrliczFn.power_log(p, below).a == below
+    else:  # p = 1: the edge is a = 0, and below it the range rule refuses
+        with pytest.raises(ValueError, match="0 <= a < p"):
+            OrliczFn.power_log(p, below)
+    above = math.nextafter(edge, math.inf)
+    with pytest.raises(ValueError, match="convexity") as err:
+        OrliczFn.power_log(p, above)
+    assert f"p = {p!r}, a = {above!r}" in str(err.value) and f"= {edge!r}" in str(err.value)
+
+
+def test_convexity_rule_refuses_what_the_grid_probe_let_through():
+    for p, probe_max in _PROBE_ADMITTED:
+        for a in (probe_max, (probe_max + p * (p - 1.0) / (2.0 * p - 1.0)) / 2.0):
+            with pytest.raises(ValueError, match="convexity"):
+                OrliczFn.power_log(p, a)
+    with pytest.raises(ValueError, match="convexity"):
+        OrliczFn.power_log(1.0, 5e-324)
 
 
 def test_builtin_orlicz_spaces_round_trip_through_json():

@@ -10,8 +10,10 @@ optimum) and within a modest factor of it (frozen after an oracle run).
 verbatim as the exact reference for the int64 kernel ``_dilate``; likewise
 ``ambient_vn`` and ``ambient_scan_residual`` are the earlier materialized
 doubling-orbit witness and scan evaluation, the references for the
-block-coordinate residual; ``reference_ex_norm_lp`` is the earlier scalar
-l^p block norm, the reference for the row-wise one.
+block-coordinate residual; ``materialized_un`` is the earlier materialized
+branch of ``branching_witness``, the reference for its orbit-coefficient
+route; ``reference_ex_norm_lp`` is the earlier scalar l^p block norm, the
+reference for the row-wise one.
 """
 
 import math
@@ -31,6 +33,7 @@ from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, norm, power_weight
 from symseq.spectral import (
     WitnessReport,
     _dilate,
+    _merge,
     _orbits,
     branching_witness,
     check_disjoint_supports,
@@ -278,15 +281,38 @@ def test_un_residuals_and_norm():
             assert rep.d2_predicted == rep.d3_predicted == pytest.approx(want)
 
 
+# The earlier materialized branch of branching_witness, kept verbatim: it
+# builds u_n on its rational supports, as int64 numerators over one
+# denominator, and applies D2, D3 as written.
+def materialized_un(p: float, n: int) -> tuple[float, float, float, int]:
+    """(norm, D2 residual, D3 residual, support size) of the materialized u_n."""
+    scale = float(n) ** (-2.0 / p)
+    # keys over den = 6 2^{n+1} 3^{n+1}, so D2 u and D3 u stay exact too
+    den = 6 * 2 ** (n + 1) * 3 ** (n + 1)
+    nums, coefs = [], []
+    for (j, k), (num, coef) in _orbits(n, n, den):
+        nums.append(num)
+        coefs.append(scale * 2.0 ** (-j / p) * 3.0 ** (-k / p) * coef)
+    u_num, u = _merge(np.concatenate(nums), np.concatenate(coefs))
+    res = []
+    for base in (2, 3):
+        d_num, d = _dilate(base, u_num, u, den)
+        damped = base ** (-1.0 / p) * d
+        diff = _merge(np.concatenate((d_num, u_num)), np.concatenate((damped, -u)))[1]
+        res.append(float(np.sum(np.abs(diff) ** p) ** (1.0 / p)))
+    return float(np.sum(u**p) ** (1.0 / p)), res[0], res[1], u_num.size
+
+
 def test_un_orbit_and_materialized_paths_agree():
-    for p in (1.0, 2.0):
-        for n in (1, 2, 3):
-            fast = branching_witness(p, n, materialize=False)
-            slow = branching_witness(p, n, materialize=True)
-            assert slow.materialized and not fast.materialized
-            assert fast.norm_value == pytest.approx(slow.norm_value, rel=1e-11)
-            assert fast.d2_residual == pytest.approx(slow.d2_residual, rel=1e-11)
-            assert fast.d3_residual == pytest.approx(slow.d3_residual, rel=1e-11)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for n in range(1, 6):
+            rep = branching_witness(p, n)
+            norm_value, d2, d3, support = materialized_un(p, n)
+            assert not rep.materialized
+            assert rep.support == support
+            assert rep.norm_value == pytest.approx(norm_value, rel=1e-15, abs=0.0)
+            assert rep.d2_residual == pytest.approx(d2, rel=1e-15, abs=0.0)
+            assert rep.d3_residual == pytest.approx(d3, rel=1e-15, abs=0.0)
 
 
 def test_un_holds_its_closed_form_up_to_the_cap():
