@@ -34,6 +34,7 @@ from .spaces import (
     WeightSeq,
     _PHI_LOG2_MAX,
     _PHI_RULE,
+    _SUM_BITS,
     _distinct,
     _json_float,
     _luxemburg,
@@ -184,7 +185,9 @@ def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray, m: np.ndarray) -> np.
     row, c_1 >= c_2 >= ..., run i ending at P_i < 2^63: the norm is (sum c_i^q
     (W(P_i) - W(P_{i-1})))^(1/q), or max c_i P_i^(1/p) for q = inf.  Rows
     are scaled by their maxima m as in ``_descending``, and all of them
-    share one ``_weight_sums`` call.
+    share one ``_weight_sums`` call.  The sum is below 2^q W(P_last), so
+    past q + log2 W(P_last) > 1023 (``spaces._SUM_BITS``) each row is
+    scaled by its max itself and c <= 1.
     """
     if rows.shape[1] > 63:
         raise ValueError("EX norm needs at most 63 blocks (run ends below 2^63)")
@@ -197,7 +200,11 @@ def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray, m: np.ndarray) -> np.
     live = c > 0.0  # zeros sort last and add nothing
     pts = _distinct(ends[live])
     w = np.zeros(c.shape)
-    w[live] = _weight_sums(base, pts)[np.searchsorted(pts, ends[live])]
+    sums = _weight_sums(base, pts)  # increasing, so W(P_last) = sums[-1]
+    w[live] = sums[np.searchsorted(pts, ends[live])]
+    if sums.size and base.q + math.log2(sums[-1]) > _SUM_BITS:
+        top = np.where(m > 0.0, m / scale, 1.0)  # c[:, 0], or 1 on a zero row
+        c, scale = c / top[:, None], scale * top
     s = np.sum(c**base.q * np.diff(w, axis=1, prepend=0.0), axis=1)
     return scale * s ** (1.0 / base.q)
 
@@ -243,10 +250,15 @@ def lattice_norm(lat: LatticeSpec, a):
         out = _ex_norm_orlicz(base.N, rows, m)
     elif isinstance(lat, WeightedLq):
         # each row of mu |a| is scaled as in _descending before the power,
-        # so no term over- or underflows where the norm is representable (inf past it)
+        # so no term over- or underflows where the norm is representable (inf
+        # past it); past the spaces._SUM_BITS rule, by its max as in _max_scaled
         with np.errstate(over="ignore"):
             v = rows * lat.weights(rows.shape[1])
-            scale = np.ldexp(1.0, np.frexp(v.max(axis=1, initial=0.0))[1] - 1)
+            top = v.max(axis=1, initial=0.0)
+            if lat.q + 63.0 > _SUM_BITS and lat.q + math.log2(max(v.shape[1], 1)) > _SUM_BITS:
+                scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
+            else:
+                scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
             s = np.add.reduce((v / scale[:, None]) ** lat.q, axis=1)
         out = [c * t ** (1.0 / lat.q) for c, t in zip(scale.tolist(), s.tolist())]
     else:

@@ -213,11 +213,6 @@ def _vector(x) -> np.ndarray | _Exact:
     return np.asarray(x, dtype=float)
 
 
-def _exact_scalar(v) -> Fraction | None:
-    """``v`` as a Fraction if it is an int or a Fraction, else None."""
-    return Fraction(v) if isinstance(v, (int, Fraction)) else None
-
-
 def _doubled(x: np.ndarray) -> np.ndarray:
     """``D x``: a zero, then each entry twice."""
     return np.concatenate([np.zeros(1, dtype=x.dtype), np.repeat(x, 2)])

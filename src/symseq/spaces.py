@@ -322,6 +322,21 @@ def _powers(s: float, n: int) -> np.ndarray:
     return _keep(_power_tables, s, np.power(np.arange(1, size + 1, dtype=float), s))[:n]
 
 
+# A sum of n terms v^q with every v < 2 stays below 2^1023, and finite, while
+# q + log2(n) <= _SUM_BITS: the power-of-two scale of ``_descending`` serves
+# those sums.  Past the rule a norm scales by the largest term itself
+# (``_max_scaled``).  Arrays hold n < 2^63 entries, so the rule holds at
+# every length while q + 63 <= _SUM_BITS, and the norms test that first.
+_SUM_BITS = 1023.0
+
+
+def _max_scaled(v: np.ndarray, q: float, top: float) -> float:
+    """(sum v_k^q)^(1/q) for v >= 0 with max v = top > 0, as top (sum
+    (v_k/top)^q)^(1/q): the sum lies in [1, len v], so no term overflows
+    and the largest one is exact, at any q."""
+    return top * float(np.add.reduce((v / top) ** q) ** (1.0 / q))
+
+
 # Newton in ln v stops once a step is at most this long.
 _ROOT_TOL = 4.0 * np.finfo(float).eps
 # v^p = e^(p ln v) stays finite while p ln v is at most this.
@@ -442,6 +457,13 @@ def norm(space: SpaceSpec, x) -> float:
     (|x| / scale)^p for the same power of two scale, and l^inf is the max;
     Orlicz hands the max to ``_luxemburg``.  Either way wide-magnitude
     inputs stay finite.
+
+    Sums of powers q of entries below 2 stay finite while q + log2(len x)
+    <= 1023, ``_SUM_BITS`` (q + max(1, q/p) log2(len x) for l^{p,q}, whose
+    weights sum to at most len^max(1, q/p)).  Past that rule the terms are
+    scaled by the largest of them instead (``_max_scaled``), the l^{p,q}
+    weights folded in first as (b_k k^(1/p-1/q))^q.  Lorentz array weights
+    above 1 are not counted by the rule.
     """
     if isinstance(space, (LpQ, Lorentz)):
         b, scale = _descending(x)
@@ -450,11 +472,19 @@ def norm(space: SpaceSpec, x) -> float:
         if isinstance(space, LpQ):
             if space.q == math.inf:
                 return scale * float(np.max(b * _powers(1.0 / space.p, b.size)))
-            s = np.add.reduce(b ** space.q * _powers(space.q / space.p - 1.0, b.size))
-            return scale * float(s ** (1.0 / space.q))
+            q, p = space.q, space.p
+            # max(1, q/p) <= q, so below q = _SUM_BITS/64 the rule holds at every length
+            if 64.0 * q > _SUM_BITS and q + max(1.0, q / p) * math.log2(b.size) > _SUM_BITS:
+                v = b * _powers(1.0 / p - 1.0 / q, b.size)
+                return scale * _max_scaled(v, q, float(np.max(v)))
+            s = np.add.reduce(b**q * _powers(q / p - 1.0, b.size))
+            return scale * float(s ** (1.0 / q))
         theta = space.w.theta
         w = space.w.values(b.size) if theta is None else _powers(-theta, b.size)
-        return scale * float(np.add.reduce((b * w) ** space.q) ** (1.0 / space.q))
+        v = b * w  # nonincreasing, so v[0] is the largest term
+        if space.q + 63.0 > _SUM_BITS and space.q + math.log2(b.size) > _SUM_BITS:
+            return scale * _max_scaled(v, space.q, float(v[0]))
+        return scale * float(np.add.reduce(v ** space.q) ** (1.0 / space.q))
     a, m = _magnitudes(x)
     if isinstance(space, Orlicz):
         return _luxemburg(space.N, a, m=m)
@@ -462,6 +492,8 @@ def norm(space: SpaceSpec, x) -> float:
         raise TypeError(f"unknown space spec {space!r}")
     if m == 0.0 or space.p == math.inf:
         return m
+    if space.p + 63.0 > _SUM_BITS and space.p + math.log2(a.size) > _SUM_BITS:
+        return _max_scaled(a, space.p, m)
     scale = math.ldexp(1.0, math.frexp(m)[1] - 1)
     a /= scale
     return scale * float(np.add.reduce(a**space.p) ** (1.0 / space.p))
@@ -504,28 +536,31 @@ def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
 
     whose remainder is at most 2 |B_8|/8! |f^(7)(n) - f^(7)(M)|, since
     f^(8) keeps one sign on [M, n].  Sums that overflow (s beyond ~30 at the
-    default window) or a bound above 1e-16 relative raise ValueError.  The
-    integral takes the expm1 form near s = -1 so that nothing cancels.
+    default window, or k^s itself in the head) or a bound above 1e-16
+    relative raise ValueError.  The integral takes the expm1 form near
+    s = -1 so that nothing cancels.
     """
     pts = np.asarray(pts, dtype=np.int64)
     head = _power_heads.get(s)
     if head is None:
-        head = _keep(_power_heads, s, np.cumsum(_powers(s, _EM_HEAD)))
+        with np.errstate(over="ignore"):  # k^s past the float range: inf, refused where read
+            head = _keep(_power_heads, s, np.cumsum(_powers(s, _EM_HEAD)))
     out = head[np.minimum(pts, _EM_HEAD) - 1]
     far = pts > _EM_HEAD
-    if not far.any():
-        return out
-    m = np.float64(_EM_HEAD)
-    n = pts[far].astype(float)
-    t = s + 1.0
-    if abs(t) < 0.25:
-        log_ratio = np.log(n / m)
-        integral = log_ratio if t == 0.0 else m**t * np.expm1(t * log_ratio) / t
-    else:
-        integral = (n**t - m**t) / t
-    out[far] += integral + (n**s - m**s) / 2.0 + _em_odd_terms(s, n) - _em_odd_terms(s, m)
-    sums = out[far]
-    if not (np.all(np.isfinite(sums)) and np.all(_em_remainder_bound(s, n) < 1e-16 * sums)):
+    bounded = True
+    if far.any():
+        m = np.float64(_EM_HEAD)
+        n = pts[far].astype(float)
+        t = s + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan sum is refused below
+            if abs(t) < 0.25:
+                log_ratio = np.log(n / m)
+                integral = log_ratio if t == 0.0 else m**t * np.expm1(t * log_ratio) / t
+            else:
+                integral = (n**t - m**t) / t
+            out[far] += integral + (n**s - m**s) / 2.0 + _em_odd_terms(s, n) - _em_odd_terms(s, m)
+            bounded = np.all(_em_remainder_bound(s, n) < 1e-16 * out[far])
+    if not (np.all(np.isfinite(out)) and bounded):
         raise ValueError(
             f"partial sums of k^{s} overflow or exceed the 1e-16 Euler-Maclaurin bound"
         )
@@ -540,7 +575,11 @@ def _weight_sums(space: LpQ | Lorentz, pts) -> np.ndarray:
         raise ValueError("weight partial sums need positions below 2^63")
     pts = np.asarray(pts, dtype=np.int64)
     if isinstance(space, LpQ):
-        return _power_partial_sums(space.q / space.p - 1.0, pts)
+        try:
+            return _power_partial_sums(space.q / space.p - 1.0, pts)
+        except ValueError as exc:
+            raise ValueError(f"l^{{p,q}} weight sums at p = {space.p!r}, q = {space.q!r} "
+                             f"through n = {int(pts.max())}: {exc}") from None
     w, q = space.w, space.q
     if w.theta is not None:
         return _power_partial_sums(-w.theta * q, pts)

@@ -26,18 +26,20 @@ divides a, and equal keys are equal rationals.
 The shift-side machinery: T = tau_1 - lambda has the annihilating moment
 functional a -> sum lambda^k a_k; squares of geometric shift sums reduce
 T^2 to three explicit terms, and the forward recurrence inverts T on its
-moment-zero range.  All shift identities hold in exact rational arithmetic.
+moment-zero range.  All of it is exact; lambda must be finite and nonzero.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .lattices import EX, lattice_norm
-from .operators import ShiftMinusLambda, _exact_scalar, apply_array
+from .operators import ShiftMinusLambda, apply_array
 from .spaces import Lorentz, Lp, LpQ, Orlicz, SpaceSpec
 
 __all__ = [
@@ -124,7 +126,7 @@ def check_disjoint_supports(l_max: int, m_max: int) -> DisjointnessReport:
     if repeat.any():
         i = int(np.argmax(repeat))  # the earliest key seen before
         earlier = owners[first[np.searchsorted(uniq, keys[i])]]
-        key = _exact_scalar(int(keys[i])) / den
+        key = Fraction(int(keys[i]), den)
         return DisjointnessReport(False, l_max, m_max, cards, (earlier, owners[i], key))
     return DisjointnessReport(True, l_max, m_max, cards, None)
 
@@ -407,14 +409,34 @@ def residual_scan(space: SpaceSpec, lambda_grid, dim: int = 1 << 14) -> list[Sca
 # Exact shift machinery ------------------------------------------------------
 
 
-def _geometric_shift_sum(lam, n: int, xs: list) -> list:
+def _exact(v, what: str = "an entry") -> int | Fraction:
+    """v exactly: ints and Fractions as they are, any other finite real
+    (numpy scalars included) at its exact binary value; NaN, infinities and
+    non-numbers raise ValueError naming v."""
+    if isinstance(v, (int, Fraction)):
+        return v
+    if isinstance(v, numbers.Integral):  # numpy integers, whose arithmetic would wrap
+        return int(v)
+    if isinstance(v, numbers.Real) and math.isfinite(v):
+        return Fraction(float(v))
+    raise ValueError(f"{what} must be a finite real number, got {v!r}")
+
+
+def _exact_lambda(lam) -> Fraction:
+    """lam read by ``_exact``, and nonzero: the inverse of tau_1 - lam divides by it."""
+    value = Fraction(_exact(lam, "lambda"))
+    if value == 0:
+        raise ValueError(f"lambda must be nonzero, got {lam!r}")
+    return value
+
+
+def _geometric_shift_sum(lam: Fraction, n: int, xs: list) -> list:
     """(sum_{i=0}^{n} lam^{-i} tau_1^i) applied to a coefficient list."""
-    out = [lam * 0] * (len(xs) + n)
-    damp = lam**0  # Fraction(1) for exact lam, 1.0 for float
+    out, damp = [Fraction(0)] * (len(xs) + n), Fraction(1)
     for i in range(n + 1):
         for pos, v in enumerate(xs):
             out[pos + i] += v / damp
-        damp = damp * lam
+        damp *= lam
     return out
 
 
@@ -424,82 +446,53 @@ def shift_identity_check(lam, n: int, j: int) -> bool:
     The expected value is lam^2 e_j - 2 lam^{1-n} e_{j+n+1} + lam^{-2n}
     e_{j+2n+2}; additionally the squared geometric sum must dominate
     n lam^{-n} e_{j+n} (its e_{j+n} coefficient is (n+1) lam^{-n}).
-    Exact for rational lam; 1e-10 relative for floats.
+    Exact, with lam read by ``_exact_lambda`` before anything is computed.
     """
+    lam = _exact_lambda(lam)
     if n < 1 or j < 1:
         raise ValueError("shift_identity_check needs n, j >= 1")
-    rational = _exact_scalar(lam)
-    exact = rational is not None
-    lam = rational if exact else float(lam)
-    e_j = [0] * (j - 1) + [1 if exact else 1.0]
-    a = _geometric_shift_sum(lam, n, _geometric_shift_sum(lam, n, e_j))
+    a = _geometric_shift_sum(lam, n, _geometric_shift_sum(lam, n, [0] * (j - 1) + [1]))
     op = ShiftMinusLambda(lam)
-    got = apply_array(op, apply_array(op, a)).tolist()
+    got = apply_array(op, apply_array(op, a)).tolist()  # j + 2n + 2 entries
     want = [0] * (j + 2 * n + 2)
-    want[j - 1] = lam**2
-    want[j + n] = -2 * lam ** (1 - n)
-    want[j + 2 * n + 1] = lam ** (-2 * n)
-    if len(got) < len(want):
-        got = got + [0] * (len(want) - len(got))
+    want[j - 1], want[j + n], want[j + 2 * n + 1] = lam**2, -2 * lam ** (1 - n), lam ** (-2 * n)
     edge = a[j + n - 1]  # e_{j+n} coefficient of the squared sum
-    if exact:
-        return got == want and edge == (n + 1) * lam**-n and edge >= n * lam**-n
-    scale = max(abs(v) for v in want)
-    close = all(abs(g - w) <= 1e-10 * scale for g, w in zip(got, want))
-    return close and abs(edge - (n + 1) * lam**-n) <= 1e-10 * abs(edge)
+    return got == want and edge == (n + 1) * lam**-n and edge >= n * lam**-n
 
 
-def moment_functional(lam, a):
-    """sum_k lam^k a_k over the finite support (Horner from the top).
+def moment_functional(lam, a) -> Fraction:
+    """sum_k lam^k a_k over the finite support (Horner from the top), exactly.
 
-    Annihilates the image of (tau_1 - lam): the functional of e_{k+1} -
-    lam e_k vanishes term by term.  Exact (an int or a Fraction) when lam
-    and every entry are, else a float.
+    Annihilates the image of (tau_1 - lam): the functional of e_{k+1} - lam
+    e_k vanishes term by term.  lam is read by ``_exact_lambda``, entries by ``_exact``.
     """
-    entries = list(a)
-    acc = 0
-    for v in reversed(entries):
+    lam = _exact_lambda(lam)
+    acc = Fraction(0)
+    for v in reversed([_exact(v) for v in a]):
         acc = acc * lam + v
     return acc * lam
 
 
-def solve_shift_minus_lambda(lam, b):
+def solve_shift_minus_lambda(lam, b) -> list:
     """The finitely supported a with (tau_1 - lam) a = b, when one exists.
 
     Forward recurrence a_1 = -b_1/lam, a_k = (a_{k-1} - b_k)/lam; the result
     is finitely supported exactly when the moment functional of b vanishes
     (the recurrence telescopes to lam^k a_k = -(1/lam) sum_{i<=k} lam^i b_i).
-    b is any finite iterable of numbers; the result is always a list.
+    b is any finite iterable of numbers, read as in ``moment_functional``
+    (float data at its binary value); the result is a list of Fractions.
     """
-    entries = list(b)
+    lam = _exact_lambda(lam)
+    entries = [_exact(v) for v in b]
     while entries and entries[-1] == 0:
         entries.pop()
     moment = moment_functional(lam, entries)
-    rational = _exact_scalar(lam)
-    exact = rational is not None and all(_exact_scalar(v) is not None for v in entries)
-    if exact:
-        lam = rational  # keep the recurrence divisions exact
-        if moment != 0:
-            raise ValueError(
-                f"moment sum lam^k b_k = {moment} != 0: b is not in the image of (shift - lam)"
-            )
-    else:
-        scale = moment_functional(abs(lam), [abs(v) for v in entries])
-        if abs(moment) > 1e-10 * max(1.0, abs(scale)):
-            raise ValueError(
-                f"moment sum lam^k b_k = {moment} is nonzero at float tolerance: "
-                "b is not in the image of (shift - lam)"
-            )
-    a: list = []
-    prev = 0
+    if moment != 0:
+        raise ValueError(f"moment sum lam^k b_k = {moment} != 0: b is not in the image of (shift - lam)")
+    a, prev = [], Fraction(0)
     for bk in entries:
         prev = (prev - bk) / lam
         a.append(prev)
-    if a:
-        if exact:
-            if a[-1] != 0:
-                raise AssertionError("telescoping failed despite zero moment")
-            a.pop()
-        else:
-            a.pop()  # telescoped tail; only float dust remains there
+    if a and a.pop() != 0:
+        raise AssertionError("telescoping failed despite zero moment")
     return a

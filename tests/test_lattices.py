@@ -281,11 +281,12 @@ def test_a_space_is_not_a_lattice():
 
 
 def test_unit_norms_are_fundamental_values():
-    for base in (Lp(1.0), Lp(2.0), Lorentz(2.0, power_weights(0.25))):
-        lat = EX(base)
-        s = unit_norms(lat, 12)
-        want = [fundamental_function(base, 2 ** (k - 1)) for k in range(1, 13)]
-        assert np.allclose(s, want, rtol=1e-12)
+    # s_k = phi(2^(k-1)) to the last bit, whichever route each side takes
+    for base in (Lp(1.0), Lp(2.0), Lp(3.0), Lp(math.inf), LpQ(3.0, 2.0), LpQ(3.0, math.inf),
+                 Lorentz(2.0, power_weights(0.25)), Orlicz(OrliczFn.power_log(2.0, 0.6))):
+        s = unit_norms(EX(base), 40)
+        want = np.array([fundamental_function(base, 2 ** (k - 1)) for k in range(1, 41)])
+        assert s.dtype == want.dtype and s.tobytes() == want.tobytes(), base
 
 
 def test_unit_norms_of_power_bases_never_stream(monkeypatch):

@@ -586,19 +586,48 @@ def test_shift_identity_exact(lam, n, j):
     assert shift_identity_check(lam, n, j)
 
 
-@pytest.mark.parametrize("lam", [0.4, 0.9, 1.0, 1.3, 2.5, np.float64(1.7)])
+@pytest.mark.parametrize("lam", [0.4, 0.9, 1.0, 1.3, 2.5, np.float64(1.7), 1e-200, 1e200, np.int64(3)])
 @pytest.mark.parametrize("n, j", [(1, 1), (3, 2), (6, 4)])
 def test_shift_identity_float(lam, n, j):
-    # a float lam takes the 1e-10 relative branch
-    assert shift_identity_check(lam, n, j)
+    # a float or numpy lam counts at its exact binary value: the identity is exact
+    assert shift_identity_check(lam, n, j) is True
+
+
+def test_shift_identity_at_a_tiny_lambda_is_exact():
+    # lam^i underflowed on a float path; at the binary value of 1e-200 nothing does
+    assert shift_identity_check(1e-200, 3, 1) is True
 
 
 def test_shift_identity_float_detects_a_wrong_identity(monkeypatch):
     # (tau_1 - lam)^2 applied 1e-6 off telescopes to the wrong vector
     real = spectral.apply_array
-    monkeypatch.setattr(spectral, "apply_array", lambda op, a: real(op, a) * (1.0 + 1e-6))
+    monkeypatch.setattr(spectral, "apply_array", lambda op, a: real(op, a) * Fraction(1000001, 1000000))
     for lam, n, j in ((0.9, 3, 2), (1.3, 1, 1), (2.5, 6, 4)):
         assert not shift_identity_check(lam, n, j)
+
+
+BAD_LAMBDAS = [0, 0.0, -0.0, math.nan, math.inf, -math.inf, "2", None]
+
+
+@pytest.mark.parametrize("lam", BAD_LAMBDAS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda lam: shift_identity_check(lam, 1, 1),
+    lambda lam: moment_functional(lam, [0, 1]),
+    lambda lam: solve_shift_minus_lambda(lam, [0, 1]),
+], ids=["identity", "moment", "solve"])
+def test_shift_machinery_refuses_lambda_before_computing(monkeypatch, call, lam):
+    def no_operator(*_):
+        raise AssertionError("an operator ran before lambda was checked")
+
+    monkeypatch.setattr(spectral, "apply_array", no_operator)
+    with pytest.raises(ValueError, match="lambda") as exc:
+        call(lam)
+    assert repr(lam) in str(exc.value)
+
+
+def test_moment_functional_is_exact_on_float_data():
+    got = moment_functional(1.5, [1.0, np.float32(2.5), np.int64(2)])
+    assert type(got) is Fraction and got == Fraction(111, 8)
 
 
 @settings(max_examples=60)
@@ -625,14 +654,31 @@ def test_solve_rejects_off_image_data():
         solve_shift_minus_lambda(Fraction(2), [Fraction(1)])
 
 
-def test_solve_float_path_round_trips():
+def test_solve_reads_exactly_representable_float_data():
+    # lam and a dyadic, so b = (tau_1 - lam) a is exact in floats and solves back to Fractions
+    rng = np.random.default_rng(6)
+    for lam in (1.5, 0.75, 2.0, np.float64(1.25), -0.5):
+        for _ in range(20):
+            a = rng.integers(-64, 65, int(rng.integers(1, 10))) / 8.0
+            b = np.concatenate(([-lam * a[0]], a[:-1] - lam * a[1:], [a[-1]]))
+            want = [Fraction(v) for v in a]
+            while want and want[-1] == 0:
+                want.pop()
+            got = solve_shift_minus_lambda(lam, list(b))
+            assert got == want and all(type(v) is Fraction for v in got)
+
+
+def test_solve_refuses_float_data_off_the_image_by_rounding():
+    # lam = 1.37 is not dyadic: -lam a_1 and a_{k-1} - lam a_k round, so the
+    # exact moment of the float b is nonzero and there is no finite solution
     rng = np.random.default_rng(6)
     lam = 1.37
     for _ in range(50):
         a = rng.standard_normal(int(rng.integers(1, 10)))
         b = np.concatenate(([-lam * a[0]], a[:-1] - lam * a[1:], [a[-1]]))
-        got = solve_shift_minus_lambda(lam, list(b))
-        assert np.allclose(got, a, rtol=1e-9, atol=1e-9)
+        assert moment_functional(lam, b) != 0
+        with pytest.raises(ValueError, match="moment sum"):
+            solve_shift_minus_lambda(lam, list(b))
 
 
 def test_solve_accepts_seq_input():
@@ -641,4 +687,5 @@ def test_solve_accepts_seq_input():
     b = [-lam * a[0], a[0] - lam * a[1], a[1]]
     out = solve_shift_minus_lambda(lam, Seq([float(v) for v in b]))
     assert type(out) is list
-    assert out == pytest.approx([2.0, -1.0])
+    assert out == [Fraction(2), Fraction(-1)] and all(type(v) is Fraction for v in out)
+    assert solve_shift_minus_lambda(1.5, [-3.0, 3.5, -1.0]) == out
