@@ -50,9 +50,8 @@ from .spaces import (
     SpaceSpec,
     _PHI_LOG2_MAX,
     _PHI_RULE,
-    _distinct,
-    _orlicz_phi,
     _weight_sums,
+    fundamental_function,
 )
 
 __all__ = [
@@ -114,10 +113,8 @@ def _lorentz_profiles(space: LpQ | Lorentz, n_max: int, j_max: int):
     k_top = top + n_max if j_max <= 64 else max(top + n_max, 6 + n_ext)
     chain_pts = 1 << np.arange(k_top + 1, dtype=np.int64)
     col_pts = j_max << np.arange(n_max + 1, dtype=np.int64)
-    pts = _distinct(np.concatenate((chain_pts, col_pts)))
-    logw = np.log2(_weight_sums(space, pts))
-    chain = logw[np.searchsorted(pts, chain_pts)]
-    col = logw[np.searchsorted(pts, col_pts)]
+    logw = np.log2(_weight_sums(space, np.concatenate((chain_pts, col_pts))))
+    chain, col = logw[: k_top + 1], logw[k_top + 1 :]
     U, L = np.maximum(_ratio_sups(chain, n_max, window=top + 1), _ratio_sups(col, n_max, window=1))
     U, L = U / space.q, L / space.q
     if j_max <= 64:
@@ -171,8 +168,7 @@ def _profiles(space: SpaceSpec, n_max: int, j_max: int, k_max: int):
         return U, L, "truncated_sup(quasi)" if quasi else "truncated_sup"
     if isinstance(space, Orlicz):
         # log2 phi(2^k), phi(2^k) the norm of a 2^k-entry indicator
-        logphi = np.log2([_orlicz_phi(space.N, math.ldexp(1.0, k))
-                          for k in range(k_max + n_max + 1)])
+        logphi = np.log2(fundamental_function(space, [1 << k for k in range(k_max + n_max + 1)]))
         U, L = _ratio_sups(logphi, n_max, window=k_max + 1)
         return U, L, "truncated_sup"
     raise TypeError(f"unknown space spec {space!r}")

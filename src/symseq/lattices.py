@@ -32,14 +32,10 @@ from .spaces import (
     OrliczFn,
     SpaceSpec,
     WeightSeq,
-    _PHI_LOG2_MAX,
-    _PHI_RULE,
     _SUM_BITS,
-    _distinct,
     _json_float,
     _luxemburg,
     _orlicz_from_json,
-    _orlicz_phi,
     _orlicz_to_json,
     _weight_sums,
     _weights_from_json,
@@ -148,6 +144,13 @@ class UN:
 LatticeSpec = Union[EX, WeightedLq, UN]
 
 
+# The EX block caps: Lorentz and l^{p,q} run ends stay below 2^63 (int64
+# positions), and UN weights coordinate k by its block size 2^(k-1), k <= 64.
+_SORTED_BLOCKS = 63
+_UN_BLOCKS = 64
+_BLOCK_SIZES = 2.0 ** np.arange(_UN_BLOCKS)
+
+
 def _ex_norm_lp(p: float, rows: np.ndarray) -> np.ndarray:
     """||S a||_p of each row in closed form: block k adds a_k^p 2^(k-1).
 
@@ -185,12 +188,12 @@ def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray, m: np.ndarray) -> np.
     row, c_1 >= c_2 >= ..., run i ending at P_i < 2^63: the norm is (sum c_i^q
     (W(P_i) - W(P_{i-1})))^(1/q), or max c_i P_i^(1/p) for q = inf.  Rows
     are scaled by their maxima m as in ``_descending``, and all of them
-    share one ``_weight_sums`` call.  The sum is below 2^q W(P_last), so
-    past q + log2 W(P_last) > 1023 (``spaces._SUM_BITS``) each row is
-    scaled by its max itself and c <= 1.
+    share one ``_weight_sums`` call at their run ends as they stand.  The
+    sum is below 2^q W(P_last), the largest W, so past q + log2 W(P_last)
+    > 1023 (``spaces._SUM_BITS``) each row is scaled by its max, c <= 1.
     """
-    if rows.shape[1] > 63:
-        raise ValueError("EX norm needs at most 63 blocks (run ends below 2^63)")
+    if rows.shape[1] > _SORTED_BLOCKS:
+        raise ValueError(f"EX norm needs at most {_SORTED_BLOCKS} blocks (run ends below 2^63)")
     order = np.argsort(-rows, axis=1, kind="stable")
     scale = np.ldexp(1.0, np.frexp(m)[1] - 1)
     c = np.take_along_axis(rows, order, axis=1) / scale[:, None]
@@ -198,27 +201,21 @@ def _ex_norm_sorted(base: LpQ | Lorentz, rows: np.ndarray, m: np.ndarray) -> np.
     if base.q == math.inf:
         return scale * np.max(c * ends ** (1.0 / base.p), axis=1, initial=0.0)
     live = c > 0.0  # zeros sort last and add nothing
-    pts = _distinct(ends[live])
     w = np.zeros(c.shape)
-    sums = _weight_sums(base, pts)  # increasing, so W(P_last) = sums[-1]
-    w[live] = sums[np.searchsorted(pts, ends[live])]
-    if sums.size and base.q + math.log2(sums[-1]) > _SUM_BITS:
+    w[live] = _weight_sums(base, ends[live])
+    if live.any() and base.q + math.log2(w.max()) > _SUM_BITS:
         top = np.where(m > 0.0, m / scale, 1.0)  # c[:, 0], or 1 on a zero row
         c, scale = c / top[:, None], scale * top
     s = np.sum(c**base.q * np.diff(w, axis=1, prepend=0.0), axis=1)
     return scale * s ** (1.0 / base.q)
 
 
-# 2^(k-1), k = 1..64: the dyadic block cardinalities
-_BLOCK_SIZES = 2.0 ** np.arange(64)
-
-
 def _ex_norm_orlicz(N: OrliczFn, rows: np.ndarray, m: np.ndarray) -> list:
     """||S a|| of each row for an Orlicz base: block k holds 2^(k-1) equal
     entries, so the modular of S a weights a_k by 2^(k-1) (the UN norm).
     One Luxemburg solve per row, handed its max from m."""
-    if rows.shape[1] > 64:
-        raise ValueError("UN norm supports at most 64 coordinates")
+    if rows.shape[1] > _UN_BLOCKS:
+        raise ValueError(f"UN norm supports at most {_UN_BLOCKS} coordinates")
     w = _BLOCK_SIZES[: rows.shape[1]]
     return [_luxemburg(N, rows[i], w, mi) for i, mi in enumerate(m.tolist())]
 
@@ -267,34 +264,18 @@ def lattice_norm(lat: LatticeSpec, a):
 
 
 def unit_norms(lat: LatticeSpec, k_max: int) -> np.ndarray:
-    """s_k = ||e_k|| for k = 1..k_max: phi(2^(k-1)) of an EX base, mu_k on
-    WeightedLq.  UN(N) is EX(Orlicz(N)), where s_k is the moment root
-    ``spaces._orlicz_phi``, bit-identical to the UN norm of e_k; it takes
-    k_max <= 997, the Orlicz phi range, checked before any solve.  On a
-    Lorentz or finite-q l^{p,q} base phi(2^(k-1)) = W(2^(k-1))^(1/q) is a
-    weight partial sum, all k_max of them from one ``_weight_sums`` call; it
-    takes k_max <= 63, the 63-block cap of ``_ex_norm_sorted``, so the
-    positions stay below 2^63."""
+    """s_k = ||e_k|| for k = 1..k_max: mu_k on WeightedLq, else phi(2^(k-1))
+    of the EX base (UN(N) is EX(Orlicz(N))) from ``fundamental_function``,
+    whose range rules cap k_max before any value is computed: 63 on a
+    Lorentz or finite-q l^{p,q} base, 997 on an Orlicz one."""
     if k_max < 1:
         raise ValueError("unit_norms needs k_max >= 1")
-    base = lat.base if isinstance(lat, EX) else lat if isinstance(lat, UN) else None
-    if isinstance(base, (LpQ, Lorentz)) and base.q != math.inf:
-        if k_max > 63:
-            raise ValueError(f"unit_norms on a Lorentz or l^{{p,q}} base needs k_max <= 63, "
-                             f"got {k_max}: the 63-block cap of _ex_norm_sorted (positions below 2^63)")
-        # fundamental_function's scalar pow per entry: array pow can round apart
-        sums = _weight_sums(base, np.left_shift(1, np.arange(k_max)))
-        return np.array([float(s ** (1.0 / base.q)) for s in sums])
-    if isinstance(base, (Orlicz, UN)):
-        if k_max > _PHI_LOG2_MAX + 1:
-            raise ValueError(f"unit_norms on an Orlicz base needs k_max <= {_PHI_LOG2_MAX + 1}, "
-                             f"got {k_max}: s_k = phi(2^(k-1)), and {_PHI_RULE}")
-        return np.array([_orlicz_phi(base.N, math.ldexp(1.0, k)) for k in range(k_max)])
-    if isinstance(lat, EX):
-        return np.array([fundamental_function(lat.base, 1 << k) for k in range(k_max)])
     if isinstance(lat, WeightedLq):
         return lat.weights(k_max)
-    raise TypeError(f"unknown lattice spec {lat!r}")
+    if not isinstance(lat, (EX, UN)):
+        raise TypeError(f"unknown lattice spec {lat!r}")
+    base = lat.base if isinstance(lat, EX) else Orlicz(lat.N)
+    return fundamental_function(base, [1 << k for k in range(k_max)])
 
 
 @dataclass(frozen=True)
@@ -322,8 +303,8 @@ def shift_exponents(lat: LatticeSpec, n_max: int = 16, k_max: int = 64) -> Shift
     On a weighted lattice with unit norms s_k the shift norms are unit-norm
     ratio sups: ||tau_n|| = sup_{k>n} s_k/s_{k-n} and
     ||tau_-n|| = sup_k s_k/s_{k+n}.  EX over a Lorentz or finite-q l^{p,q}
-    base needs k_max <= 63, the 63-block cap of ``_ex_norm_sorted``, which
-    ``unit_norms`` enforces; the default 64 serves the other lattices.
+    base needs k_max <= 63 and an Orlicz base k_max <= 997, the range rules
+    of ``fundamental_function``; the default 64 serves the other lattices.
     """
     if n_max < 2 or k_max <= n_max:
         raise ValueError("shift_exponents needs n_max >= 2 and k_max > n_max")

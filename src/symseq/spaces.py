@@ -24,7 +24,7 @@ t^p.  For that form the Luxemburg modular collapses to a scalar function of
 two moments of the vector, so a norm is one vector pass and a scalar Newton
 solve (``_moment_root``) and never evaluates N.  The fundamental function
 phi(n) is the norm of an n-entry indicator, whose moments are n and 0, so
-``_orlicz_phi`` solves it with the same kernel and no vector pass.
+``fundamental_function`` solves it with the same kernel and no vector pass.
 
 Partial sums W(n) of w_k^q (k^(q/p-1) for l^{p,q}) give phi(n) = W(n)^(1/q),
 the index profiles and the Lorentz and l^{p,q} block-lattice norms; their one
@@ -37,6 +37,8 @@ only on the space and are cached per exponent (``_powers``).
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -56,20 +58,6 @@ __all__ = [
     "space_to_json",
     "space_from_json",
 ]
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries of ``a``, the array ``np.unique`` returns.
-
-    By sort and a neighbour mask, because numpy's first ``unique`` call
-    imports ``numpy.ma`` (~13 ms), which the import of symseq and the index
-    and block-norm paths then need not pay.
-    """
-    s = np.sort(a, axis=None)
-    keep = np.empty(s.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
 
 
 # k^(-theta) must be a positive float through this index: past theta ~ 53.7
@@ -434,17 +422,6 @@ _PHI_LOG2_MAX = 996
 _PHI_RULE = f"the Orlicz fundamental function phi(2^k) is served for k <= {_PHI_LOG2_MAX}"
 
 
-def _orlicz_phi(N: OrliczFn, n: float) -> float:
-    """phi(n) = ||e_1 + ... + e_n|| in Orlicz(N), 1 <= n <= 2^_PHI_LOG2_MAX.
-
-    The one producer of the Orlicz fundamental function: the Luxemburg norm
-    of an n-entry indicator, whose moments are S0 = n and S1 = 0, so it is
-    ``_moment_root(p, n, a n)`` and bit-identical to
-    ``norm(Orlicz(N), np.ones(n))``.  Callers check the range.
-    """
-    return _moment_root(N.p, n, N.a * n)
-
-
 def norm(space: SpaceSpec, x) -> float:
     """Norm of x in the given space (quasi-norm for LpQ with q > p).
 
@@ -463,7 +440,8 @@ def norm(space: SpaceSpec, x) -> float:
     weights sum to at most len^max(1, q/p)).  Past that rule the terms are
     scaled by the largest of them instead (``_max_scaled``), the l^{p,q}
     weights folded in first as (b_k k^(1/p-1/q))^q.  Lorentz array weights
-    above 1 are not counted by the rule.
+    are taken over the power of two below w_1, which joins the scale, and
+    the rule counts q max(1, log2 v_1) bits for them, v_1 = b_1 w_1 < 4.
     """
     if isinstance(space, (LpQ, Lorentz)):
         b, scale = _descending(x)
@@ -481,8 +459,12 @@ def norm(space: SpaceSpec, x) -> float:
             return scale * float(s ** (1.0 / q))
         theta = space.w.theta
         w = space.w.values(b.size) if theta is None else _powers(-theta, b.size)
-        v = b * w  # nonincreasing, so v[0] is the largest term
-        if space.q + 63.0 > _SUM_BITS and space.q + math.log2(b.size) > _SUM_BITS:
+        if theta is None:  # array weights: over the power of two below w_1, which joins the scale
+            f = math.ldexp(1.0, math.frexp(w[0])[1] - 1)
+            w, scale = w / f, scale * f
+        v = b * w  # nonincreasing, so v[0] = b_1 w_1 is the largest term, below 4 (2 if w_1 = 1)
+        bits = space.q if theta is not None else space.q * max(1.0, math.log2(v[0]))  # v^q <= 2^bits
+        if bits + 63.0 > _SUM_BITS and bits + math.log2(b.size) > _SUM_BITS:
             return scale * _max_scaled(v, space.q, float(v[0]))
         return scale * float(np.add.reduce(v ** space.q) ** (1.0 / space.q))
     a, m = _magnitudes(x)
@@ -525,7 +507,7 @@ def _em_remainder_bound(s: float, n):
 
 
 def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
-    """sum_{k<=n} k^s at sorted positive int positions n, without streaming.
+    """sum_{k<=n} k^s at positive int positions n, any order, without streaming.
 
     Positions up to M = _EM_HEAD read a term-by-term cumulative sum, built once
     per s from the ``_powers`` table and cached read-only.  Past M the
@@ -568,12 +550,13 @@ def _power_partial_sums(s: float, pts: np.ndarray) -> np.ndarray:
 
 
 def _weight_sums(space: LpQ | Lorentz, pts) -> np.ndarray:
-    """W(n) = sum_{k<=n} omega_k at sorted int positions 1 <= n < 2^63, where
-    omega_k = w_k^q (Lorentz) or k^(q/p-1) (l^{p,q}, finite q): pure powers in
-    closed form, array weights by a cumsum."""
-    if len(pts) and pts[-1] >= 1 << 63:
+    """W(n) = sum_{k<=n} omega_k at int positions 1 <= n < 2^63, in any order
+    and with repeats, where omega_k = w_k^q (Lorentz) or k^(q/p-1) (l^{p,q},
+    finite q): pure powers in closed form, array weights by a cumsum."""
+    pts = np.asarray(pts)
+    if pts.size and int(pts.max()) >= 1 << 63:
         raise ValueError("weight partial sums need positions below 2^63")
-    pts = np.asarray(pts, dtype=np.int64)
+    pts = pts.astype(np.int64, copy=False)
     if isinstance(space, LpQ):
         try:
             return _power_partial_sums(space.q / space.p - 1.0, pts)
@@ -586,22 +569,41 @@ def _weight_sums(space: LpQ | Lorentz, pts) -> np.ndarray:
     return np.cumsum(w.values(int(pts.max(initial=0))) ** q)[pts - 1]
 
 
-def fundamental_function(space: SpaceSpec, n: int) -> float:
-    """phi(n) = norm of the indicator of {1..n}; closed forms per family."""
-    if n < 1:
-        raise ValueError("fundamental_function needs n >= 1")
-    if isinstance(space, Lp):
-        return 1.0 if space.p == math.inf else float(n) ** (1.0 / space.p)
-    if isinstance(space, LpQ) and space.q == math.inf:
-        return float(n) ** (1.0 / space.p)
-    if isinstance(space, (LpQ, Lorentz)):
-        return float(_weight_sums(space, [n])[0] ** (1.0 / space.q))
-    if isinstance(space, Orlicz):
-        if n > 1 << _PHI_LOG2_MAX:
-            raise ValueError(f"fundamental_function on an Orlicz space needs n <= 2^{_PHI_LOG2_MAX}: "
-                             f"{_PHI_RULE}")
-        return _orlicz_phi(space.N, float(n))
-    raise TypeError(f"unknown space spec {space!r}")
+def fundamental_function(space: SpaceSpec, n):
+    """phi(n) = norm of the indicator of {1..n}, at one position n (a float)
+    or at each of a sequence of them (an array, each entry its scalar read).
+
+    The one producer of phi and of its dyadic profile phi(2^k): n^(1/p) on
+    l^p and l^{p,inf}, W(n)^(1/q) by ``_weight_sums`` on Lorentz and l^{p,q},
+    and on Orlicz ``_moment_root(p, n, a n)``, the Luxemburg norm of an
+    n-entry indicator (moments S0 = n, S1 = 0), bit-identical to ``norm``
+    of ``np.ones(n)``.  Positions are integers n >= 1 that a float holds;
+    the range rule, n < 2^63 for W and ``_PHI_RULE``, is checked on the
+    largest before anything is evaluated.
+    """
+    scalar = not hasattr(n, "__iter__")
+    try:
+        pts = [operator.index(v) for v in ([n] if scalar else n)]
+    except TypeError:
+        pts = [0]
+    if min(pts, default=1) < 1:
+        raise ValueError(f"fundamental_function needs integer positions n >= 1, got n = {n!r}")
+    top = max(pts, default=1)
+    if isinstance(space, Orlicz) and top > 1 << _PHI_LOG2_MAX:
+        raise ValueError(f"fundamental_function on an Orlicz space needs n <= 2^{_PHI_LOG2_MAX}: "
+                         f"{_PHI_RULE}")
+    if top > sys.float_info.max:
+        raise ValueError(f"fundamental_function needs positions n that a float holds, "
+                         f"got n = 2^{top.bit_length() - 1} or more")
+    if isinstance(space, Lp) or isinstance(space, LpQ) and space.q == math.inf:
+        out = [float(v) ** (1.0 / space.p) for v in pts]  # 1/inf = 0: l^inf has phi = 1
+    elif isinstance(space, (LpQ, Lorentz)):
+        out = [s ** (1.0 / space.q) for s in _weight_sums(space, pts).tolist()]
+    elif isinstance(space, Orlicz):
+        out = [_moment_root(space.N.p, x, space.N.a * x) for x in map(float, pts)]
+    else:
+        raise TypeError(f"unknown space spec {space!r}")
+    return out[0] if scalar else np.array(out)
 
 
 # JSON descriptors ----------------------------------------------------------

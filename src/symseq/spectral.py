@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattices import EX, lattice_norm
+from .lattices import EX, _SORTED_BLOCKS, _UN_BLOCKS, lattice_norm
 from .operators import ShiftMinusLambda, apply_array
 from .spaces import Lorentz, Lp, LpQ, Orlicz, SpaceSpec
 
@@ -163,16 +163,17 @@ def doubling_orbit_witness(space: SpaceSpec, p: float, n: int) -> WitnessReport:
     block indicators, so v_n = S a with a_k = n^{-1/p} 2^{(1-k)/p} and the
     residual is evaluated in EX(space) on n + 1 block coordinates; no
     2^n-entry vector is built.  So n is capped per family before anything
-    is built: 62 on Lorentz and l^{p,q} (block run ends stay below 2^63),
-    63 on Orlicz (the Luxemburg block norm takes 64 coordinates) and 2^20
-    on l^p.  For l^p with p matching the space the residual is exactly
-    (4/n)^{1/p}.
+    is built, one below the EX block cap (tau_1 adds a coordinate): 62 on
+    Lorentz and l^{p,q} (run ends below 2^63), 63 on Orlicz (64 UN
+    coordinates) and 2^20 on l^p.  For l^p with p matching the space the
+    residual is exactly (4/n)^{1/p}.
     """
     if n < 1:
         raise ValueError("doubling_orbit_witness needs n >= 1")
     if not 1 <= p < math.inf:
         raise ValueError("doubling_orbit_witness needs 1 <= p < inf")
-    cap = 62 if isinstance(space, (LpQ, Lorentz)) else 63 if isinstance(space, Orlicz) else 1 << 20
+    cap = (_SORTED_BLOCKS - 1 if isinstance(space, (LpQ, Lorentz))
+           else _UN_BLOCKS - 1 if isinstance(space, Orlicz) else 1 << 20)
     if n > cap:
         raise ValueError(f"doubling_orbit_witness needs n <= {cap} on {type(space).__name__}")
     lam = 2.0 ** (1.0 / p)

@@ -96,12 +96,12 @@ def test_criterion_05_detects_a_drifting_index_profile(monkeypatch):
 def test_criterion_05_detects_a_drifting_orlicz_profile(monkeypatch):
     # phi(2^k) (1 + 1e-6 k): the log phi profile gains ~1.44e-6 k, which
     # moves the Orlicz indices past the 1e-8 round-trip tolerance
-    real = indices._orlicz_phi
+    real = indices.fundamental_function
 
-    def drifting(N, n):
-        return real(N, n) * (1.0 + 1e-6 * np.log2(n))
+    def drifting(space, n):
+        return real(space, n) * (1.0 + 1e-6 * np.log2(np.asarray(n, dtype=float)))
 
-    monkeypatch.setattr(indices, "_orlicz_phi", drifting)
+    monkeypatch.setattr(indices, "fundamental_function", drifting)
     r = verify.check_index_round_trips()
     assert not r.passed
     assert r.detail.startswith("orlicz")

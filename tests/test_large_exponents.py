@@ -28,7 +28,7 @@ import pytest
 
 from symseq.cli import parse_args, run
 from symseq.lattices import EX, UN, WeightedLq, lattice_norm
-from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, norm, power_weights
+from symseq.spaces import Lorentz, Lp, LpQ, Orlicz, OrliczFn, WeightSeq, norm, power_weights
 
 EXPONENTS = [961.0, 1023.0, 1100.0, 2000.0, 1e6]
 LENGTHS = [1, 2, 1000]
@@ -150,3 +150,32 @@ def test_cli_norm_at_a_large_exponent_is_the_max(space, want, capsys):
     code = run(parse_args(["norm", "--space", space, "--vector", "[7.9]"]))
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == want
+
+
+@pytest.mark.parametrize("w1", [0.3, 3.0, 1e100, 1e-100, 1e300, 1e-300], ids=repr)
+def test_lorentz_array_weights_far_from_1_fold_into_the_scale(w1):
+    # the array is taken over the power of two below w_1, which joins the
+    # scale, so weights of any size neither overflow nor underflow a
+    # representable norm, and the large-exponent rule counts them
+    rng = np.random.default_rng(23)
+    for q in (1.0, 1.5, 4.0, 1100.0):
+        for n in (1, 2, 5, 300):
+            w = w1 * np.sort(rng.uniform(0.05, 1.0, n))[::-1]
+            w[0] = w1
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = norm(Lorentz(q, WeightSeq(data=tuple(w))), x)
+            with mpmath.workdps(50):
+                xs = sorted((abs(mpmath.mpf(v)) for v in x), reverse=True)
+                want = mpmath.fsum((a * mpmath.mpf(b)) ** q for a, b in zip(xs, w)) ** (1 / mpmath.mpf(q))
+                err = abs((mpmath.mpf(got) - want) / want)
+            assert err <= 1e-14, f"w1={w1!r} q={q!r} n={n}: {got!r} against {want}"
+
+
+@pytest.mark.parametrize("w1, want", [(1e100, 1.0625**0.25 * 1e100), (1e-200, 1.0625**0.25 * 1e-200)])
+def test_cli_norm_with_array_weights_far_from_1_is_finite(w1, want, capsys):
+    space = json.dumps({"kind": "lorentz", "q": 4, "weights": {"form": "array", "values": [w1, w1]}})
+    code = run(parse_args(["norm", "--space", space, "--vector", "[1, 0.5]"]))
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(want, rel=1e-15)

@@ -116,14 +116,14 @@ def test_unit_norms_refuse_k_max_past_63_before_evaluating(monkeypatch):
         assert np.isfinite(shift_exponents(EX(base), k_max=63).k_plus)
         assert unit_norms(EX(base), 63).size == 63
 
-    def no_phi(space, n):
+    def no_sum(s, pts):
         raise AssertionError("a unit norm was evaluated past the cap")
 
-    monkeypatch.setattr(lattices, "fundamental_function", no_phi)
-    monkeypatch.setattr(lattices, "_weight_sums", no_phi)
+    # phi(2^63) is past the producer's rule, refused before any partial sum
+    monkeypatch.setattr(spaces, "_power_partial_sums", no_sum)
     for base in (LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25))):
         for call in (lambda: unit_norms(EX(base), 64), lambda: shift_exponents(EX(base))):
-            with pytest.raises(ValueError, match="k_max <= 63, got 64: the 63-block cap of _ex_norm_sorted"):
+            with pytest.raises(ValueError, match=r"^weight partial sums need positions below 2\^63$"):
                 call()
 
 
@@ -261,13 +261,14 @@ def test_orlicz_unit_norms_refuse_k_max_past_997_before_any_solve(monkeypatch):
     assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0.0) and s[-1] > 1e150
     assert s.tobytes() == unit_norms(EX(Orlicz(N)), 997).tobytes()
 
-    def no_solve(N, n):
+    def no_solve(p, A, B):
         raise AssertionError("phi was solved past the range")
 
-    monkeypatch.setattr(lattices, "_orlicz_phi", no_solve)
+    # phi(2^997) is past the producer's rule, refused before any solve
+    monkeypatch.setattr(spaces, "_moment_root", no_solve)
     for lat in (UN(N), EX(Orlicz(N))):
         for call in (lambda: unit_norms(lat, 998), lambda: shift_exponents(lat, k_max=1100)):
-            with pytest.raises(ValueError, match=r"needs k_max <= 997, got \d+: .* served for k <= 996"):
+            with pytest.raises(ValueError, match=r"needs n <= 2\^996: .* served for k <= 996"):
                 call()
 
 

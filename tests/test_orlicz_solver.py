@@ -169,7 +169,7 @@ def test_un_norm_matches_bisection(label, N):
 
 def _phi(N: OrliczFn) -> np.ndarray:
     """phi(2^k) for k <= 996, the whole range the Orlicz phi rule serves."""
-    return np.array([spaces._orlicz_phi(N, math.ldexp(1.0, k)) for k in range(spaces._PHI_LOG2_MAX + 1)])
+    return fundamental_function(Orlicz(N), [1 << k for k in range(spaces._PHI_LOG2_MAX + 1)])
 
 
 @pytest.mark.parametrize("label,N", ORLICZ_FNS)

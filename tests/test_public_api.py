@@ -133,6 +133,33 @@ def test_partial_sum_kernels_stay_in_spaces():
         assert not (defined | called) & _SUM_KERNELS, path.name
 
 
+def _calls_in(path, name: str) -> set:
+    """Names that the top-level function ``name`` in ``path`` calls."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return {n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                    for n in ast.walk(node) if isinstance(n, ast.Call)}
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+# The dyadic profile has one producer: spaces.fundamental_function serves
+# every phi read, so only spaces solves a moment root, the Orlicz phi helper
+# and the sort-and-dedupe helper stay gone, and the unit norms and the index
+# profile call the producer itself.
+def test_the_dyadic_profile_has_one_producer():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        called = {n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+                  for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        assert not (defined | called) & {"_orlicz_phi", "_distinct"}, path.name
+        if path.stem != "spaces":
+            assert "_moment_root" not in called, path.name
+    assert "fundamental_function" in _calls_in(SRC / "lattices.py", "unit_norms")
+    assert not _calls_in(SRC / "lattices.py", "unit_norms") & {"_weight_sums", "_moment_root"}
+    assert "fundamental_function" in _calls_in(SRC / "indices.py", "_profiles")
+
+
 # indices reads only the spaces it indexes and the limit estimator: the
 # weight-ratio route takes its dyadic profile from the Lorentz space itself.
 def test_indices_imports_only_limits_and_spaces():

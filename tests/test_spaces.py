@@ -395,15 +395,6 @@ def test_cached_tables_are_read_only():
         spaces._power_heads[-0.5][0] = 2.0
 
 
-def test_distinct_is_what_np_unique_returns():
-    rng = np.random.default_rng(3)
-    for size in (0, 1, 2, 50, 1000):
-        a = rng.integers(1, 40, size).astype(np.int64)
-        want = np.unique(a)
-        got = spaces._distinct(a)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 def test_import_builds_no_power_table():
     code = (
         "import symseq, symseq.cli, symseq.verify\n"
@@ -454,12 +445,77 @@ def test_fundamental_function_matches_indicator_norm():
             )
 
 
+# the four families, the array-weight form included
+PHI_SPACES = [Lp(2.0), LpQ(3.0, 2.0), Lorentz(2.0, power_weights(0.25)),
+              Lorentz(2.0, WeightSeq(data=(1.0, 0.5, 0.5))), Orlicz(OrliczFn.power_log(2.0, 0.6))]
+
+
+@pytest.mark.parametrize("n", [2.5, 10**400, 0, -3, 2.0, np.float64(3.0), "3"], ids=repr)
+@pytest.mark.parametrize("space", PHI_SPACES, ids=repr)
+def test_fundamental_function_refuses_what_is_not_a_position(space, n):
+    # l^{p,q} and Lorentz once truncated 2.5 to 2, l^p and Orlicz read it as
+    # a real, and l^p raised OverflowError at 10^400
+    with pytest.raises(ValueError, match=r"^fundamental_function .*needs .*\bn\b"):
+        fundamental_function(space, n)
+    with pytest.raises(ValueError, match=r"^fundamental_function .*needs .*\bn\b"):
+        fundamental_function(space, [1, n, 2])
+
+
+@pytest.mark.parametrize("space", PHI_SPACES + [Lp(math.inf), LpQ(3.0, math.inf), LpQ(2.0, 4.0)],
+                         ids=repr)
+def test_fundamental_function_reads_a_sequence_as_its_scalar_reads(space):
+    ns = [3, 1, 3, 2, 3] if isinstance(space, Lorentz) and space.w.data else [5, 1, 1 << 40, 7, 5, 1 << 40]
+    got = fundamental_function(space, np.array(ns))
+    want = np.array([fundamental_function(space, n) for n in ns])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert fundamental_function(space, []).shape == (0,)
+    assert type(fundamental_function(space, np.int64(3))) is float
+
+
+@pytest.mark.parametrize("space", [LpQ(3.0, 2.0), LpQ(2.0, 4.0), Lorentz(2.0, power_weights(0.25)),
+                                   Lorentz(1.0, power_weights(0.0)),
+                                   Lorentz(2.0, WeightSeq(data=tuple(1.0 / np.arange(1.0, 300.0))))],
+                         ids=["lpq_3_2", "lpq_2_4", "lorentz_th0.25", "lorentz_th0", "lorentz_array"])
+def test_weight_sums_read_positions_as_given(space):
+    # unsorted and repeated run ends read byte for byte what the sorted
+    # distinct positions read
+    rng = np.random.default_rng(17)
+    top = 63 if space.__class__ is LpQ or space.w.theta is not None else 8
+    for _ in range(200):
+        blocks = rng.permutation(top)[: rng.integers(1, top + 1)]
+        ends = np.cumsum(np.left_shift(1, blocks))
+        raw = np.concatenate([ends, rng.choice(ends, rng.integers(0, 5)), ends[::-1]])
+        rng.shuffle(raw)
+        distinct = np.unique(raw)
+        got = spaces._weight_sums(space, raw)
+        want = spaces._weight_sums(space, distinct)[np.searchsorted(distinct, raw)]
+        assert got.tobytes() == want.tobytes()
+    # a position of 2^63 or more anywhere is refused before anything is summed
+    for pts in ([2**63, 1], [1, 2**63 + 5, 3], [2**70], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"positions below 2\^63"):
+            spaces._weight_sums(space, pts)
+
+
+def test_lorentz_array_weights_with_w1_in_1_2_keep_the_unscaled_sum():
+    # w_1 in [1, 2) puts no factor on the weights: the norm is the plain
+    # sum of (b_k w_k)^q over the rearrangement b of _descending, bit for bit
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n, q, w1 = int(rng.integers(1, 40)), float(rng.choice([1.0, 1.5, 2.5, 4.0])), rng.uniform(1.0, 2.0)
+        w = np.sort(rng.uniform(0.1, 1.0, n))[::-1] * w1
+        w[0] = w1
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
+        b, scale = spaces._descending(x)
+        want = scale * float(np.add.reduce((b * w[: b.size]) ** q) ** (1.0 / q))
+        assert norm(Lorentz(q, WeightSeq(data=tuple(w))), x) == want
+
+
 def test_orlicz_inverse_inverts():
-    # N^{-1}(s) = 1 / phi(1/s)
+    # N^{-1}(s) = 1 / phi(1/s), phi(t) the moment root of S0 = t, S1 = 0
     N = OrliczFn.power_log(2.0, 0.6)
     for u in np.geomspace(1e-8, 1.0, 64):
-        s = float(N(np.array([u]))[0])
-        assert 1.0 / spaces._orlicz_phi(N, 1.0 / s) == pytest.approx(u, rel=1e-9)
+        t = 1.0 / float(N(np.array([u]))[0])
+        assert 1.0 / spaces._moment_root(N.p, t, N.a * t) == pytest.approx(u, rel=1e-9)
 
 
 @pytest.mark.parametrize("N", [OrliczFn.power(1.0), OrliczFn.power(1.5), OrliczFn.power(3.0),
@@ -470,7 +526,7 @@ def test_orlicz_phi_is_the_norm_of_an_indicator(N):
     for n in [*range(1, 41), 1000, 4096, 12345]:
         assert fundamental_function(Orlicz(N), n) == norm(Orlicz(N), np.ones(n)), n
     top = fundamental_function(Orlicz(N), 1 << 996)
-    assert math.isfinite(top) and top == spaces._orlicz_phi(N, 2.0**996)
+    assert math.isfinite(top) and top == spaces._moment_root(N.p, 2.0**996, N.a * 2.0**996)
     with pytest.raises(ValueError, match=r"needs n <= 2\^996: .* served for k <= 996"):
         fundamental_function(Orlicz(N), (1 << 996) + 1)
 
